@@ -10,12 +10,12 @@
 
 use crate::store::{ArchiveSnapshot, ArchiveStore};
 use saq_core::algebra::{
-    execute_plan, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet, MatchTier, Planner, Pred,
-    PreparedPred, QueryEngine, QueryExpr,
+    AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet, MatchTier, Planner, Pred, PreparedPred,
+    QueryEngine,
 };
-use saq_core::request::{QueryRequest, QueryResponse, SnapshotRef};
+use saq_core::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use saq_core::store::{StoreConfig, StoredEntry};
-use saq_core::{Error, QueryOutcome, Result};
+use saq_core::{Error, Result};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -82,41 +82,14 @@ impl ArchiveScanEngine<'_> {
 }
 
 impl QueryEngine for ArchiveScanEngine<'_> {
-    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)> {
-        let snap = self.capture();
-        let plan = Planner::new(IndexCaps::none()).plan(expr)?;
-        let mut source = ScanSource { snap: &snap, config: self.config, entries: HashMap::new() };
-        execute_plan(&plan, &mut source)
-    }
-
-    /// One snapshot, captured before the pin check, serves planning,
-    /// explain, and every fetch of the request.
+    /// One snapshot, captured before the pin check, serves every fetch of
+    /// the request. No index structures exist over a raw archive, so the
+    /// planner puts every entry leaf on the scan path.
     fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
         let snap = self.capture();
         let current = SnapshotRef::new(snap.instance_id(), snap.generation());
-        req.verify_pin(Some(current))?;
-        let expr = req.resolve()?;
-        let plan = Planner::new(IndexCaps::none()).plan(&expr)?;
-        let explain = req.want_explain.then(|| plan.explain());
         let mut source = ScanSource { snap: &snap, config: self.config, entries: HashMap::new() };
-        let (outcome, stats) = execute_plan(&plan, &mut source)?;
-        Ok(QueryResponse {
-            outcome,
-            stats: req.want_stats.then_some(stats),
-            explain,
-            snapshot: Some(current),
-        })
-    }
-
-    /// No index structures exist over a raw archive, so the rendering
-    /// shows every entry leaf on the scan path.
-    fn explain(&self, expr: &QueryExpr) -> Result<String> {
-        Ok(Planner::new(IndexCaps::none()).plan(expr)?.explain())
-    }
-
-    fn snapshot_ref(&self) -> Option<SnapshotRef> {
-        let snap = self.capture();
-        Some(SnapshotRef::new(snap.instance_id(), snap.generation()))
+        request::answer(req, current, |_| Planner::new(IndexCaps::none()), &mut source)
     }
 }
 
@@ -182,6 +155,7 @@ impl LeafSource for ScanSource<'_> {
 mod tests {
     use super::*;
     use crate::medium::Medium;
+    use saq_core::algebra::QueryExpr;
     use saq_core::store::SequenceStore;
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 

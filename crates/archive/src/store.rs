@@ -8,7 +8,7 @@
 use crate::durability::{self, ColdDocs, DurabilityConfig, DurableHandle};
 use crate::medium::{AccessCost, Medium};
 use parking_lot::{Mutex, RwLock};
-use saq_core::{QueryOutcome, QuerySpec, Result, SequenceStore, StoreConfig};
+use saq_core::{QueryExpr, QueryOutcome, Result, SequenceStore, StoreConfig};
 use saq_durable::{Backend, DurableConfig, DurableStore, WalRecord};
 use saq_index::cold::SegmentIndexSet;
 use saq_index::ShardedCowMap;
@@ -836,8 +836,9 @@ impl TieredStore {
     /// Answers a generalized approximate query from local representations,
     /// returning the outcome and the simulated local read cost (reading
     /// every representation's parameters once).
-    pub fn query_local(&self, query: &QuerySpec) -> Result<(QueryOutcome, f64)> {
-        let outcome = saq_core::query::evaluate(&self.local, query)?;
+    pub fn query_local(&self, query: &QueryExpr) -> Result<(QueryOutcome, f64)> {
+        use saq_core::QueryEngine as _;
+        let outcome = saq_core::StoreEngine::new(&self.local).execute(query)?;
         let report = self.local.total_compression();
         let bytes = report.parameters as u64 * BYTES_PER_PARAM;
         let cost = self.local_medium.access(bytes).total();
@@ -912,8 +913,7 @@ mod tests {
         for s in corpus() {
             t.insert(&s).unwrap();
         }
-        let (outcome, local_cost) =
-            t.query_local(&QuerySpec::PeakCount { count: 2, tolerance: 0 }).unwrap();
+        let (outcome, local_cost) = t.query_local(&QueryExpr::peak_count(2, 0)).unwrap();
         assert_eq!(outcome.exact.len(), 5, "{outcome:?}");
         let scan_cost = t.full_archive_scan_cost();
         // The headline motivation: orders of magnitude apart.
@@ -928,7 +928,7 @@ mod tests {
         for s in corpus() {
             t.insert(&s).unwrap();
         }
-        let (outcome, _) = t.query_local(&QuerySpec::PeakCount { count: 2, tolerance: 0 }).unwrap();
+        let (outcome, _) = t.query_local(&QueryExpr::peak_count(2, 0)).unwrap();
         let drill = t.drill_down_cost(&outcome.exact);
         let full = t.full_archive_scan_cost();
         assert!(drill < full, "drill {drill} full {full}");

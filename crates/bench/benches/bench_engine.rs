@@ -1,13 +1,13 @@
 //! Benchmarks of the sharded batch engine: cold vs warm cache, worker-pool
-//! vs single-pass sequential execution (no latency emulation — pure CPU;
+//! vs the sequential archive scan (no latency emulation — pure CPU;
 //! see `exp_engine_scaling` for the latency-overlap wall-clock study).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use saq_archive::{ArchiveStore, Medium};
-use saq_core::algebra::QueryExpr;
-use saq_core::query::QuerySpec;
+use saq_archive::{ArchiveScanEngine, ArchiveStore, Medium};
+use saq_core::algebra::{QueryEngine as _, QueryExpr};
+use saq_core::store::StoreConfig;
 use saq_core::{QueryOutcome, QueryRequest};
-use saq_engine::{BatchQuery, EngineConfig, QueryEngine};
+use saq_engine::{EngineConfig, QueryEngine};
 use saq_sequence::generators::{goalpost, random_walk, GoalpostSpec};
 
 fn archive(n: u64) -> ArchiveStore {
@@ -25,13 +25,15 @@ fn archive(n: u64) -> ArchiveStore {
     archive
 }
 
-fn batch() -> Vec<BatchQuery> {
-    vec![
-        BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-        BatchQuery::Feature(QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.2 }),
-        BatchQuery::ValueBand { query: goalpost(GoalpostSpec::default()), delta: 1.0, slack: 1.0 },
+fn batch() -> Vec<QueryRequest> {
+    [
+        QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
+        QueryExpr::peak_count(2, 1),
+        QueryExpr::has_steep_peak(1.5, 0.2),
+        QueryExpr::value_band(goalpost(GoalpostSpec::default()), 1.0, 1.0),
     ]
+    .map(QueryRequest::expr)
+    .into()
 }
 
 fn engine(workers: usize, capacity: usize) -> QueryEngine {
@@ -44,16 +46,14 @@ fn engine(workers: usize, capacity: usize) -> QueryEngine {
     .unwrap()
 }
 
-/// One coalesced wave through the unified request API.
+/// One coalesced wave.
 fn run_wave(
     engine: &QueryEngine,
     store: &ArchiveStore,
-    queries: &[BatchQuery],
+    queries: &[QueryRequest],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
     engine
-        .run_requests(&store.snapshot(), &requests)
+        .run_requests(&store.snapshot(), queries)
         .unwrap()
         .into_iter()
         .map(|r| r.unwrap().outcome)
@@ -80,9 +80,9 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| run_wave(&warm, &store, &queries));
     });
 
-    let sequential = engine(1, 64);
+    let sequential = ArchiveScanEngine::new(&store, StoreConfig::default());
     group.bench_function("sequential-oracle", |b| {
-        b.iter(|| sequential.run_sequential(&store, &queries).unwrap());
+        b.iter(|| queries.iter().map(|q| sequential.request(q).unwrap()).collect::<Vec<_>>());
     });
     group.finish();
 }

@@ -3,9 +3,9 @@
 //! the representation "reduces the amount of data to be scanned").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use saq_core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
 use saq_core::alphabet::{series_symbols, DEFAULT_THETA};
 use saq_core::brk::{Breaker, LinearInterpolationBreaker};
-use saq_core::query::{evaluate, QuerySpec};
 use saq_core::repr::FunctionSeries;
 use saq_core::store::{SequenceStore, StoreConfig};
 use saq_curves::RegressionFitter;
@@ -40,8 +40,8 @@ fn bench_query(c: &mut Criterion) {
             store.insert(s).unwrap();
         }
         group.bench_with_input(BenchmarkId::new("via_representation", n), &store, |b, st| {
-            let q = QuerySpec::Shape { pattern: pattern.into() };
-            b.iter(|| black_box(evaluate(black_box(st), &q).unwrap()));
+            let q = QueryExpr::shape(pattern);
+            b.iter(|| black_box(StoreEngine::new(black_box(st)).execute(&q).unwrap()));
         });
         group.bench_with_input(BenchmarkId::new("raw_rescan", n), &seqs, |b, ss| {
             // Per query: re-break, re-represent, re-quantize, re-match.

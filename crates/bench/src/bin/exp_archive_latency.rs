@@ -4,7 +4,7 @@
 
 use saq_archive::{Medium, TieredStore};
 use saq_bench::{banner, fnum};
-use saq_core::query::QuerySpec;
+use saq_core::algebra::QueryExpr;
 use saq_core::store::StoreConfig;
 use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 
@@ -29,8 +29,7 @@ fn main() {
                 };
                 tiered.insert(&seq).unwrap();
             }
-            let (outcome, local) =
-                tiered.query_local(&QuerySpec::PeakCount { count: 2, tolerance: 0 }).unwrap();
+            let (outcome, local) = tiered.query_local(&QueryExpr::peak_count(2, 0)).unwrap();
             // Half the corpus is two-peaked by construction; noise may
             // occasionally perturb a count, so demand the bulk of them.
             assert!(outcome.exact.len() * 10 >= count * 4, "{} of {count}", outcome.exact.len());

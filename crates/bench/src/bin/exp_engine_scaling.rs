@@ -22,9 +22,8 @@
 use saq_archive::{ArchiveStore, Medium};
 use saq_bench::{banner, env_f64, env_usize, fnum};
 use saq_core::algebra::QueryExpr;
-use saq_core::query::QuerySpec;
 use saq_core::{QueryOutcome, QueryRequest};
-use saq_engine::{BatchQuery, EngineConfig, QueryEngine};
+use saq_engine::{EngineConfig, QueryEngine};
 use saq_sequence::generators::{goalpost, random_walk, seismic_burst, GoalpostSpec};
 use std::time::Instant;
 
@@ -48,14 +47,16 @@ fn build_archive(sequences: usize, len: usize, realtime_scale: f64) -> ArchiveSt
     archive
 }
 
-fn batch() -> Vec<BatchQuery> {
-    vec![
-        BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-        BatchQuery::Feature(QuerySpec::PeakInterval { interval: 8, epsilon: 2 }),
-        BatchQuery::Feature(QuerySpec::HasSteepPeak { steepness: 2.0, slack: 0.2 }),
-        BatchQuery::ValueBand { query: goalpost(GoalpostSpec::default()), delta: 1.5, slack: 1.0 },
+fn batch() -> Vec<QueryRequest> {
+    [
+        QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
+        QueryExpr::peak_count(2, 1),
+        QueryExpr::peak_interval(8, 2),
+        QueryExpr::has_steep_peak(2.0, 0.2),
+        QueryExpr::value_band(goalpost(GoalpostSpec::default()), 1.5, 1.0),
     ]
+    .map(QueryRequest::expr)
+    .into()
 }
 
 fn main() {
@@ -160,17 +161,14 @@ fn main() {
     }
 }
 
-/// Runs `queries` as one coalesced wave through the unified request API,
-/// so the experiment exercises the path every entry point now routes to.
+/// Runs `queries` as one coalesced wave.
 fn run_wave(
     engine: &QueryEngine,
     archive: &ArchiveStore,
-    queries: &[BatchQuery],
+    queries: &[QueryRequest],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
     engine
-        .run_requests(&archive.snapshot(), &requests)
+        .run_requests(&archive.snapshot(), queries)
         .unwrap()
         .into_iter()
         .map(|r| r.unwrap().outcome)
@@ -178,7 +176,7 @@ fn run_wave(
 }
 
 /// Cold-cache wall-clock seconds for one batch at the given worker count.
-fn measure_cold(archive: &ArchiveStore, queries: &[BatchQuery], workers: usize) -> f64 {
+fn measure_cold(archive: &ArchiveStore, queries: &[QueryRequest], workers: usize) -> f64 {
     let engine = QueryEngine::new(EngineConfig {
         workers,
         shards: workers * 4,

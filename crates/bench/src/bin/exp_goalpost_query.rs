@@ -2,7 +2,7 @@
 //! over a stored ward of temperature logs, via the slope-pattern index.
 
 use saq_bench::{banner, goalpost_corpus};
-use saq_core::query::{evaluate, QuerySpec};
+use saq_core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
 use saq_core::store::{SequenceStore, StoreConfig};
 
 fn main() {
@@ -17,8 +17,7 @@ fn main() {
     }
 
     let outcome =
-        evaluate(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
-            .unwrap();
+        StoreEngine::new(&store).execute(&QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*")).unwrap();
 
     println!("sequence             | true peaks | slope string     | matched");
     let mut correct = 0;

@@ -26,7 +26,7 @@
 
 use saq_archive::{ArchiveStore, Medium};
 use saq_bench::{banner, env_usize};
-use saq_core::algebra::{IndexCaps, QueryEngine, QueryExpr, StoreEngine};
+use saq_core::algebra::{IndexCaps, Planner, QueryEngine, QueryExpr, StoreEngine};
 use saq_core::store::{SequenceStore, StoreConfig};
 use saq_engine::{EngineConfig, QueryEngine as ShardedEngine};
 use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
@@ -67,14 +67,14 @@ fn main() {
         .and(QueryExpr::peak_count(2, 1))
         .and(QueryExpr::has_steep_peak(0.8, 0.2));
 
-    let pushdown_engine = StoreEngine::new(&store);
-    let scan_engine = StoreEngine::with_caps(&store, IndexCaps::none());
+    let store_engine = StoreEngine::new(&store);
+    let scan_plan = Planner::new(IndexCaps::none()).plan(&expr).unwrap();
     println!("store: {sequences} sequences; expression:\n");
-    println!("pushdown plan:\n{}", pushdown_engine.plan(&expr).unwrap().explain());
-    println!("scan-only plan:\n{}", scan_engine.plan(&expr).unwrap().explain());
+    println!("pushdown plan:\n{}", store_engine.plan(&expr).unwrap().explain());
+    println!("scan-only plan:\n{}", scan_plan.explain());
 
-    let (pushdown_out, pushdown) = pushdown_engine.execute_with_stats(&expr).unwrap();
-    let (scan_out, scan) = scan_engine.execute_with_stats(&expr).unwrap();
+    let (pushdown_out, pushdown) = store_engine.execute_with_stats(&expr).unwrap();
+    let (scan_out, scan) = store_engine.run_plan(&scan_plan).unwrap();
     assert_eq!(pushdown_out, scan_out, "pushdown must not change results");
 
     println!("plan      | entry scans | index leaves | scan leaves | exact | approx");

@@ -31,10 +31,10 @@
 
 use saq_archive::{ArchiveStore, Medium};
 use saq_bench::{banner, env_f64, env_usize};
-use saq_core::algebra::{IndexCaps, QueryEngine, QueryExpr, StoreEngine};
+use saq_core::algebra::{IndexCaps, Planner, QueryEngine, QueryExpr, StoreEngine};
 use saq_core::store::{SequenceStore, StoreConfig};
 use saq_core::QueryRequest;
-use saq_engine::{BatchQuery, EngineConfig, QueryEngine as ShardedEngine};
+use saq_engine::{EngineConfig, QueryEngine as ShardedEngine};
 use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 use saq_sequence::Sequence;
 
@@ -57,12 +57,10 @@ fn skewed_ward(n: usize) -> Vec<Sequence> {
         .collect()
 }
 
-/// One coalesced wave through the unified request API; outcomes are
-/// dropped — the experiment reads the archive's fetch counters instead.
-fn run_wave(engine: &ShardedEngine, archive: &ArchiveStore, queries: &[BatchQuery]) {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
-    for resp in engine.run_requests(&archive.snapshot(), &requests).unwrap() {
+/// One coalesced wave; outcomes are dropped — the experiment reads the
+/// archive's fetch counters instead.
+fn run_wave(engine: &ShardedEngine, archive: &ArchiveStore, requests: &[QueryRequest]) {
+    for resp in engine.run_requests(&archive.snapshot(), requests).unwrap() {
         resp.unwrap();
     }
 }
@@ -82,16 +80,16 @@ fn main() {
     // Pessimal declaration order: the unselective leaf first.
     let expr = QueryExpr::min_steepness(0.05, 0.0).and(QueryExpr::peak_count(2, 0));
 
-    let cost_engine = StoreEngine::new(&store); // statistics snapshot
-    let static_engine = StoreEngine::with_caps(&store, IndexCaps::all()); // class order only
+    let store_engine = StoreEngine::new(&store); // plans with a statistics snapshot
+    let static_plan = Planner::new(IndexCaps::all()).plan(&expr).unwrap(); // class order only
     println!("store: {sequences} sequences (~{} goalposts); expression:\n", sequences / 20 + 1);
     println!("cost-ordered plan (leaf estimates from index statistics):");
-    println!("{}", cost_engine.plan(&expr).unwrap().explain());
+    println!("{}", store_engine.plan(&expr).unwrap().explain());
     println!("static plan (declaration order among scan leaves):");
-    println!("{}", static_engine.plan(&expr).unwrap().explain());
+    println!("{}", static_plan.explain());
 
-    let (cost_out, cost) = cost_engine.execute_with_stats(&expr).unwrap();
-    let (static_out, stat) = static_engine.execute_with_stats(&expr).unwrap();
+    let (cost_out, cost) = store_engine.execute_with_stats(&expr).unwrap();
+    let (static_out, stat) = store_engine.run_plan(&static_plan).unwrap();
     assert_eq!(cost_out, static_out, "ordering must not change results");
 
     println!("plan         | entry evals | exact | approx");
@@ -114,8 +112,7 @@ fn main() {
         ..EngineConfig::default()
     })
     .unwrap();
-    let two_peaks =
-        vec![BatchQuery::Feature(saq_core::QuerySpec::PeakCount { count: 2, tolerance: 0 })];
+    let two_peaks = [QueryRequest::expr(QueryExpr::peak_count(2, 0))];
     run_wave(&engine, &archive, &two_peaks);
     let cold_fetches = archive.fetch_count();
     let k = 5u64;

@@ -21,9 +21,9 @@
 //!   access is abstracted behind [`LeafSource`], so the sequential store
 //!   engine, the sequential archive engine, and the sharded batch engine
 //!   all produce **id-identical** outcomes by construction.
-//! * [`QueryEngine`] — the trait the engines implement;
-//!   [`QueryEngine::evaluate`] keeps the old one-spec-at-a-time API alive
-//!   by lowering to a single-leaf expression.
+//! * [`QueryEngine`] — the trait the engines implement: one required
+//!   method, [`QueryEngine::request`], with [`QueryEngine::execute`] as
+//!   sugar for built expressions.
 //!
 //! ## Semantics
 //!
@@ -75,10 +75,9 @@
 
 use crate::error::{Error, Result};
 use crate::query::{
-    sort_approximate_matches, ApproximateMatch, PreparedQuery, QueryOutcome, QuerySpec,
-    SequenceMatch,
+    sort_approximate_matches, ApproximateMatch, QueryOutcome, QuerySpec, SequenceMatch,
 };
-use crate::request::{QueryRequest, QueryResponse, SnapshotRef};
+use crate::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use crate::store::{SequenceStore, StoreSnapshot, StoredEntry};
 use saq_sequence::Sequence;
 use std::collections::BTreeMap;
@@ -92,8 +91,8 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pred {
     /// A generalized approximate feature query (shape, peak count, peak
-    /// interval, steepness) with the semantics of
-    /// [`crate::query::PreparedQuery::matches`].
+    /// interval, steepness) with the per-sequence semantics of
+    /// [`PreparedPred::matches`].
     Feature(QuerySpec),
     /// The value-based comparator (the paper's Fig. 1): a stored sequence
     /// matches exactly when every sample lies within the ±`delta` envelope
@@ -124,7 +123,6 @@ pub enum Pred {
 #[derive(Debug, Clone)]
 pub struct PreparedPred {
     pred: Pred,
-    feature: Option<PreparedQuery>,
     /// Shape leaves only: the pattern parsed once, compiled once. The
     /// regex drives the pattern index's pruned full scan, the DFA both
     /// the index's candidate-restricted path and the scan path.
@@ -136,13 +134,13 @@ impl PreparedPred {
     /// non-finite or negative band parameters, empty band queries, and
     /// inverted id ranges.
     pub fn new(pred: &Pred) -> Result<PreparedPred> {
-        let (feature, shape) = match pred {
+        let shape = match pred {
             Pred::Feature(QuerySpec::Shape { pattern }) => {
                 let regex = crate::alphabet::parse_slope_pattern(pattern)?;
                 let dfa = regex.compile();
-                (None, Some((regex, dfa)))
+                Some((regex, dfa))
             }
-            Pred::Feature(spec) => (Some(PreparedQuery::new(spec)?), None),
+            Pred::Feature(_) => None,
             Pred::ValueBand { query, delta, slack } => {
                 if !(delta.is_finite() && *delta >= 0.0) {
                     return Err(Error::BadConfig("band delta must be finite and >= 0".into()));
@@ -153,16 +151,16 @@ impl PreparedPred {
                 if query.is_empty() {
                     return Err(Error::EmptyInput);
                 }
-                (None, None)
+                None
             }
             Pred::IdRange { lo, hi } => {
                 if lo > hi {
                     return Err(Error::BadConfig(format!("inverted id range {lo}..={hi}")));
                 }
-                (None, None)
+                None
             }
         };
-        Ok(PreparedPred { pred: pred.clone(), feature, shape })
+        Ok(PreparedPred { pred: pred.clone(), shape })
     }
 
     /// The underlying predicate.
@@ -183,14 +181,51 @@ impl PreparedPred {
     /// Panics if the predicate needs an entry and none is supplied.
     pub fn matches(&self, id: u64, entry: Option<&StoredEntry>) -> Option<SequenceMatch> {
         match &self.pred {
-            Pred::Feature(QuerySpec::Shape { .. }) => {
-                let entry = entry.expect("shape predicate needs a stored entry");
-                let (_, dfa) = self.shape.as_ref().expect("prepared shape leaf holds a DFA");
-                dfa.is_match(&entry.symbols).then_some(SequenceMatch::Exact)
-            }
-            Pred::Feature(_) => {
+            Pred::Feature(spec) => {
                 let entry = entry.expect("feature predicate needs a stored entry");
-                self.feature.as_ref().expect("prepared feature query").matches(entry)
+                match spec {
+                    QuerySpec::Shape { .. } => {
+                        let (_, dfa) =
+                            self.shape.as_ref().expect("prepared shape leaf holds a DFA");
+                        dfa.is_match(&entry.symbols).then_some(SequenceMatch::Exact)
+                    }
+                    QuerySpec::PeakCount { count, tolerance } => {
+                        let dev = entry.peaks.len().abs_diff(*count);
+                        if dev == 0 {
+                            Some(SequenceMatch::Exact)
+                        } else if dev <= *tolerance {
+                            Some(SequenceMatch::Approximate(dev as f64))
+                        } else {
+                            None
+                        }
+                    }
+                    QuerySpec::PeakInterval { interval, epsilon } => {
+                        // Mirrors the inverted-file path: postings arrive in
+                        // position order, an id is exact if *any* in-band
+                        // interval hits the target dead-on, and otherwise its
+                        // deviation is the first in-band interval's.
+                        let mut first_in_band = None;
+                        let mut exact = false;
+                        for bucket in entry.peaks.interval_buckets() {
+                            let dev = (bucket - interval).abs();
+                            if dev <= *epsilon {
+                                exact |= dev == 0;
+                                first_in_band.get_or_insert(dev);
+                            }
+                        }
+                        if exact {
+                            Some(SequenceMatch::Exact)
+                        } else {
+                            first_in_band.map(|dev| SequenceMatch::Approximate(dev as f64))
+                        }
+                    }
+                    QuerySpec::MinPeakSteepness { steepness, slack } => {
+                        steepness_match(entry, *steepness, *slack, f64::min, f64::INFINITY)
+                    }
+                    QuerySpec::HasSteepPeak { steepness, slack } => {
+                        steepness_match(entry, *steepness, *slack, f64::max, f64::NEG_INFINITY)
+                    }
+                }
             }
             Pred::ValueBand { query, delta, slack } => {
                 let entry = entry.expect("band predicate needs a stored entry");
@@ -218,6 +253,28 @@ impl PreparedPred {
     /// The compiled DFA of a shape leaf, if any.
     pub fn dfa(&self) -> Option<&saq_pattern::Dfa> {
         self.shape.as_ref().map(|(_, dfa)| dfa)
+    }
+}
+
+/// Shared body of the two steepness dimensions: `fold`/`init` select the
+/// universal (min over peaks) or existential (max over peaks) reading.
+fn steepness_match(
+    entry: &StoredEntry,
+    steepness: f64,
+    slack: f64,
+    fold: fn(f64, f64) -> f64,
+    init: f64,
+) -> Option<SequenceMatch> {
+    if entry.peaks.is_empty() {
+        return None;
+    }
+    let measure = entry.peaks.peaks.iter().map(|p| p.steepness()).fold(init, fold);
+    if measure >= steepness {
+        Some(SequenceMatch::Exact)
+    } else if measure >= steepness * (1.0 - slack) {
+        Some(SequenceMatch::Approximate(steepness - measure))
+    } else {
+        None
     }
 }
 
@@ -1305,34 +1362,23 @@ fn exec_node<S: LeafSource>(
 // The engine trait
 // ---------------------------------------------------------------------------
 
-/// A query engine: executes composed [`QueryExpr`]s over some backing
-/// store. Implemented by [`StoreEngine`] (sequential, index pushdown over
-/// a [`SequenceStore`]), `saq_archive::ArchiveScanEngine` (sequential over
-/// the raw archive), and `saq_engine::QueryEngine::bind` (sharded parallel
-/// over the raw archive). All implementations return identical outcomes
+/// A query engine: answers [`QueryRequest`]s over some backing store.
+/// Implemented by [`StoreEngine`] and [`StoreSnapshot`] (sequential, index
+/// pushdown over a [`SequenceStore`]), `saq_archive::ArchiveScanEngine`
+/// (sequential over the raw archive), `saq_engine::QueryEngine::bind`
+/// (sharded parallel over the raw archive), and `saq_server::RemoteEngine`
+/// (a `saqd` over TCP). All implementations return identical outcomes
 /// for the same data, with one precondition: [`Pred::ValueBand`] leaves
 /// need raw samples, and a [`SequenceStore`] built with `keep_raw: false`
 /// retains none — its band leaves match nothing, while the archive-backed
 /// engines (which always keep raw copies) still match. Keep raw retention
 /// on (the default) wherever band leaves must agree across engines.
 pub trait QueryEngine {
-    /// Executes an expression, returning the outcome and execution
-    /// counters.
-    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)>;
-
-    /// The unified entry point: answers one [`QueryRequest`] — SAQL text
-    /// or a built expression, optionally pinned to a snapshot, with stats
-    /// and explain on demand. Every engine (and the `saqd` server)
-    /// answers through this method; the older per-shape entry points are
-    /// deprecated shims over it.
-    ///
-    /// The default implementation composes [`QueryRequest::resolve`],
-    /// [`QueryRequest::verify_pin`] against [`QueryEngine::snapshot_ref`],
-    /// [`QueryEngine::explain`], and
-    /// [`QueryEngine::execute_with_stats`]. Engines over *live* mutable
-    /// backing override it to capture one snapshot up front so the pin
-    /// check, the plan, and every leaf evaluation read the same
-    /// generation.
+    /// Answers one [`QueryRequest`] — SAQL text or a built expression,
+    /// optionally pinned to a snapshot, with stats and explain on demand.
+    /// The local engines capture one snapshot up front and hand it to the
+    /// shared pipeline of [`crate::request`], so the pin check, the plan,
+    /// and every leaf evaluation read the same generation.
     ///
     /// ```
     /// use saq_core::algebra::{QueryEngine as _, StoreEngine};
@@ -1348,55 +1394,21 @@ pub trait QueryEngine {
     /// assert_eq!(resp.outcome.exact, vec![id]);
     /// assert!(resp.stats.unwrap().universe >= 1);
     /// ```
-    fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        let expr = req.resolve()?;
-        let snapshot = self.snapshot_ref();
-        req.verify_pin(snapshot)?;
-        let explain = if req.want_explain { Some(self.explain(&expr)?) } else { None };
-        let (outcome, stats) = self.execute_with_stats(&expr)?;
-        Ok(QueryResponse { outcome, stats: req.want_stats.then_some(stats), explain, snapshot })
-    }
+    fn request(&self, req: &QueryRequest) -> Result<QueryResponse>;
 
-    /// Renders the physical plan this engine would run for `expr` (the
-    /// REPL's and the server's `explain:` output). The default plans with
-    /// every index capability; engines with fewer capabilities override
-    /// to show what they would actually do.
-    fn explain(&self, expr: &QueryExpr) -> Result<String> {
-        Ok(Planner::new(IndexCaps::all()).plan(expr)?.explain())
-    }
-
-    /// The `(instance, generation)` this engine currently serves, when it
-    /// can name one. Engines over anonymous data return `None`, which
-    /// rejects pinned requests.
-    fn snapshot_ref(&self) -> Option<SnapshotRef> {
-        None
-    }
-
-    /// Executes an expression.
+    /// Executes a built expression.
     fn execute(&self, expr: &QueryExpr) -> Result<QueryOutcome> {
-        Ok(self.execute_with_stats(expr)?.0)
+        Ok(self.request(&QueryRequest::expr(expr.clone()))?.outcome)
     }
 
-    /// Back-compat entry point: evaluates a classic single-spec query by
-    /// lowering it to a single-leaf expression.
-    #[deprecated(note = "use `request` with `QueryRequest::expr`")]
-    fn evaluate(&self, spec: &QuerySpec) -> Result<QueryOutcome> {
-        Ok(self.request(&QueryRequest::expr(QueryExpr::from(spec.clone())))?.outcome)
-    }
-
-    /// Parses a SAQL query ([`crate::lang::saql`]) and executes it; parse
-    /// errors surface as [`Error::Saql`] with the caret diagnostic
-    /// intact.
-    #[deprecated(note = "use `request` with `QueryRequest::saql`")]
-    fn execute_saql(&self, text: &str) -> Result<QueryOutcome> {
-        Ok(self.request(&QueryRequest::saql(text))?.outcome)
-    }
-
-    /// As `execute_saql`, returning execution counters too.
-    #[deprecated(note = "use `request` with `QueryRequest::saql(..).with_stats()`")]
-    fn execute_saql_with_stats(&self, text: &str) -> Result<(QueryOutcome, ExecStats)> {
-        let resp = self.request(&QueryRequest::saql(text).with_stats())?;
-        Ok((resp.outcome, resp.stats.expect("stats were requested")))
+    /// Executes a built expression, returning the outcome and execution
+    /// counters.
+    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)> {
+        let resp = self.request(&QueryRequest::expr(expr.clone()).with_stats())?;
+        let stats = resp
+            .stats
+            .ok_or_else(|| Error::Protocol("reply is missing the requested stats".into()))?;
+        Ok((resp.outcome, stats))
     }
 }
 
@@ -1408,7 +1420,9 @@ pub trait QueryEngine {
 /// leaves are served by the slope-pattern index, peak-interval leaves by
 /// the inverted interval file (without touching any entry), id ranges by
 /// id arithmetic, and only the remaining leaves scan entries — over
-/// candidates narrowed by the leaves that ran before them.
+/// candidates narrowed by the leaves that ran before them. Conjunctions
+/// with something to order are cost-ordered by the store's cardinality
+/// estimates.
 ///
 /// ```
 /// use saq_core::algebra::{QueryEngine, QueryExpr, StoreEngine};
@@ -1424,90 +1438,43 @@ pub trait QueryEngine {
 #[derive(Debug, Clone, Copy)]
 pub struct StoreEngine<'a> {
     store: &'a SequenceStore,
-    caps: IndexCaps,
-    use_stats: bool,
 }
 
 impl<'a> StoreEngine<'a> {
-    /// An engine over `store` with every index capability enabled and
-    /// statistics-driven planning: plans whose conjunctions have
-    /// something to order are cost-ordered by a fresh snapshot of the
-    /// store's cardinality estimates. The snapshot is taken lazily, per
-    /// plan — single-leaf expressions (the classic
-    /// [`QueryEngine::evaluate`] path) never pay for it.
+    /// An engine over `store`.
     pub fn new(store: &'a SequenceStore) -> StoreEngine<'a> {
-        StoreEngine { store, caps: IndexCaps::all(), use_stats: true }
+        StoreEngine { store }
     }
 
-    /// A statistics-free engine with explicit capabilities — conjunctions
-    /// keep the static class order, and [`IndexCaps::none`] forces every
-    /// leaf onto the scan path (the baselines the pushdown and selectivity
-    /// experiments compare against).
-    pub fn with_caps(store: &'a SequenceStore, caps: IndexCaps) -> StoreEngine<'a> {
-        StoreEngine { store, caps, use_stats: false }
-    }
-
-    /// Plans an expression with this engine's capabilities. Statistics
-    /// are snapshotted (O(store size)) only when the expression contains
-    /// a multi-operand conjunction — the one place estimates change the
-    /// plan.
+    /// The plan a request for `expr` would run (over a snapshot taken
+    /// now).
     pub fn plan(&self, expr: &QueryExpr) -> Result<PhysicalPlan> {
-        self.planner_for(expr, &self.store.snapshot()).plan(expr)
+        snapshot_planner(expr, &self.store.snapshot()).plan(expr)
     }
 
-    fn planner_for(&self, expr: &QueryExpr, snap: &StoreSnapshot) -> Planner {
-        if self.use_stats && has_wide_and(expr) {
-            Planner::with_stats(self.caps, PlanStats::from_snapshot(snap))
-        } else {
-            Planner::new(self.caps)
-        }
-    }
-
-    /// Executes a previously built plan (over a snapshot taken now).
+    /// Executes a previously built plan (over a snapshot taken now) —
+    /// e.g. one from a [`Planner`] with fewer capabilities or refined
+    /// statistics, to measure against the engine's own choice.
     pub fn run_plan(&self, plan: &PhysicalPlan) -> Result<(QueryOutcome, ExecStats)> {
         let snap = self.store.snapshot();
         execute_plan(plan, &mut SnapshotSource { snap: &snap })
     }
 }
 
+/// Every index capability; statistics are snapshotted (O(store size))
+/// only when the expression contains a multi-operand conjunction — the
+/// one place estimates change the plan.
+fn snapshot_planner(expr: &QueryExpr, snap: &StoreSnapshot) -> Planner {
+    if has_wide_and(expr) {
+        Planner::with_stats(IndexCaps::all(), PlanStats::from_snapshot(snap))
+    } else {
+        Planner::new(IndexCaps::all())
+    }
+}
+
 impl QueryEngine for StoreEngine<'_> {
-    /// Captures one [`StoreSnapshot`] up front; planner statistics and
-    /// every leaf evaluation read that snapshot, so the whole run is
-    /// pinned to a single `(instance, generation)`.
-    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)> {
-        let snap = self.store.snapshot();
-        let plan = self.planner_for(expr, &snap).plan(expr)?;
-        execute_plan(&plan, &mut SnapshotSource { snap: &snap })
-    }
-
-    /// One snapshot, captured before the pin check, serves planning,
-    /// explain, and every leaf evaluation of the request.
     fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        let snap = self.store.snapshot();
-        let current = SnapshotRef::new(snap.instance_id(), snap.generation());
-        req.verify_pin(Some(current))?;
-        let expr = req.resolve()?;
-        let plan = self.planner_for(&expr, &snap).plan(&expr)?;
-        let (outcome, stats) = execute_plan(&plan, &mut SnapshotSource { snap: &snap })?;
-        // Rendered after execution so each leaf carries what it observed.
-        let explain = req.want_explain.then(|| plan.explain_with(Some(&stats)));
-        Ok(QueryResponse {
-            outcome,
-            stats: req.want_stats.then_some(stats),
-            explain,
-            snapshot: Some(current),
-        })
-    }
-
-    /// Explains with this engine's capabilities and statistics choice —
-    /// exactly the plan [`StoreEngine::request`] would run.
-    fn explain(&self, expr: &QueryExpr) -> Result<String> {
-        Ok(self.plan(expr)?.explain())
-    }
-
-    fn snapshot_ref(&self) -> Option<SnapshotRef> {
-        let snap = self.store.snapshot();
-        Some(SnapshotRef::new(snap.instance_id(), snap.generation()))
+        self.store.snapshot().request(req)
     }
 }
 
@@ -1516,29 +1483,10 @@ impl QueryEngine for StoreEngine<'_> {
 /// natural engine for concurrent readers — take a snapshot, query it any
 /// number of times, drop it.
 impl QueryEngine for StoreSnapshot {
-    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)> {
-        let planner = if has_wide_and(expr) {
-            Planner::with_stats(IndexCaps::all(), PlanStats::from_snapshot(self))
-        } else {
-            Planner::new(IndexCaps::all())
-        };
-        let plan = planner.plan(expr)?;
-        execute_plan(&plan, &mut SnapshotSource { snap: self })
-    }
-
-    /// Explains with the same statistics choice execution uses, so the
-    /// rendering matches the plan that actually runs.
-    fn explain(&self, expr: &QueryExpr) -> Result<String> {
-        let planner = if has_wide_and(expr) {
-            Planner::with_stats(IndexCaps::all(), PlanStats::from_snapshot(self))
-        } else {
-            Planner::new(IndexCaps::all())
-        };
-        Ok(planner.plan(expr)?.explain())
-    }
-
-    fn snapshot_ref(&self) -> Option<SnapshotRef> {
-        Some(SnapshotRef::new(self.instance_id(), self.generation()))
+    fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
+        let current = SnapshotRef::new(self.instance_id(), self.generation());
+        let planner = |expr: &QueryExpr| snapshot_planner(expr, self);
+        request::answer(req, current, planner, &mut SnapshotSource { snap: self })
     }
 }
 
@@ -1625,7 +1573,7 @@ impl LeafSource for SnapshotSource<'_> {
 /// postings arrive sorted by `(sequence, position)`, so the first posting
 /// of a sequence is its first in-band interval, and any posting at the
 /// exact key makes the match exact — precisely
-/// [`crate::query::PreparedQuery::matches`]'s interval semantics, without
+/// [`PreparedPred::matches`]'s interval semantics, without
 /// touching any stored entry. Shared by the store engine's
 /// [`AccessPath::IntervalIndex`] path and the sharded engine's shard-local
 /// indexes.
@@ -1859,8 +1807,7 @@ mod tests {
 
         // The flipped order scans fewer entries and returns the same ids.
         let (cost_out, cost_stats) = engine.execute_with_stats(&expr).unwrap();
-        let (static_out, static_stats) =
-            StoreEngine::with_caps(&store, IndexCaps::all()).execute_with_stats(&expr).unwrap();
+        let (static_out, static_stats) = engine.run_plan(&stat_free).unwrap();
         assert_eq!(cost_out, static_out);
         assert!(
             cost_stats.entries_scanned < static_stats.entries_scanned,
@@ -1927,8 +1874,8 @@ mod tests {
         let mixed_plan = engine.plan(&QueryExpr::peak_count(2, 0).and(mixed)).unwrap();
         assert!(!mixed_plan.explain().contains("index union"), "{}", mixed_plan.explain());
         // Identical results to the scan-only baseline.
-        let baseline = StoreEngine::with_caps(&store, IndexCaps::none()).execute(&expr).unwrap();
-        assert_eq!(out, baseline);
+        let scan_only = Planner::new(IndexCaps::none()).plan(&expr).unwrap();
+        assert_eq!(out, engine.run_plan(&scan_only).unwrap().0);
     }
 
     #[test]
@@ -2008,9 +1955,10 @@ mod tests {
     fn index_pushdown_scans_fewer_entries() {
         let (store, _) = corpus();
         let expr = QueryExpr::shape(GOALPOST).and(QueryExpr::peak_count(2, 0));
-        let (indexed_out, indexed) = StoreEngine::new(&store).execute_with_stats(&expr).unwrap();
-        let (scanned_out, scanned) =
-            StoreEngine::with_caps(&store, IndexCaps::none()).execute_with_stats(&expr).unwrap();
+        let engine = StoreEngine::new(&store);
+        let (indexed_out, indexed) = engine.execute_with_stats(&expr).unwrap();
+        let scan_only = Planner::new(IndexCaps::none()).plan(&expr).unwrap();
+        let (scanned_out, scanned) = engine.run_plan(&scan_only).unwrap();
         assert_eq!(indexed_out, scanned_out, "pushdown must not change results");
         assert!(
             indexed.entries_scanned < scanned.entries_scanned,
@@ -2023,15 +1971,14 @@ mod tests {
     #[test]
     fn interval_leaf_needs_no_entries() {
         let (store, ids) = corpus();
-        let (out, stats) =
-            StoreEngine::new(&store).execute_with_stats(&QueryExpr::peak_interval(8, 2)).unwrap();
+        let engine = StoreEngine::new(&store);
+        let expr = QueryExpr::peak_interval(8, 2);
+        let (out, stats) = engine.execute_with_stats(&expr).unwrap();
         assert!(out.all_ids().contains(&ids[3]), "{out:?}");
         assert_eq!(stats.entries_scanned, 0);
         // And it agrees with the scan path exactly.
-        let (scan_out, _) = StoreEngine::with_caps(&store, IndexCaps::none())
-            .execute_with_stats(&QueryExpr::peak_interval(8, 2))
-            .unwrap();
-        assert_eq!(out, scan_out);
+        let scan_only = Planner::new(IndexCaps::none()).plan(&expr).unwrap();
+        assert_eq!(out, engine.run_plan(&scan_only).unwrap().0);
     }
 
     #[test]
@@ -2046,25 +1993,6 @@ mod tests {
             StoreEngine::new(&store).execute(&QueryExpr::value_band(center, 0.5, 1.0)).unwrap();
         assert_eq!(out.exact, vec![a]);
         assert_eq!(out.approximate.iter().map(|m| m.id).collect::<Vec<_>>(), vec![b]);
-    }
-
-    // The deprecated shim must stay byte-identical to the unified path.
-    #[test]
-    #[allow(deprecated)]
-    fn evaluate_shim_matches_execute() {
-        let (store, _) = corpus();
-        let engine = StoreEngine::new(&store);
-        for spec in [
-            QuerySpec::Shape { pattern: GOALPOST.into() },
-            QuerySpec::PeakCount { count: 2, tolerance: 1 },
-            QuerySpec::PeakInterval { interval: 8, epsilon: 2 },
-            QuerySpec::MinPeakSteepness { steepness: 0.5, slack: 0.2 },
-            QuerySpec::HasSteepPeak { steepness: 1.0, slack: 0.2 },
-        ] {
-            let via_trait = engine.evaluate(&spec).unwrap();
-            let via_expr = engine.execute(&QueryExpr::from(spec.clone())).unwrap();
-            assert_eq!(via_trait, via_expr, "{spec:?}");
-        }
     }
 
     #[test]

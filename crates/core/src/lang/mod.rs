@@ -1,151 +1,29 @@
-//! Textual query languages over the paper's generalized approximate
+//! The textual query language over the paper's generalized approximate
 //! queries — the §6 future work ("Define a query language that supports
 //! generalized approximate queries").
 //!
-//! Two entry points share one grammar and one parser:
+//! [`saql`] is **SAQL**, the textual surface of the full algebra:
+//! `and`/`or`/`not` with precedence and parentheses, `limit`/`topk`
+//! truncations, id ranges, value bands, and the feature clauses in the
+//! constraint-per-dimension style the paper sketches (the user states the
+//! shape and per-dimension error tolerances). See `docs/SAQL.md`; run text
+//! through any engine with `QueryRequest::saql`.
 //!
-//! * [`saql`] — **SAQL**, the full algebra: `and`/`or`/`not` with
-//!   precedence and parentheses, `limit`/`topk` truncations, id ranges,
-//!   value bands, and the feature clauses below. See `docs/SAQL.md`.
-//! * [`parse_query`] / [`run_query`] — the original clause language, kept
-//!   as a compatibility shim over SAQL's conjunctive feature subset:
-//!   clauses joined by `and`, in the constraint-per-dimension style the
-//!   paper sketches (the user states the shape and per-dimension error
-//!   tolerances).
-//!
-//! Clause grammar (case-insensitive keywords, `#`-comments):
-//!
-//! ```text
-//! query     := clause ('and' clause)*
-//! clause    := shape | peaks | interval | steepness
-//! shape     := 'shape' STRING                  -- slope pattern, both notations
-//! peaks     := 'peaks' '=' INT ('tol' INT)?
-//! interval  := 'interval' '=' INT ('tol' INT)?
-//! steepness := 'steepness' ('all' | 'any') '>=' FLOAT ('slack' FLOAT)?
-//! ```
-//!
-//! Example: `shape "0* 1+ (-1)+ 0*" and peaks = 1 tol 0`.
-//!
-//! A conjunctive query is evaluated clause by clause; a sequence is an
+//! A conjunction is evaluated clause by clause; a sequence is an
 //! **exact** result if exact in every clause, and **approximate** if it
 //! matches every clause with at least one within-tolerance deviation (the
 //! total deviation is the sum across dimensions — each dimension carries
-//! its own metric, per §2.2).
+//! its own metric, per §2.2). The tests below pin that reading end to end.
 
 pub mod saql;
 
-use crate::algebra::{Pred, QueryExpr, StoreEngine};
-use crate::error::{Error, Result};
-use crate::query::{ApproximateMatch, QueryOutcome, QuerySpec};
-use crate::store::SequenceStore;
-use std::collections::HashMap;
-
-/// A parsed conjunctive query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedQuery {
-    clauses: Vec<QuerySpec>,
-}
-
-impl ParsedQuery {
-    /// The parsed clauses, in source order.
-    pub fn clauses(&self) -> &[QuerySpec] {
-        &self.clauses
-    }
-
-    /// Lowers the clauses to a conjunctive algebra expression (a single
-    /// clause becomes a bare leaf).
-    pub fn into_expr(self) -> QueryExpr {
-        let mut leaves = self.clauses.into_iter().map(QueryExpr::feature);
-        let first = leaves.next().expect("parser rejects empty queries");
-        leaves.fold(first, QueryExpr::and)
-    }
-}
-
-/// Parses the textual clause language into clauses.
-///
-/// This is a shim over the SAQL parser ([`saql::parse`]) restricted to its
-/// original subset: a conjunction of feature clauses. Queries that use the
-/// wider algebra — `or`, `not`, parentheses, `limit`/`topk`, `id`/`band`
-/// leaves — parse fine as SAQL but are rejected here with a pointer to
-/// [`saql::parse`], which returns the full [`QueryExpr`].
-pub fn parse_query(text: &str) -> Result<ParsedQuery> {
-    let expr = saql::parse(text)?;
-    let clauses = conjunctive_feature_clauses(&expr).ok_or_else(|| {
-        Error::BadConfig(
-            "parse_query covers the conjunctive clause subset (feature clauses joined by \
-             `and`); use lang::saql::parse for the full algebra"
-                .into(),
-        )
-    })?;
-    Ok(ParsedQuery { clauses })
-}
-
-/// Extracts the clause list when `expr` is a flat conjunction of feature
-/// leaves (or a single feature leaf); `None` for anything wider.
-fn conjunctive_feature_clauses(expr: &QueryExpr) -> Option<Vec<QuerySpec>> {
-    let feature = |child: &QueryExpr| match child {
-        QueryExpr::Leaf(Pred::Feature(spec)) => Some(spec.clone()),
-        _ => None,
-    };
-    match expr {
-        QueryExpr::And(children) => children.iter().map(feature).collect(),
-        leaf => Some(vec![feature(leaf)?]),
-    }
-}
-
-/// Parses and evaluates a conjunctive query against a store.
-///
-/// Clauses lower to a conjunctive [`QueryExpr`] executed by the
-/// planner-backed [`StoreEngine`], so shape and interval clauses are
-/// served by the store's indexes and the remaining clauses only scan the
-/// already-narrowed candidates.
-pub fn run_query(store: &SequenceStore, text: &str) -> Result<QueryOutcome> {
-    use crate::algebra::QueryEngine as _;
-    StoreEngine::new(store).execute(&parse_query(text)?.into_expr())
-}
-
-/// Combines per-clause outcomes conjunctively.
-pub fn conjoin(outcomes: &[QueryOutcome]) -> QueryOutcome {
-    if outcomes.is_empty() {
-        return QueryOutcome::default();
-    }
-    // tier: Some(total deviation) if matched, None if not; 0.0 = exact.
-    let mut tally: HashMap<u64, (usize, f64, bool)> = HashMap::new();
-    for outcome in outcomes {
-        for id in &outcome.exact {
-            let e = tally.entry(*id).or_insert((0, 0.0, false));
-            e.0 += 1;
-        }
-        for m in &outcome.approximate {
-            let e = tally.entry(m.id).or_insert((0, 0.0, false));
-            e.0 += 1;
-            e.1 += m.deviation;
-            e.2 = true;
-        }
-    }
-    let total = outcomes.len();
-    let mut exact = Vec::new();
-    let mut approximate = Vec::new();
-    for (id, (hits, dev, any_approx)) in tally {
-        if hits == total {
-            if any_approx {
-                approximate.push(ApproximateMatch { id, deviation: dev });
-            } else {
-                exact.push(id);
-            }
-        }
-    }
-    exact.sort_unstable();
-    approximate.sort_by(|a, b| {
-        a.deviation.partial_cmp(&b.deviation).expect("finite deviations").then(a.id.cmp(&b.id))
-    });
-    QueryOutcome { exact, approximate }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::store::StoreConfig;
+    use super::saql;
+    use crate::algebra::{Pred, QueryEngine as _, QueryExpr, StoreEngine};
+    use crate::query::{QueryOutcome, QuerySpec};
+    use crate::request::QueryRequest;
+    use crate::store::{SequenceStore, StoreConfig};
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 
     fn corpus() -> (SequenceStore, Vec<u64>) {
@@ -161,25 +39,42 @@ mod tests {
         (store, ids)
     }
 
+    fn run(store: &SequenceStore, text: &str) -> QueryOutcome {
+        StoreEngine::new(store).request(&QueryRequest::saql(text)).unwrap().outcome
+    }
+
+    /// The feature specs of a flat conjunction, in source order.
+    fn clauses(text: &str) -> Vec<QuerySpec> {
+        let conjuncts = match saql::parse(text).unwrap() {
+            QueryExpr::And(children) => children,
+            leaf => vec![leaf],
+        };
+        conjuncts
+            .into_iter()
+            .map(|c| match c {
+                QueryExpr::Leaf(Pred::Feature(spec)) => spec,
+                other => panic!("expected a feature clause, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn parses_every_clause_kind() {
-        let q = parse_query(
+        let q = clauses(
             r#"shape "0* 1+ (-1)+ 0*" and peaks = 2 tol 1 and interval = 136 tol 3
                and steepness all >= 2.0 slack 0.25 and steepness any >= 5"#,
-        )
-        .unwrap();
-        assert_eq!(q.clauses().len(), 5);
-        assert!(matches!(q.clauses()[0], QuerySpec::Shape { .. }));
-        assert!(matches!(q.clauses()[1], QuerySpec::PeakCount { count: 2, tolerance: 1 }));
-        assert!(matches!(q.clauses()[2], QuerySpec::PeakInterval { interval: 136, epsilon: 3 }));
-        assert!(matches!(q.clauses()[3], QuerySpec::MinPeakSteepness { .. }));
-        assert!(matches!(q.clauses()[4], QuerySpec::HasSteepPeak { .. }));
+        );
+        assert_eq!(q.len(), 5);
+        assert!(matches!(q[0], QuerySpec::Shape { .. }));
+        assert!(matches!(q[1], QuerySpec::PeakCount { count: 2, tolerance: 1 }));
+        assert!(matches!(q[2], QuerySpec::PeakInterval { interval: 136, epsilon: 3 }));
+        assert!(matches!(q[3], QuerySpec::MinPeakSteepness { .. }));
+        assert!(matches!(q[4], QuerySpec::HasSteepPeak { .. }));
     }
 
     #[test]
     fn comments_and_case_insensitivity() {
-        let q = parse_query("PEAKS = 2 # the goal-post count\n").unwrap();
-        assert_eq!(q.clauses().len(), 1);
+        assert_eq!(clauses("PEAKS = 2 # the goal-post count\n").len(), 1);
     }
 
     #[test]
@@ -194,26 +89,15 @@ mod tests {
             ("peaks = 2 peaks = 3", "expected `and`"),
             (r#"shape "unterminated"#, "unterminated"),
         ] {
-            let err = parse_query(text).unwrap_err().to_string();
+            let err = saql::parse(text).unwrap_err().to_string();
             assert!(err.contains(needle), "`{text}` -> `{err}`");
-        }
-    }
-
-    #[test]
-    fn full_algebra_queries_are_deferred_to_saql() {
-        // These parse as SAQL but exceed the clause subset.
-        for text in ["peaks = 1 or peaks = 2", "not peaks = 2", "peaks = 2 limit 3", "id in [0..9]"]
-        {
-            let err = parse_query(text).unwrap_err().to_string();
-            assert!(err.contains("saql"), "`{text}` -> `{err}`");
-            assert!(saql::parse(text).is_ok(), "`{text}` must still be valid SAQL");
         }
     }
 
     #[test]
     fn single_clause_runs_like_evaluate() {
         let (store, ids) = corpus();
-        let out = run_query(&store, r#"shape "0* 1+ (-1)+ 0* 1+ (-1)+ 0*""#).unwrap();
+        let out = run(&store, r#"shape "0* 1+ (-1)+ 0* 1+ (-1)+ 0*""#);
         assert_eq!(out.exact, vec![ids[1]]);
     }
 
@@ -221,11 +105,11 @@ mod tests {
     fn conjunction_intersects() {
         let (store, ids) = corpus();
         // Two peaks AND an inter-peak interval near 10h: only the goalpost.
-        let out = run_query(&store, "peaks = 2 and interval = 10 tol 2").unwrap();
+        let out = run(&store, "peaks = 2 and interval = 10 tol 2");
         assert_eq!(out.exact, vec![ids[1]]);
         // Two peaks (tol 1) AND interval near 8: the 3-peak sequence
         // (interval-exact, count off by one) surfaces as approximate.
-        let out = run_query(&store, "peaks = 2 tol 1 and interval = 8 tol 1").unwrap();
+        let out = run(&store, "peaks = 2 tol 1 and interval = 8 tol 1");
         assert!(out.approximate.iter().any(|m| m.id == ids[2]), "{out:?}");
         assert!(!out.exact.contains(&ids[2]));
     }
@@ -234,10 +118,10 @@ mod tests {
     fn conjunction_requires_all_clauses() {
         let (store, ids) = corpus();
         // One peak AND three peaks: unsatisfiable.
-        let out = run_query(&store, "peaks = 1 and peaks = 3").unwrap();
+        let out = run(&store, "peaks = 1 and peaks = 3");
         assert!(out.exact.is_empty() && out.approximate.is_empty());
         // One peak alone matches the single-peak sequence.
-        let out = run_query(&store, "peaks = 1").unwrap();
+        let out = run(&store, "peaks = 1");
         assert_eq!(out.exact, vec![ids[0]]);
     }
 
@@ -246,14 +130,9 @@ mod tests {
         let (store, ids) = corpus();
         // Count tol 2 + interval tol 3: the 3-peak sequence deviates by 1
         // in count and 2 in interval when asked for interval = 10.
-        let out = run_query(&store, "peaks = 2 tol 2 and interval = 10 tol 3").unwrap();
+        let out = run(&store, "peaks = 2 tol 2 and interval = 10 tol 3");
         if let Some(m) = out.approximate.iter().find(|m| m.id == ids[2]) {
             assert!(m.deviation >= 1.0, "{m:?}");
         }
-    }
-
-    #[test]
-    fn conjoin_empty_is_empty() {
-        assert_eq!(conjoin(&[]), QueryOutcome::default());
     }
 }

@@ -1,11 +1,10 @@
 //! **SAQL** — the textual surface for the *full* query algebra.
 //!
-//! The classic clause language ([`crate::lang::parse_query`]) covers flat
-//! conjunctions of feature clauses; SAQL covers every [`QueryExpr`] shape:
-//! `and` / `or` / `not` with conventional precedence and parentheses,
-//! trailing `limit n` / `topk k` truncations, id-range leaves
-//! (`id in [lo..hi]`), value-band leaves (`band [t:v, …] delta δ slack s`)
-//! and the feature leaves of the clause language unchanged. A parsed
+//! SAQL covers every [`QueryExpr`] shape: `and` / `or` / `not` with
+//! conventional precedence and parentheses, trailing `limit n` / `topk k`
+//! truncations, id-range leaves (`id in [lo..hi]`), value-band leaves
+//! (`band [t:v, …] delta δ slack s`) and one feature clause per query
+//! dimension (`shape`, `peaks`, `interval`, `steepness`). A parsed
 //! expression lowers onto the existing [`Planner`] / [`QueryEngine`](crate::algebra::QueryEngine)
 //! machinery — SAQL adds no execution semantics of its own.
 //!
@@ -165,7 +164,7 @@ impl std::error::Error for SaqlError {}
 enum Tok {
     /// A bare word, lowercased (keywords are case-insensitive).
     Word(String),
-    /// A double-quoted string (no escapes, matching the clause language).
+    /// A double-quoted string (no escapes).
     Str(String),
     /// A numeric literal, kept as its raw lexeme so integer contexts can
     /// parse it with full `u64`/`i64` precision.
@@ -401,9 +400,9 @@ pub fn parse(text: &str) -> Result<QueryExpr> {
     parse_spanned(text).map_err(|e| Error::Saql { error: e, query: text.to_string() })
 }
 
-/// Parses a SAQL query and plans it in one step — the convenience engines
-/// use to accept textual queries (see
-/// [`QueryEngine::execute_saql`](crate::algebra::QueryEngine::execute_saql)).
+/// Parses a SAQL query and plans it in one step, for callers that want
+/// the plan without running it; to run text, send a
+/// [`QueryRequest::saql`](crate::request::QueryRequest::saql).
 ///
 /// ```
 /// use saq_core::algebra::{IndexCaps, Planner};
@@ -1130,21 +1129,6 @@ mod tests {
             ids.push(store.insert(&seq).unwrap());
         }
         (store, ids)
-    }
-
-    // The deprecated shim must stay byte-identical to the unified path.
-    #[test]
-    #[allow(deprecated)]
-    fn execute_saql_matches_the_constructed_expression() {
-        let (store, ids) = corpus();
-        let engine = StoreEngine::new(&store);
-        let text = format!("shape \"{GOALPOST}\" or peaks = 3 topk 2");
-        let via_text = engine.execute_saql(&text).unwrap();
-        let via_expr = engine
-            .execute(&QueryExpr::shape(GOALPOST).or(QueryExpr::peak_count(3, 0)).top_k(2))
-            .unwrap();
-        assert_eq!(via_text, via_expr);
-        assert!(via_text.all_ids().contains(&ids[1]));
     }
 
     #[test]

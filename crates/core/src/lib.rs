@@ -21,16 +21,17 @@
 //!    descending functions), inter-peak intervals, steepness.
 //! 5. **Transformations** ([`transform`]) — the feature-preserving
 //!    transformations that generalized approximate queries are closed under.
-//! 6. **Queries** ([`query`], [`store`]) — the query engine over a store of
-//!    representations with slope-pattern and inverted-file indexes.
+//! 6. **Queries** ([`query`], [`store`]) — the feature-query vocabulary
+//!    and a store of representations with slope-pattern and inverted-file
+//!    indexes.
 //! 7. **Algebra** ([`algebra`]) — the composable query algebra
 //!    ([`QueryExpr`]: `And`/`Or`/`Not`/`Limit`/`TopK` over predicate
 //!    leaves), the [`Planner`] that pushes indexable leaves into
-//!    `saq-index` structures, and the [`QueryEngine`] trait shared by the
-//!    sequential and sharded execution backends.
-//! 8. **Languages** ([`lang`]) — SAQL ([`lang::saql`]), the textual
-//!    surface for the full algebra (grammar in `docs/SAQL.md`), and the
-//!    original conjunctive clause language as a shim over its subset.
+//!    `saq-index` structures, and the [`QueryEngine`] trait — one
+//!    [`QueryRequest`] → [`QueryResponse`] entry point ([`request`]) shared
+//!    by the sequential, sharded and remote execution backends.
+//! 8. **Language** ([`lang`]) — SAQL ([`lang::saql`]), the textual
+//!    surface for the full algebra (grammar in `docs/SAQL.md`).
 //! 9. **Streaming** ([`streaming`], [`subscribe`]) — incremental
 //!    re-representation for live appends (splicing the online breaker's
 //!    stable prefix) and standing queries whose result-set deltas are
@@ -79,10 +80,9 @@ pub use brk::Breaker;
 pub use error::{Error, Result};
 pub use features::{Peak, PeakTable};
 pub use lang::saql::{parse as parse_saql, parse_and_plan, print as print_saql, SaqlError, Span};
-pub use lang::{parse_query, run_query, ParsedQuery};
 pub use multi::{Family, MultiSeries};
-pub use persist::{load_series, read_series, save_series, write_series, write_series_text};
-pub use query::{ApproximateMatch, PreparedQuery, QueryOutcome, QuerySpec, SequenceMatch};
+pub use persist::{load_series, read_series, save_series, write_series};
+pub use query::{ApproximateMatch, QueryOutcome, QuerySpec, SequenceMatch};
 pub use repr::{CompressionReport, FunctionSeries, LinearSeries, Segment};
 pub use request::{QueryBody, QueryRequest, QueryResponse, SnapshotRef};
 pub use store::{BreakerKind, SequenceStore, SharedStore, StoreConfig, StoreSnapshot, StoredEntry};

@@ -5,50 +5,34 @@
 //! this module lets a [`LinearSeries`] survive process restarts and ship
 //! between sites without the raw data.
 //!
-//! Two formats are understood:
-//!
-//! * **v2 (binary, default)** — a thin shim over the durable storage
-//!   codec ([`saq_durable::codec`]): one CRC-checksummed, length-prefixed
-//!   frame whose body is `"SAQ2"` + original length + segment records in
-//!   little-endian with IEEE-754 bit-exact floats. Corruption anywhere is
-//!   detected by the checksum instead of silently mangling coefficients.
-//! * **v1 (text, legacy)** — the original human-auditable form, one
-//!   segment per line, still written by [`write_series_text`]:
-//!
-//!   ```text
-//!   saq-linear-series v1 <original_len> <segment_count>
-//!   <start_index> <end_index> <start_t> <start_v> <end_t> <end_v> <slope> <intercept>
-//!   ...
-//!   ```
-//!
-//! [`read_series`] sniffs the leading bytes and accepts either, so files
-//! written before the durable engine existed keep loading; re-saving
-//! migrates them to v2.
+//! The format is one CRC-checksummed, length-prefixed frame of the durable
+//! storage codec ([`saq_durable::codec`]) whose body is `"SAQ2"` +
+//! original length + segment records in little-endian with IEEE-754
+//! bit-exact floats. Corruption anywhere is detected by the checksum
+//! instead of silently mangling coefficients; anything that is not such a
+//! frame is rejected.
 
 use crate::error::{Error, Result};
 use crate::repr::{FunctionSeries, LinearSeries, Segment};
 use saq_curves::Line;
 use saq_durable::codec::{self, Cursor};
 use saq_sequence::Point;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-const MAGIC: &str = "saq-linear-series v1";
-const MAGIC_V2: &[u8; 4] = b"SAQ2";
+const MAGIC: &[u8; 4] = b"SAQ2";
 
-/// Writes a linear series in the v2 binary format (one checksummed
-/// frame over the durable codec).
+/// Writes a linear series (one checksummed frame over the durable codec).
 pub fn write_series<W: Write>(series: &LinearSeries, out: W) -> Result<()> {
     let mut w = BufWriter::new(out);
     w.write_all(&encode_series(series)).map_err(io_err)?;
     w.flush().map_err(io_err)
 }
 
-/// Encodes a linear series as v2 bytes (the exact content
-/// [`write_series`] emits).
+/// Encodes a linear series (the exact bytes [`write_series`] emits).
 pub fn encode_series(series: &LinearSeries) -> Vec<u8> {
     let mut body = Vec::with_capacity(8 + 12 + series.segment_count() * 64);
-    body.extend_from_slice(MAGIC_V2);
+    body.extend_from_slice(MAGIC);
     codec::put_u64(&mut body, series.original_len() as u64);
     codec::put_u32(&mut body, series.segment_count() as u32);
     for seg in series.segments() {
@@ -64,50 +48,21 @@ pub fn encode_series(series: &LinearSeries) -> Vec<u8> {
     codec::frame(&body)
 }
 
-/// Writes a linear series in the legacy v1 text format (one segment per
-/// line, `#`-comments tolerated on read).
-pub fn write_series_text<W: Write>(series: &LinearSeries, out: W) -> Result<()> {
-    let mut w = BufWriter::new(out);
-    writeln!(w, "{MAGIC} {} {}", series.original_len(), series.segment_count()).map_err(io_err)?;
-    for seg in series.segments() {
-        writeln!(
-            w,
-            "{} {} {} {} {} {} {} {}",
-            seg.start_index,
-            seg.end_index,
-            seg.start.t,
-            seg.start.v,
-            seg.end.t,
-            seg.end.v,
-            seg.curve.slope,
-            seg.curve.intercept
-        )
-        .map_err(io_err)?;
-    }
-    w.flush().map_err(io_err)
-}
-
-/// Reads a linear series, sniffing the format: the v1 text magic (even
-/// after leading blank/comment lines) selects the legacy parser,
-/// anything else is decoded as a v2 frame.
-pub fn read_series<R: Read>(input: R) -> Result<LinearSeries> {
+/// Reads a linear series written by [`write_series`].
+pub fn read_series<R: Read>(mut input: R) -> Result<LinearSeries> {
     let mut bytes = Vec::new();
-    BufReader::new(input).read_to_end(&mut bytes).map_err(io_err)?;
-    if looks_like_text(&bytes) {
-        read_series_text(bytes.as_slice())
-    } else {
-        decode_series(&bytes)
-    }
+    input.read_to_end(&mut bytes).map_err(io_err)?;
+    decode_series(&bytes)
 }
 
-/// Decodes v2 bytes back into a series.
+/// Decodes [`encode_series`] bytes back into a series.
 pub fn decode_series(bytes: &[u8]) -> Result<LinearSeries> {
     let body = codec::read_single_frame(bytes, "linear series file")?;
     let mut c = Cursor::new(body, "linear series");
     let magic = [c.get_u8()?, c.get_u8()?, c.get_u8()?, c.get_u8()?];
-    if &magic != MAGIC_V2 {
+    if &magic != MAGIC {
         return Err(Error::Storage(saq_durable::Error::corrupt(
-            "linear series: bad v2 magic".to_string(),
+            "linear series: bad magic".to_string(),
         )));
     }
     let original_len = c.get_u64()? as usize;
@@ -125,86 +80,13 @@ pub fn decode_series(bytes: &[u8]) -> Result<LinearSeries> {
     FunctionSeries::from_segments(segments, original_len)
 }
 
-/// Whether the file starts (after blank/comment lines) with the v1 text
-/// header.
-fn looks_like_text(bytes: &[u8]) -> bool {
-    let mut rest = bytes;
-    loop {
-        let line_end = rest.iter().position(|&b| b == b'\n').map_or(rest.len(), |i| i + 1);
-        let (line, tail) = rest.split_at(line_end);
-        let trimmed = line.iter().position(|b| !b.is_ascii_whitespace()).map(|i| &line[i..]);
-        match trimmed {
-            None => {}
-            Some(line) if line.starts_with(b"#") => {}
-            Some(line) => return line.starts_with(MAGIC.as_bytes()),
-        }
-        if tail.is_empty() {
-            return false;
-        }
-        rest = tail;
-    }
-}
-
-/// Reads the legacy v1 text format.
-pub fn read_series_text<R: Read>(input: R) -> Result<LinearSeries> {
-    let reader = BufReader::new(input);
-    let mut lines = reader.lines().enumerate().filter_map(|(no, l)| match l {
-        Ok(text) => {
-            let trimmed = text.trim().to_string();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                None
-            } else {
-                Some(Ok((no + 1, trimmed)))
-            }
-        }
-        Err(e) => Some(Err(Error::Sequence(saq_sequence::Error::Io(e)))),
-    });
-
-    let (_, header) = lines.next().ok_or_else(|| bad(0, "empty representation file"))??;
-    let rest = header.strip_prefix(MAGIC).ok_or_else(|| bad(1, "missing or unsupported header"))?;
-    let mut head_fields = rest.split_whitespace();
-    let original_len: usize = parse_field(head_fields.next(), 1, "original length")?;
-    let segment_count: usize = parse_field(head_fields.next(), 1, "segment count")?;
-
-    let mut segments = Vec::with_capacity(segment_count);
-    for item in lines {
-        let (lineno, text) = item?;
-        let mut f = text.split_whitespace();
-        let start_index: usize = parse_field(f.next(), lineno, "start index")?;
-        let end_index: usize = parse_field(f.next(), lineno, "end index")?;
-        let st: f64 = parse_field(f.next(), lineno, "start t")?;
-        let sv: f64 = parse_field(f.next(), lineno, "start v")?;
-        let et: f64 = parse_field(f.next(), lineno, "end t")?;
-        let ev: f64 = parse_field(f.next(), lineno, "end v")?;
-        let slope: f64 = parse_field(f.next(), lineno, "slope")?;
-        let intercept: f64 = parse_field(f.next(), lineno, "intercept")?;
-        if f.next().is_some() {
-            return Err(bad(lineno, "trailing fields"));
-        }
-        segments.push(Segment {
-            start_index,
-            end_index,
-            start: Point::new(st, sv),
-            end: Point::new(et, ev),
-            curve: Line::new(slope, intercept),
-        });
-    }
-    if segments.len() != segment_count {
-        return Err(bad(
-            0,
-            &format!("expected {segment_count} segments, found {}", segments.len()),
-        ));
-    }
-    FunctionSeries::from_segments(segments, original_len)
-}
-
-/// Saves to a file path (v2 binary).
+/// Saves to a file path.
 pub fn save_series<P: AsRef<Path>>(series: &LinearSeries, path: P) -> Result<()> {
     let file = std::fs::File::create(path).map_err(io_err)?;
     write_series(series, file)
 }
 
-/// Loads from a file path (either format).
+/// Loads from a file path.
 pub fn load_series<P: AsRef<Path>>(path: P) -> Result<LinearSeries> {
     let file = std::fs::File::open(path).map_err(io_err)?;
     read_series(file)
@@ -212,15 +94,6 @@ pub fn load_series<P: AsRef<Path>>(path: P) -> Result<LinearSeries> {
 
 fn io_err(e: std::io::Error) -> Error {
     Error::Sequence(saq_sequence::Error::Io(e))
-}
-
-fn bad(line: usize, message: &str) -> Error {
-    Error::BadConfig(format!("representation file line {line}: {message}"))
-}
-
-fn parse_field<T: std::str::FromStr>(field: Option<&str>, line: usize, what: &str) -> Result<T> {
-    let text = field.ok_or_else(|| bad(line, &format!("missing {what}")))?;
-    text.parse().map_err(|_| bad(line, &format!("bad {what} `{text}`")))
 }
 
 #[cfg(test)]
@@ -258,44 +131,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_text_files_still_load() {
-        let series = sample_series();
-        let mut buf = Vec::new();
-        write_series_text(&series, &mut buf).unwrap();
-        // The sniffing reader migrates v1 transparently...
-        let back = read_series(buf.as_slice()).unwrap();
-        assert_eq!(series, back);
-        // ...bit-exactly enough that re-saving as v2 round-trips.
-        let v2 = encode_series(&back);
-        assert_eq!(decode_series(&v2).unwrap(), back);
-    }
-
-    #[test]
-    fn comments_and_blanks_tolerated() {
-        let series = sample_series();
-        let mut buf = Vec::new();
-        write_series_text(&series, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let with_comments =
-            format!("# preamble\n\n{}", text.replacen('\n', "\n# a comment\n\n", 1));
-        let back = read_series(with_comments.as_bytes()).unwrap();
-        assert_eq!(series, back);
-    }
-
-    #[test]
     fn corrupt_inputs_rejected() {
         assert!(read_series("".as_bytes()).is_err());
         assert!(read_series("not-a-header 1 2\n".as_bytes()).is_err());
-        // Wrong count.
-        let text = format!("{MAGIC} 49 3\n0 5 0 1 5 2 0.2 1\n");
-        assert!(read_series(text.as_bytes()).is_err());
-        // Bad numeric field.
-        let text = format!("{MAGIC} 49 1\n0 5 0 1 5 zebra 0.2 1\n");
-        let err = read_series(text.as_bytes()).unwrap_err().to_string();
-        assert!(err.contains("zebra"), "{err}");
-        // Trailing junk.
-        let text = format!("{MAGIC} 49 1\n0 5 0 1 5 2 0.2 1 99\n");
-        assert!(read_series(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn v1_text_bytes_are_rejected() {
+        // What the retired v1 text writer produced for a one-segment
+        // series, with and without a comment preamble: an error, never a
+        // panic or a partial series.
+        let v1 = "saq-linear-series v1 49 1\n0 48 0 1 48 2 0.2 1\n";
+        for text in [v1.to_string(), format!("# preamble\n\n{v1}")] {
+            let err = read_series(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, Error::Storage(_)), "{err}");
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Generalized approximate queries (§2.2) over a [`SequenceStore`].
+//! Generalized approximate queries (§2.2): the feature-query vocabulary
+//! ([`QuerySpec`]) and the answer shape ([`QueryOutcome`]).
 //!
 //! A query specifies a value-independent pattern; the answer set `S` is
 //! closed under feature-preserving transformations. A result is **exact** if
 //! it is a member of `S`, and **approximate** if it deviates from the
 //! specified features along one or more dimensions within per-dimension
 //! metric tolerances ("each dimension corresponds to some feature").
-
-use crate::alphabet::parse_slope_pattern;
-use crate::error::Result;
-use crate::store::{SequenceStore, StoredEntry};
+//!
+//! A [`QuerySpec`] is the payload of a feature leaf of the query algebra
+//! ([`crate::algebra::Pred::Feature`]); its per-sequence semantics live in
+//! [`crate::algebra::PreparedPred::matches`], and queries are asked through
+//! [`crate::algebra::QueryEngine::request`].
 
 /// A generalized approximate query.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,122 +95,9 @@ pub enum SequenceMatch {
     Approximate(f64),
 }
 
-/// A query prepared for repeated per-sequence evaluation: the shape
-/// pattern, if any, is compiled to a DFA once so matching a sequence is a
-/// linear scan of its symbol string.
-///
-/// [`PreparedQuery::matches`] is the per-sequence semantics that both the
-/// store-level [`evaluate`] and the batch engine's sharded executor agree
-/// on; index-assisted paths (pattern index, inverted interval file) are
-/// accelerations of exactly this predicate.
-#[derive(Debug, Clone)]
-pub struct PreparedQuery {
-    spec: QuerySpec,
-    dfa: Option<saq_pattern::Dfa>,
-}
-
-impl PreparedQuery {
-    /// Prepares a query, compiling its pattern when it has one. Fails on
-    /// unparsable patterns.
-    pub fn new(spec: &QuerySpec) -> Result<PreparedQuery> {
-        let dfa = match spec {
-            QuerySpec::Shape { pattern } => Some(parse_slope_pattern(pattern)?.compile()),
-            _ => None,
-        };
-        Ok(PreparedQuery { spec: spec.clone(), dfa })
-    }
-
-    /// The underlying query.
-    pub fn spec(&self) -> &QuerySpec {
-        &self.spec
-    }
-
-    /// Evaluates one stored entry: `None` means no match, otherwise exact
-    /// membership or an approximate match with its deviation.
-    pub fn matches(&self, entry: &StoredEntry) -> Option<SequenceMatch> {
-        match &self.spec {
-            QuerySpec::Shape { .. } => {
-                let dfa = self.dfa.as_ref().expect("prepared shape query holds a DFA");
-                dfa.is_match(&entry.symbols).then_some(SequenceMatch::Exact)
-            }
-            QuerySpec::PeakCount { count, tolerance } => {
-                let dev = entry.peaks.len().abs_diff(*count);
-                if dev == 0 {
-                    Some(SequenceMatch::Exact)
-                } else if dev <= *tolerance {
-                    Some(SequenceMatch::Approximate(dev as f64))
-                } else {
-                    None
-                }
-            }
-            QuerySpec::PeakInterval { interval, epsilon } => {
-                // Mirrors the inverted-file path: postings arrive in
-                // position order, an id is exact if *any* in-band interval
-                // hits the target dead-on, and otherwise its deviation is
-                // the first in-band interval's.
-                let mut first_in_band = None;
-                let mut exact = false;
-                for bucket in entry.peaks.interval_buckets() {
-                    let dev = (bucket - interval).abs();
-                    if dev <= *epsilon {
-                        exact |= dev == 0;
-                        first_in_band.get_or_insert(dev);
-                    }
-                }
-                if exact {
-                    Some(SequenceMatch::Exact)
-                } else {
-                    first_in_band.map(|dev| SequenceMatch::Approximate(dev as f64))
-                }
-            }
-            QuerySpec::MinPeakSteepness { steepness, slack } => {
-                steepness_match(entry, *steepness, *slack, f64::min, f64::INFINITY)
-            }
-            QuerySpec::HasSteepPeak { steepness, slack } => {
-                steepness_match(entry, *steepness, *slack, f64::max, f64::NEG_INFINITY)
-            }
-        }
-    }
-}
-
-/// Evaluates a query against a store.
-///
-/// Since the query-algebra redesign this is a thin back-compat shim: the
-/// spec is lowered to a single-leaf [`crate::algebra::QueryExpr`] and run
-/// through the planner-backed [`crate::algebra::StoreEngine`], which
-/// serves shape leaves from the pattern index and interval leaves from the
-/// inverted file exactly as this function always did.
-pub fn evaluate(store: &SequenceStore, query: &QuerySpec) -> Result<QueryOutcome> {
-    use crate::algebra::{QueryEngine as _, QueryExpr};
-    let req = crate::request::QueryRequest::expr(QueryExpr::from(query.clone()));
-    Ok(crate::algebra::StoreEngine::new(store).request(&req)?.outcome)
-}
-
-/// Shared body of the two steepness dimensions: `fold`/`init` select the
-/// universal (min over peaks) or existential (max over peaks) reading.
-fn steepness_match(
-    entry: &StoredEntry,
-    steepness: f64,
-    slack: f64,
-    fold: fn(f64, f64) -> f64,
-    init: f64,
-) -> Option<SequenceMatch> {
-    if entry.peaks.is_empty() {
-        return None;
-    }
-    let measure = entry.peaks.peaks.iter().map(|p| p.steepness()).fold(init, fold);
-    if measure >= steepness {
-        Some(SequenceMatch::Exact)
-    } else if measure >= steepness * (1.0 - slack) {
-        Some(SequenceMatch::Approximate(steepness - measure))
-    } else {
-        None
-    }
-}
-
 /// Sorts approximate matches into the canonical result order — increasing
-/// deviation, then id. The one definition shared by the store evaluator and
-/// the batch engine's merge, so "identical outcomes" cannot drift.
+/// deviation, then id. The one definition every engine's outcome assembly
+/// shares, so "identical outcomes" cannot drift.
 pub fn sort_approximate_matches(matches: &mut [ApproximateMatch]) {
     matches.sort_by(|a, b| {
         a.deviation.partial_cmp(&b.deviation).expect("finite deviations").then(a.id.cmp(&b.id))
@@ -218,8 +107,14 @@ pub fn sort_approximate_matches(matches: &mut [ApproximateMatch]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreConfig;
+    use crate::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+    use crate::error::Result;
+    use crate::store::{SequenceStore, StoreConfig};
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
+
+    fn run(store: &SequenceStore, spec: &QuerySpec) -> Result<QueryOutcome> {
+        StoreEngine::new(store).execute(&QueryExpr::from(spec.clone()))
+    }
 
     fn sort_outcome(outcome: &mut QueryOutcome) {
         outcome.exact.sort_unstable();
@@ -243,9 +138,8 @@ mod tests {
     #[test]
     fn shape_query_goalpost() {
         let (store, ids) = corpus();
-        let out =
-            evaluate(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
-                .unwrap();
+        let out = run(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
+            .unwrap();
         assert_eq!(out.exact, vec![ids[1], ids[2]]);
         assert!(out.approximate.is_empty());
     }
@@ -253,13 +147,13 @@ mod tests {
     #[test]
     fn shape_query_bad_pattern_errors() {
         let (store, _) = corpus();
-        assert!(evaluate(&store, &QuerySpec::Shape { pattern: "((".into() }).is_err());
+        assert!(run(&store, &QuerySpec::Shape { pattern: "((".into() }).is_err());
     }
 
     #[test]
     fn peak_count_exact_and_approximate() {
         let (store, ids) = corpus();
-        let out = evaluate(&store, &QuerySpec::PeakCount { count: 2, tolerance: 1 }).unwrap();
+        let out = run(&store, &QuerySpec::PeakCount { count: 2, tolerance: 1 }).unwrap();
         assert_eq!(out.exact, vec![ids[1], ids[2]]);
         let approx_ids: Vec<u64> = out.approximate.iter().map(|m| m.id).collect();
         assert_eq!(approx_ids, vec![ids[0], ids[3]]);
@@ -267,7 +161,7 @@ mod tests {
             assert_eq!(m.deviation, 1.0);
         }
         // Zero tolerance drops the approximate tier.
-        let strict = evaluate(&store, &QuerySpec::PeakCount { count: 2, tolerance: 0 }).unwrap();
+        let strict = run(&store, &QuerySpec::PeakCount { count: 2, tolerance: 0 }).unwrap();
         assert!(strict.approximate.is_empty());
         assert_eq!(strict.exact.len(), 2);
     }
@@ -276,10 +170,10 @@ mod tests {
     fn peak_interval_query() {
         let (store, ids) = corpus();
         // The default goalpost has peaks at ~8 and ~18 => interval ~10.
-        let out = evaluate(&store, &QuerySpec::PeakInterval { interval: 10, epsilon: 1 }).unwrap();
+        let out = run(&store, &QuerySpec::PeakInterval { interval: 10, epsilon: 1 }).unwrap();
         assert!(out.all_ids().contains(&ids[1]), "{out:?}");
         // The 3-peak sequence has ~8h intervals; exact query at 8 finds it.
-        let out8 = evaluate(&store, &QuerySpec::PeakInterval { interval: 8, epsilon: 0 }).unwrap();
+        let out8 = run(&store, &QuerySpec::PeakInterval { interval: 8, epsilon: 0 }).unwrap();
         assert!(out8.all_ids().contains(&ids[3]), "{out8:?}");
         assert!(out8.approximate.is_empty());
     }
@@ -292,7 +186,7 @@ mod tests {
         let id = store
             .insert(&peaks(PeaksSpec { centers: vec![4.0, 12.0, 20.0], ..PeaksSpec::default() }))
             .unwrap();
-        let out = evaluate(&store, &QuerySpec::PeakInterval { interval: 8, epsilon: 2 }).unwrap();
+        let out = run(&store, &QuerySpec::PeakInterval { interval: 8, epsilon: 2 }).unwrap();
         assert_eq!(out.exact, vec![id]);
         assert!(out.approximate.is_empty());
     }
@@ -302,11 +196,11 @@ mod tests {
         let (store, _) = corpus();
         // Fever ramps are steep; tiny threshold matches everything with peaks.
         let loose =
-            evaluate(&store, &QuerySpec::MinPeakSteepness { steepness: 0.3, slack: 0.0 }).unwrap();
+            run(&store, &QuerySpec::MinPeakSteepness { steepness: 0.3, slack: 0.0 }).unwrap();
         assert_eq!(loose.exact.len(), 4);
         // Impossibly steep threshold matches nothing.
         let strict =
-            evaluate(&store, &QuerySpec::MinPeakSteepness { steepness: 1e6, slack: 0.0 }).unwrap();
+            run(&store, &QuerySpec::MinPeakSteepness { steepness: 1e6, slack: 0.0 }).unwrap();
         assert!(strict.exact.is_empty() && strict.approximate.is_empty());
     }
 
@@ -327,11 +221,9 @@ mod tests {
         store.insert(&gentle).unwrap();
         let threshold = 2.5;
         let universal =
-            evaluate(&store, &QuerySpec::MinPeakSteepness { steepness: threshold, slack: 0.0 })
-                .unwrap();
+            run(&store, &QuerySpec::MinPeakSteepness { steepness: threshold, slack: 0.0 }).unwrap();
         let existential =
-            evaluate(&store, &QuerySpec::HasSteepPeak { steepness: threshold, slack: 0.0 })
-                .unwrap();
+            run(&store, &QuerySpec::HasSteepPeak { steepness: threshold, slack: 0.0 }).unwrap();
         assert!(existential.exact.contains(&id_mixed));
         assert!(universal.exact.len() <= existential.exact.len());
     }

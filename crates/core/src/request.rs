@@ -1,17 +1,19 @@
-//! The unified request/response surface shared by every engine and the
-//! `saqd` server.
+//! The request/response surface shared by every engine and the `saqd`
+//! server, and the one pipeline that answers it.
 //!
-//! Historically each entry point grew its own shape — `execute` for
-//! expressions, `evaluate` for classic specs, `execute_saql` for text,
-//! `run`/`run_snapshot` for engine batches — and a networked server would
-//! have needed one wire message per method. [`QueryRequest`] collapses
-//! them: one value names the query (SAQL text or a built [`QueryExpr`]),
-//! an optional snapshot pin, and which extras (stats, explain) the caller
-//! wants back; one [`QueryResponse`] carries everything an engine can
-//! say about a run. `QueryEngine::request` is the single entry point —
-//! the old methods survive as thin deprecated shims over it.
+//! A [`QueryRequest`] names the query (SAQL text or a built
+//! [`QueryExpr`]), an optional snapshot pin, and which extras (stats,
+//! explain) the caller wants back; a [`QueryResponse`] carries everything
+//! an engine can say about a run. `QueryEngine::request` is the single
+//! entry point, and every local engine answers it through the same two
+//! steps: [`prepare`] (verify the pin → resolve the body → plan) and
+//! [`respond`] (render explain with observed cardinalities → assemble
+//! the response). Sequential engines run both around the shared plan
+//! executor via [`answer`]; the sharded engine runs them around its wave
+//! pass. Pin-check order and explain rendering are therefore defined
+//! here, once.
 
-use crate::algebra::{ExecStats, QueryExpr};
+use crate::algebra::{execute_plan, ExecStats, LeafSource, PhysicalPlan, Planner, QueryExpr};
 use crate::error::{Error, Result};
 use crate::query::QueryOutcome;
 use std::borrow::Cow;
@@ -150,17 +152,13 @@ impl QueryRequest {
 
     /// Checks this request's pin against the snapshot an engine is
     /// actually serving: `Ok` when unpinned or exactly matched,
-    /// [`Error::SnapshotMismatch`] on a different generation, and
-    /// [`Error::BadConfig`] when the engine cannot name its snapshot at
-    /// all (`current == None`).
-    pub fn verify_pin(&self, current: Option<SnapshotRef>) -> Result<()> {
-        let Some(requested) = self.pin else { return Ok(()) };
-        match current {
-            Some(current) if current == requested => Ok(()),
-            Some(current) => Err(Error::SnapshotMismatch { requested, current }),
-            None => Err(Error::BadConfig(
-                "this engine does not expose snapshot identities; remove the pin".into(),
-            )),
+    /// [`Error::SnapshotMismatch`] otherwise.
+    pub fn verify_pin(&self, current: SnapshotRef) -> Result<()> {
+        match self.pin {
+            Some(requested) if requested != current => {
+                Err(Error::SnapshotMismatch { requested, current })
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -186,6 +184,54 @@ impl QueryResponse {
     pub fn ids(&self) -> Vec<u64> {
         self.outcome.all_ids()
     }
+}
+
+/// First half of the request pipeline: checks the pin against the
+/// snapshot the engine captured, then resolves the body, then plans it
+/// with the planner the engine names for that expression. The order is
+/// part of the contract — a request that is both stale-pinned and
+/// malformed fails on the pin.
+pub fn prepare(
+    req: &QueryRequest,
+    current: SnapshotRef,
+    planner: impl FnOnce(&QueryExpr) -> Planner,
+) -> Result<PhysicalPlan> {
+    req.verify_pin(current)?;
+    let expr = req.resolve()?;
+    planner(&expr).plan(&expr)
+}
+
+/// Second half of the request pipeline: assembles the response from an
+/// executed plan. Explain is rendered after execution so each evaluated
+/// leaf carries the cardinality it was observed to resolve to.
+pub fn respond(
+    req: &QueryRequest,
+    current: SnapshotRef,
+    plan: &PhysicalPlan,
+    outcome: QueryOutcome,
+    stats: ExecStats,
+) -> QueryResponse {
+    let explain = req.want_explain.then(|| plan.explain_with(Some(&stats)));
+    QueryResponse {
+        outcome,
+        stats: req.want_stats.then_some(stats),
+        explain,
+        snapshot: Some(current),
+    }
+}
+
+/// The whole pipeline for an engine that evaluates one plan at a time:
+/// [`prepare`], run the plan over `source`, [`respond`]. `current` names
+/// the snapshot `source` reads.
+pub fn answer<S: LeafSource>(
+    req: &QueryRequest,
+    current: SnapshotRef,
+    planner: impl FnOnce(&QueryExpr) -> Planner,
+    source: &mut S,
+) -> Result<QueryResponse> {
+    let plan = prepare(req, current, planner)?;
+    let (outcome, stats) = execute_plan(&plan, source)?;
+    Ok(respond(req, current, &plan, outcome, stats))
 }
 
 #[cfg(test)]
@@ -216,14 +262,11 @@ mod tests {
     #[test]
     fn verify_pin_semantics() {
         let unpinned = QueryRequest::saql("peaks = 2");
-        unpinned.verify_pin(None).unwrap();
-        unpinned.verify_pin(Some(SnapshotRef::new(1, 1))).unwrap();
+        unpinned.verify_pin(SnapshotRef::new(1, 1)).unwrap();
 
         let pinned = unpinned.clone().pinned(SnapshotRef::new(1, 1));
-        pinned.verify_pin(Some(SnapshotRef::new(1, 1))).unwrap();
-        let err = pinned.verify_pin(Some(SnapshotRef::new(1, 2))).unwrap_err();
+        pinned.verify_pin(SnapshotRef::new(1, 1)).unwrap();
+        let err = pinned.verify_pin(SnapshotRef::new(1, 2)).unwrap_err();
         assert!(matches!(err, Error::SnapshotMismatch { .. }), "{err}");
-        let err = pinned.verify_pin(None).unwrap_err();
-        assert!(matches!(err, Error::BadConfig(_)), "{err}");
     }
 }

@@ -3,14 +3,15 @@
 //! A sharded, multi-threaded **batch query executor** over the raw
 //! [`ArchiveStore`]. The paper's architecture answers queries from local
 //! compact representations; this crate covers the complementary heavy-
-//! traffic workload: generalized approximate queries — single specs,
-//! batches, or whole [`QueryExpr`] trees — pushed down to a large archive
-//! whose per-sequence representations are computed on demand.
+//! traffic workload: waves of [`QueryRequest`]s — SAQL text or whole
+//! [`QueryExpr`] trees — pushed down to a large archive whose
+//! per-sequence representations are computed on demand.
 //!
-//! The execution model (every run first captures an [`ArchiveSnapshot`] —
-//! or reuses one via [`QueryEngine::run_snapshot`] /
-//! [`QueryEngine::bind_snapshot`] — and reads that pinned generation
-//! end-to-end, so concurrent writers never tear a batch):
+//! The execution model (every wave runs against one [`ArchiveSnapshot`] —
+//! the one handed to [`QueryEngine::run_requests`] or bound via
+//! [`QueryEngine::bind_snapshot`], or a fresh capture under
+//! [`QueryEngine::bind`] — and reads that pinned generation end-to-end,
+//! so concurrent writers never tear a wave):
 //!
 //! 1. **Plan** — an expression is normalized and planned by the shared
 //!    [`saq_core::algebra::Planner`]; conjunctive id-range leaves prune
@@ -83,13 +84,12 @@ use saq_core::algebra::{
     execute_plan, interval_index_match_set, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet,
     MatchTier, PhysicalPlan, PlanNode, PlanStats, Planner, Pred, PreparedPred, QueryExpr,
 };
-use saq_core::query::{QueryOutcome, QuerySpec};
-use saq_core::request::{QueryRequest, QueryResponse, SnapshotRef};
+use saq_core::query::QuerySpec;
+use saq_core::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use saq_core::store::{StoreConfig, StoredEntry};
 use saq_core::subscribe::{Delta, SubscriptionId, SubscriptionRegistry};
 use saq_core::{Error, Result};
 use saq_index::{DocPager as _, IndexDoc, IndexSet, SequenceIndex as _};
-use saq_sequence::Sequence;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -127,41 +127,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             store: StoreConfig::default(),
             adaptive: true,
-        }
-    }
-}
-
-/// One query of a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchQuery {
-    /// A generalized approximate feature query (shape, peak count, peak
-    /// interval, steepness), with the store-level semantics of
-    /// [`saq_core::query::evaluate`].
-    Feature(QuerySpec),
-    /// The value-based comparator (Fig. 1): a stored sequence matches
-    /// exactly when every sample lies within the ±δ envelope of `query`,
-    /// and approximately when it lies within ±δ·(1 + `slack`) (deviation =
-    /// distance − δ). Length mismatches never match.
-    ValueBand {
-        /// The envelope's center sequence.
-        query: Sequence,
-        /// Envelope half-width δ (≥ 0).
-        delta: f64,
-        /// Fractional widening for the approximate tier (≥ 0; 0 = exact
-        /// Fig. 1 semantics).
-        slack: f64,
-    },
-}
-
-impl BatchQuery {
-    /// Lowers to the algebra's leaf predicate — batch queries are exactly
-    /// single-leaf expressions.
-    pub fn to_pred(&self) -> Pred {
-        match self {
-            BatchQuery::Feature(spec) => Pred::Feature(spec.clone()),
-            BatchQuery::ValueBand { query, delta, slack } => {
-                Pred::ValueBand { query: query.clone(), delta: *delta, slack: *slack }
-            }
         }
     }
 }
@@ -239,17 +204,17 @@ impl QueryEngine {
         self.cache.lock().lru = LruCache::new(self.config.cache_capacity);
     }
 
-    /// Per-worker simulated clocks of the most recent [`QueryEngine::run`]
-    /// or [`BoundEngine`] execution: the simulated makespan of a parallel
-    /// batch versus the serial total.
+    /// Per-worker simulated clocks of the most recent
+    /// [`QueryEngine::run_requests`] wave or [`BoundEngine`] execution: the
+    /// simulated makespan of the parallel pass versus the serial total.
     pub fn last_run_report(&self) -> RunReport {
         self.last_run.lock().clone()
     }
 
     /// Binds the engine to an archive as a composable-query backend
     /// implementing [`saq_core::algebra::QueryEngine`]: plans fan out
-    /// across this engine's worker pool and feature cache. The trait also
-    /// brings the textual entry point, so SAQL queries run sharded:
+    /// across this engine's worker pool and feature cache, for built
+    /// expressions and SAQL text alike:
     ///
     /// ```
     /// use saq_archive::{ArchiveStore, Medium};
@@ -303,14 +268,13 @@ impl QueryEngine {
     ) -> Result<Vec<Result<QueryResponse>>> {
         let current = SnapshotRef::new(snapshot.instance_id(), snapshot.generation());
         let ids = snapshot.ids();
-        let planner = Planner::new(IndexCaps::all());
         let mut slots: Vec<PreparedPred> = Vec::new();
         let prepped: Vec<Result<PreppedRequest>> = requests
             .iter()
             .map(|req| {
-                req.verify_pin(Some(current))?;
-                let expr = req.resolve()?;
-                let plan = planner.plan(&expr)?;
+                // Full index capability: shape and interval leaves are
+                // served by the workers' shard-local indexes.
+                let plan = request::prepare(req, current, |_| Planner::new(IndexCaps::all()))?;
                 let universe: Vec<u64> = match plan.id_bounds() {
                     Some((lo, hi)) => {
                         ids.iter().copied().filter(|id| (lo..=hi).contains(id)).collect()
@@ -373,15 +337,7 @@ impl QueryEngine {
                 // leaves perform none, shared leaves are counted once
                 // per request they serve).
                 stats.entries_scanned = prep.leaf_slots.iter().map(|&s| leaf_evals[s]).sum();
-                // Rendered after execution so each leaf line carries the
-                // cardinality it was observed to resolve to.
-                let explain = req.want_explain.then(|| prep.plan.explain_with(Some(&stats)));
-                Ok(QueryResponse {
-                    outcome,
-                    stats: req.want_stats.then_some(stats),
-                    explain,
-                    snapshot: Some(current),
-                })
+                Ok(request::respond(req, current, &prep.plan, outcome, stats))
             })
             .collect())
     }
@@ -409,68 +365,6 @@ impl QueryEngine {
         let dirty = snapshot.changed_since(last_pumped);
         let bound = self.bind_snapshot(snapshot.clone());
         registry.pump(&bound, dirty.as_deref(), None)
-    }
-
-    /// Runs a batch of queries over every archived sequence using the
-    /// worker pool; returns one outcome per query, in query order. The
-    /// run captures a snapshot of the archive up front and is pinned to it
-    /// end-to-end — a writer mutating the archive mid-run cannot tear the
-    /// results.
-    ///
-    /// Results are identical — same hits, same order — to
-    /// [`QueryEngine::run_sequential`] for any worker/shard configuration.
-    #[deprecated(note = "use `run_requests` with `QueryRequest`s")]
-    pub fn run(&self, archive: &ArchiveStore, queries: &[BatchQuery]) -> Result<Vec<QueryOutcome>> {
-        self.batch_outcomes(&archive.snapshot(), queries)
-    }
-
-    /// As `run`, over an already-captured snapshot: planner input, leaf
-    /// evaluation, and the feature cache's `(instance, generation)` stamp
-    /// all read the pinned generation.
-    #[deprecated(note = "use `run_requests` with `QueryRequest`s")]
-    pub fn run_snapshot(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<QueryOutcome>> {
-        self.batch_outcomes(snapshot, queries)
-    }
-
-    /// Shared body of the deprecated batch shims: lower each
-    /// [`BatchQuery`] to a single-leaf request and run them as one wave —
-    /// the same code path (and therefore byte-identical results) as the
-    /// unified API.
-    fn batch_outcomes(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<QueryOutcome>> {
-        let requests: Vec<QueryRequest> =
-            queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
-        self.run_requests(snapshot, &requests)?
-            .into_iter()
-            .map(|r| r.map(|resp| resp.outcome))
-            .collect()
-    }
-
-    /// The single-threaded reference path: one pass over the sorted ids of
-    /// a fresh snapshot, no sharding, no cache. The oracle that `run` is
-    /// property-tested against.
-    pub fn run_sequential(
-        &self,
-        archive: &ArchiveStore,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<QueryOutcome>> {
-        let preds: Vec<PreparedPred> =
-            queries.iter().map(|q| PreparedPred::new(&q.to_pred())).collect::<Result<_>>()?;
-        let snapshot = archive.snapshot();
-        let mut sets = vec![MatchSet::new(); preds.len()];
-        for &id in snapshot.ids() {
-            let (seq, _cost) = snapshot.fetch(id).ok_or(Error::UnknownSequence { id })?;
-            let entry = StoredEntry::compute(seq, &self.ingest_config())?;
-            record(Some(&entry), id, &preds, &mut sets);
-        }
-        Ok(sets.into_iter().map(MatchSet::into_outcome).collect())
     }
 
     /// Re-stamps the cache for the run's pinned `(instance, generation)`
@@ -1102,15 +996,6 @@ fn wave_adaptivity(
     WaveAdaptivity { order, guards, replan }
 }
 
-/// Records one entry's verdicts for every leaf into per-leaf match sets.
-fn record(entry: Option<&StoredEntry>, id: u64, preds: &[PreparedPred], sets: &mut [MatchSet]) {
-    for (set, pred) in sets.iter_mut().zip(preds) {
-        if let Some(m) = pred.matches(id, entry) {
-            set.insert(id, MatchTier::from_match(m));
-        }
-    }
-}
-
 /// A [`QueryEngine`] bound to one archive: the sharded implementation of
 /// the algebra's engine trait. Leaves of a planned expression are
 /// evaluated in a single pass of the worker pool (one fetch per candidate
@@ -1144,47 +1029,19 @@ enum BoundTarget<'e> {
     Pinned(ArchiveSnapshot),
 }
 
-impl BoundEngine<'_> {
-    fn capture(&self) -> ArchiveSnapshot {
-        match &self.target {
-            BoundTarget::Live(archive) => archive.snapshot(),
-            BoundTarget::Pinned(snapshot) => snapshot.clone(),
-        }
-    }
-
-    fn one_request(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        let snapshot = self.capture();
-        self.engine
-            .run_requests(&snapshot, std::slice::from_ref(req))?
-            .pop()
-            .expect("one response per request")
-    }
-}
-
 impl saq_core::algebra::QueryEngine for BoundEngine<'_> {
     /// A single-request wave of [`QueryEngine::run_requests`]: the
     /// planner's universe, every shard's leaf evaluation, and the feature
     /// cache stamp all read one pinned generation.
-    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)> {
-        let resp = self.one_request(&QueryRequest::expr(expr.clone()).with_stats())?;
-        Ok((resp.outcome, resp.stats.expect("stats were requested")))
-    }
-
     fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        self.one_request(req)
-    }
-
-    /// The engine claims full index capability — shape and interval
-    /// leaves are served by the workers' shard-local indexes rather than
-    /// the (nonexistent) global indexes of a raw archive — so the default
-    /// all-caps rendering is exactly the plan a request runs.
-    fn explain(&self, expr: &QueryExpr) -> Result<String> {
-        Ok(Planner::new(IndexCaps::all()).plan(expr)?.explain())
-    }
-
-    fn snapshot_ref(&self) -> Option<SnapshotRef> {
-        let snapshot = self.capture();
-        Some(SnapshotRef::new(snapshot.instance_id(), snapshot.generation()))
+        let snapshot = match &self.target {
+            BoundTarget::Live(archive) => archive.snapshot(),
+            BoundTarget::Pinned(snapshot) => snapshot.clone(),
+        };
+        self.engine
+            .run_requests(&snapshot, std::slice::from_ref(req))?
+            .pop()
+            .expect("one response per request")
     }
 }
 
@@ -1235,17 +1092,14 @@ impl LeafSource for WaveSource<'_> {
     }
 }
 
-// The classic `run`/`run_snapshot` shims are deprecated but must keep
-// working byte-identically — these tests deliberately keep exercising
-// them (they now route through `run_requests`, so every cache and
-// invalidation test below covers the unified path too).
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use saq_archive::Medium;
+    use saq_archive::{ArchiveScanEngine, Medium};
     use saq_core::algebra::QueryEngine as _;
+    use saq_core::query::QueryOutcome;
     use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
+    use saq_sequence::Sequence;
 
     fn mixed_archive(n: u64) -> ArchiveStore {
         let mut archive = ArchiveStore::new(Medium::memory());
@@ -1265,33 +1119,58 @@ mod tests {
         archive
     }
 
-    fn batch() -> Vec<BatchQuery> {
-        vec![
-            BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-            BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-            BatchQuery::Feature(QuerySpec::PeakInterval { interval: 7, epsilon: 2 }),
-            BatchQuery::Feature(QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.3 }),
-            BatchQuery::ValueBand {
-                query: goalpost(GoalpostSpec::default()),
-                delta: 1.0,
-                slack: 0.5,
-            },
+    fn batch() -> Vec<QueryRequest> {
+        [
+            QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
+            QueryExpr::peak_count(2, 1),
+            QueryExpr::peak_interval(7, 2),
+            QueryExpr::has_steep_peak(1.5, 0.3),
+            QueryExpr::value_band(goalpost(GoalpostSpec::default()), 1.0, 0.5),
         ]
+        .map(QueryRequest::expr)
+        .into()
+    }
+
+    fn two_peaks() -> Vec<QueryRequest> {
+        vec![QueryRequest::expr(QueryExpr::peak_count(2, 0))]
+    }
+
+    /// One wave over a fresh snapshot of `archive`; every request must
+    /// succeed.
+    fn run(
+        engine: &QueryEngine,
+        archive: &ArchiveStore,
+        wave: &[QueryRequest],
+    ) -> Vec<QueryOutcome> {
+        run_pinned(engine, &archive.snapshot(), wave)
+    }
+
+    fn run_pinned(
+        engine: &QueryEngine,
+        snapshot: &ArchiveSnapshot,
+        wave: &[QueryRequest],
+    ) -> Vec<QueryOutcome> {
+        let responses = engine.run_requests(snapshot, wave).unwrap();
+        responses.into_iter().map(|r| r.unwrap().outcome).collect()
+    }
+
+    /// The sequential reference: fetch → break → represent →
+    /// `PreparedPred::matches` per id, no sharding, no cache.
+    fn sequential(archive: &ArchiveStore, wave: &[QueryRequest]) -> Vec<QueryOutcome> {
+        let scan = ArchiveScanEngine::new(archive, StoreConfig::default());
+        wave.iter().map(|req| scan.request(req).unwrap().outcome).collect()
     }
 
     #[test]
     fn parallel_equals_sequential_across_worker_counts() {
         let archive = mixed_archive(30);
-        let reference = QueryEngine::new(EngineConfig::default())
-            .unwrap()
-            .run_sequential(&archive, &batch())
-            .unwrap();
+        let reference = sequential(&archive, &batch());
         for workers in [1, 2, 4, 8] {
             for shards in [1, 3, 16, 64] {
                 let engine =
                     QueryEngine::new(EngineConfig { workers, shards, ..EngineConfig::default() })
                         .unwrap();
-                let out = engine.run(&archive, &batch()).unwrap();
+                let out = run(&engine, &archive, &batch());
                 assert_eq!(out, reference, "workers={workers} shards={shards}");
             }
         }
@@ -1301,7 +1180,7 @@ mod tests {
     fn batch_finds_the_goalposts() {
         let archive = mixed_archive(30);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run(&engine, &archive, &batch());
         // Ids 0, 3, 6, ... are goalposts: two peaks each.
         let twos = &out[1];
         for id in (0..30).step_by(3) {
@@ -1313,11 +1192,11 @@ mod tests {
     fn cache_serves_repeated_batches() {
         let archive = mixed_archive(12);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let first = engine.run(&archive, &batch()).unwrap();
+        let first = run(&engine, &archive, &batch());
         let cold = engine.cache_stats();
         assert_eq!(cold.misses, 12, "one miss per sequence");
         archive.reset_clock();
-        let second = engine.run(&archive, &batch()).unwrap();
+        let second = run(&engine, &archive, &batch());
         let warm = engine.cache_stats();
         assert_eq!(first, second);
         assert_eq!(warm.misses, cold.misses, "warm run recomputes nothing");
@@ -1344,13 +1223,13 @@ mod tests {
         }
         archive.compact().unwrap();
         let index_batch = vec![
-            BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-            BatchQuery::Feature(QuerySpec::PeakInterval { interval: 7, epsilon: 2 }),
+            QueryRequest::expr(QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*")),
+            QueryRequest::expr(QueryExpr::peak_interval(7, 2)),
         ];
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let reference = engine.run_sequential(&template, &index_batch).unwrap();
+        let reference = sequential(&template, &index_batch);
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &index_batch).unwrap();
+        let out = run(&engine, &archive, &index_batch);
         assert_eq!(out, reference, "cold-served results match recomputing everything");
         assert_eq!(
             archive.fetch_count(),
@@ -1361,14 +1240,12 @@ mod tests {
         // fetch → break → represent pipeline; everything else stays cold.
         archive.put(3, random_walk(64, 0.0, 0.2, 99));
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &index_batch).unwrap();
+        let out = run(&engine, &archive, &index_batch);
         assert_eq!(archive.fetch_count() - before, 1, "only the dirtied id pays a fetch");
-        assert_eq!(out, engine.run_sequential(&archive, &index_batch).unwrap());
+        assert_eq!(out, sequential(&archive, &index_batch));
         // Entry-scan leaves force the pipeline regardless of cold docs.
         let before = archive.fetch_count();
-        engine
-            .run(&archive, &[BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })])
-            .unwrap();
+        run(&engine, &archive, &two_peaks());
         assert!(archive.fetch_count() > before, "scan leaves still fetch");
     }
 
@@ -1381,8 +1258,7 @@ mod tests {
             ..EngineConfig::default()
         })
         .unwrap();
-        let reference = engine.run_sequential(&archive, &batch()).unwrap();
-        assert_eq!(engine.run(&archive, &batch()).unwrap(), reference);
+        assert_eq!(run(&engine, &archive, &batch()), sequential(&archive, &batch()));
         assert!(engine.cache_stats().evictions > 0, "capacity 2 must evict");
     }
 
@@ -1392,14 +1268,13 @@ mod tests {
         archive.put(1, goalpost(GoalpostSpec::default()));
         archive.put(2, goalpost(GoalpostSpec::default()));
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let two_peaks = vec![BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
-        assert_eq!(engine.run(&archive, &two_peaks).unwrap()[0].exact, vec![1, 2]);
+        assert_eq!(run(&engine, &archive, &two_peaks())[0].exact, vec![1, 2]);
 
         // Replace id 1 with a one-peak sequence: the put bumps the
         // archive's generation and logs the dirty id, so the warm engine
         // drops exactly that entry on the next run — id 2 stays cached.
         archive.put(1, peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }));
-        assert_eq!(engine.run(&archive, &two_peaks).unwrap()[0].exact, vec![2]);
+        assert_eq!(run(&engine, &archive, &two_peaks())[0].exact, vec![2]);
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 3, "two cold misses + the one dirty id");
         assert_eq!(stats.hits, 1, "the clean entry survived the re-stamp");
@@ -1409,10 +1284,7 @@ mod tests {
     fn incremental_rerun_touches_only_dirty_ids() {
         let mut archive = mixed_archive(20);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let reference = |a: &ArchiveStore| {
-            QueryEngine::new(EngineConfig::default()).unwrap().run_sequential(a, &batch()).unwrap()
-        };
-        engine.run(&archive, &batch()).unwrap();
+        run(&engine, &archive, &batch());
         assert_eq!(archive.fetch_count(), 20, "cold run fetches everything");
 
         // k = 3 puts: one brand-new id, two replacements.
@@ -1420,22 +1292,22 @@ mod tests {
         archive.put(4, peaks(PeaksSpec { centers: vec![12.0], seed: 4, ..PeaksSpec::default() }));
         archive.put(7, random_walk(64, 0.0, 0.2, 77));
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run(&engine, &archive, &batch());
         assert_eq!(
             archive.fetch_count() - before,
             3,
             "incremental re-run fetches exactly the k dirty ids"
         );
-        assert_eq!(out, reference(&archive), "incremental results match a cold engine");
+        assert_eq!(out, sequential(&archive, &batch()), "incremental results match a cold scan");
         assert_eq!(engine.last_run_report().cache_totals().misses, 3);
 
         // A wildcard mutation degrades to full invalidation — correct,
         // just not incremental.
         archive.mark_all_changed();
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run(&engine, &archive, &batch());
         assert_eq!(archive.fetch_count() - before, 21, "unknown delta refetches everything");
-        assert_eq!(out, reference(&archive));
+        assert_eq!(out, sequential(&archive, &batch()));
     }
 
     #[test]
@@ -1448,7 +1320,7 @@ mod tests {
             tiered.insert(&goalpost(GoalpostSpec { seed: i, ..GoalpostSpec::default() })).unwrap();
         }
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        engine.run(tiered.archive(), &batch()).unwrap();
+        run(&engine, tiered.archive(), &batch());
         let before = tiered.archive().fetch_count();
 
         // The tracked-mutation path records exactly the touched id…
@@ -1456,7 +1328,7 @@ mod tests {
         tiered
             .with_archive_put(id, &peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }))
             .unwrap();
-        engine.run(tiered.archive(), &batch()).unwrap();
+        run(&engine, tiered.archive(), &batch());
         assert_eq!(
             tiered.archive().fetch_count() - before,
             1,
@@ -1466,7 +1338,7 @@ mod tests {
         // …whereas the wildcard borrow degrades to full invalidation.
         tiered.archive_mut();
         let before = tiered.archive().fetch_count();
-        engine.run(tiered.archive(), &batch()).unwrap();
+        run(&engine, tiered.archive(), &batch());
         assert_eq!(tiered.archive().fetch_count() - before, 12);
     }
 
@@ -1475,7 +1347,7 @@ mod tests {
         let mut archive = mixed_archive(6);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         let snap = archive.snapshot();
-        let expected = engine.run(&archive, &batch()).unwrap();
+        let expected = run(&engine, &archive, &batch());
         let expr = QueryExpr::peak_count(2, 1).or(QueryExpr::peak_interval(10, 3));
         let expr_expected = engine.bind(&archive).execute(&expr).unwrap();
 
@@ -1483,16 +1355,15 @@ mod tests {
         archive.remove(0);
         archive.put(1, random_walk(64, 0.0, 0.2, 99));
         archive.put(50, goalpost(GoalpostSpec { seed: 50, ..GoalpostSpec::default() }));
-        assert_ne!(engine.run(&archive, &batch()).unwrap(), expected, "live results moved on");
+        assert_ne!(run(&engine, &archive, &batch()), expected, "live results moved on");
 
-        // Pinned runs — batch and algebra alike — still see the old state.
-        assert_eq!(engine.run_snapshot(&snap, &batch()).unwrap(), expected);
+        // Pinned runs — wave and bound engine alike — still see the old state.
+        assert_eq!(run_pinned(&engine, &snap, &batch()), expected);
         assert_eq!(engine.bind_snapshot(snap).execute(&expr).unwrap(), expr_expected);
     }
 
     #[test]
     fn shard_local_indexes_serve_shape_and_interval_leaves() {
-        use saq_core::algebra::QueryEngine as _;
         let archive = mixed_archive(30);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         let expr =
@@ -1522,14 +1393,13 @@ mod tests {
         let snap1 = a1.snapshot();
         let stale_stamp = engine.ensure_fresh(&snap1);
 
-        let two_peaks = vec![BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
-        assert!(engine.run(&a2, &two_peaks).unwrap()[0].exact.is_empty(), "a2's id 1 has 1 peak");
+        assert!(run(&engine, &a2, &two_peaks())[0].exact.is_empty(), "a2's id 1 has 1 peak");
 
         // The stale-stamped path sees a1's real data, not a2's cache…
         let (entry, _, _) = engine.entry_for(&snap1, 1, stale_stamp).unwrap();
         assert_eq!(entry.peaks.len(), 2, "computed from a1, not served from a2's cache");
         // …and did not overwrite a2's cached entry.
-        assert!(engine.run(&a2, &two_peaks).unwrap()[0].exact.is_empty());
+        assert!(run(&engine, &a2, &two_peaks())[0].exact.is_empty());
         assert_eq!(engine.cache_stats().misses, 1, "a2's entry stayed cached throughout");
     }
 
@@ -1540,10 +1410,9 @@ mod tests {
         // Same id, different content.
         b.put(0, peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }));
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let two_peaks = vec![BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
-        assert!(engine.run(&a, &two_peaks).unwrap()[0].exact.contains(&0), "id 0 is a goalpost");
+        assert!(run(&engine, &a, &two_peaks())[0].exact.contains(&0), "id 0 is a goalpost");
         assert!(
-            !engine.run(&b, &two_peaks).unwrap()[0].exact.contains(&0),
+            !run(&engine, &b, &two_peaks())[0].exact.contains(&0),
             "other archive's id 0 has one peak"
         );
     }
@@ -1552,10 +1421,10 @@ mod tests {
     fn empty_archive_and_empty_batch() {
         let archive = ArchiveStore::new(Medium::memory());
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run(&engine, &archive, &batch());
         assert_eq!(out.len(), batch().len());
         assert!(out.iter().all(|o| o.exact.is_empty() && o.approximate.is_empty()));
-        let none = engine.run(&mixed_archive(3), &[]).unwrap();
+        let none = run(&engine, &mixed_archive(3), &[]);
         assert!(none.is_empty());
     }
 
@@ -1578,14 +1447,10 @@ mod tests {
     fn bad_queries_rejected() {
         let archive = mixed_archive(3);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let bad_pattern = BatchQuery::Feature(QuerySpec::Shape { pattern: "((".into() });
-        assert!(engine.run(&archive, &[bad_pattern]).is_err());
-        let bad_band = BatchQuery::ValueBand {
-            query: goalpost(GoalpostSpec::default()),
-            delta: -1.0,
-            slack: 0.0,
-        };
-        assert!(engine.run(&archive, &[bad_band]).is_err());
+        let bound = engine.bind(&archive);
+        assert!(bound.execute(&QueryExpr::shape("((")).is_err());
+        let bad_band = QueryExpr::value_band(goalpost(GoalpostSpec::default()), -1.0, 0.0);
+        assert!(bound.execute(&bad_band).is_err());
     }
 
     #[test]
@@ -1598,13 +1463,11 @@ mod tests {
         // A different length never matches on values.
         archive.put(3, random_walk(10, 0.0, 0.1, 9));
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let out = engine
-            .run(&archive, &[BatchQuery::ValueBand { query: center, delta: 0.5, slack: 1.0 }])
-            .unwrap();
-        assert_eq!(out[0].exact, vec![1]);
-        let approx_ids: Vec<u64> = out[0].approximate.iter().map(|m| m.id).collect();
+        let out = engine.bind(&archive).execute(&QueryExpr::value_band(center, 0.5, 1.0)).unwrap();
+        assert_eq!(out.exact, vec![1]);
+        let approx_ids: Vec<u64> = out.approximate.iter().map(|m| m.id).collect();
         assert_eq!(approx_ids, vec![2]);
-        assert!(!out[0].all_ids().contains(&3));
+        assert!(!out.all_ids().contains(&3));
     }
 
     #[test]
@@ -1625,11 +1488,10 @@ mod tests {
     fn bound_engine_matches_batch_api_on_single_leaves() {
         let archive = mixed_archive(24);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        for query in batch() {
-            let via_run = engine.run(&archive, std::slice::from_ref(&query)).unwrap().remove(0);
-            let via_expr =
-                engine.bind(&archive).execute(&QueryExpr::Leaf(query.to_pred())).unwrap();
-            assert_eq!(via_run, via_expr, "{query:?}");
+        let via_wave = run(&engine, &archive, &batch());
+        for (req, in_wave) in batch().iter().zip(via_wave) {
+            let solo = engine.bind(&archive).request(req).unwrap().outcome;
+            assert_eq!(in_wave, solo, "{req:?}");
         }
     }
 
@@ -1752,29 +1614,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_shims_stay_byte_identical_to_the_unified_path() {
-        let archive = mixed_archive(18);
-        let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let snapshot = archive.snapshot();
-        let via_run = engine.run(&archive, &batch()).unwrap();
-        let via_run_snapshot = engine.run_snapshot(&snapshot, &batch()).unwrap();
-        let via_requests: Vec<QueryOutcome> = engine
-            .run_requests(
-                &snapshot,
-                &batch()
-                    .iter()
-                    .map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred())))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap().outcome)
-            .collect();
-        assert_eq!(via_run, via_requests);
-        assert_eq!(via_run_snapshot, via_requests);
-    }
-
-    #[test]
     fn per_worker_clocks_show_overlap() {
         let archive = mixed_archive(32);
         // Memory fetches cost ~nothing simulated and finish instantly, so
@@ -1789,7 +1628,7 @@ mod tests {
         let engine =
             QueryEngine::new(EngineConfig { workers: 4, shards: 8, ..EngineConfig::default() })
                 .unwrap();
-        engine.run(&disk, &batch()).unwrap();
+        run(&engine, &disk, &batch());
         let report = engine.last_run_report();
         assert_eq!(report.workers(), 4);
         let total = report.sim_total_seconds();

@@ -7,8 +7,8 @@ use crate::protocol::{
     read_frame, render_points, write_frame, DeltaFrame, Verb, WireRequest, WireResponse,
 };
 use parking_lot::Mutex;
-use saq_core::algebra::{ExecStats, QueryEngine, QueryExpr};
-use saq_core::{Error, QueryOutcome, QueryRequest, QueryResponse, Result, SnapshotRef};
+use saq_core::algebra::QueryEngine;
+use saq_core::{Error, QueryRequest, QueryResponse, Result, SnapshotRef};
 use saq_sequence::Point;
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -271,9 +271,9 @@ fn expect_snapshot(reply: &WireResponse) -> Result<SnapshotRef> {
         .parse()
 }
 
-/// A remote `saqd` behind the [`QueryEngine`] trait: `request`,
-/// `explain`, and the deprecated shims all answer over the wire, so code
-/// written against the trait runs unchanged against a server.
+/// A remote `saqd` behind the [`QueryEngine`] trait: requests answer
+/// over the wire, so code written against the trait runs unchanged
+/// against a server.
 ///
 /// The trait takes `&self`, so the single connection sits behind a mutex;
 /// callers wanting parallel in-flight queries should open one
@@ -297,25 +297,7 @@ impl RemoteEngine {
 }
 
 impl QueryEngine for RemoteEngine {
-    fn execute_with_stats(&self, expr: &QueryExpr) -> Result<(QueryOutcome, ExecStats)> {
-        let resp = self.request(&QueryRequest::expr(expr.clone()).with_stats())?;
-        let stats = resp
-            .stats
-            .ok_or_else(|| Error::Protocol("server reply is missing requested stats".into()))?;
-        Ok((resp.outcome, stats))
-    }
-
     fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
         self.client.lock().query(req)
-    }
-
-    fn explain(&self, expr: &QueryExpr) -> Result<String> {
-        let resp = self.request(&QueryRequest::expr(expr.clone()).with_explain())?;
-        resp.explain
-            .ok_or_else(|| Error::Protocol("server reply is missing requested explain".into()))
-    }
-
-    fn snapshot_ref(&self) -> Option<SnapshotRef> {
-        self.client.lock().ping().ok()
     }
 }

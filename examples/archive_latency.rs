@@ -7,10 +7,9 @@
 
 use saq::archive::{ArchiveStore, Medium, TieredStore};
 use saq::core::algebra::QueryExpr;
-use saq::core::query::QuerySpec;
 use saq::core::store::StoreConfig;
 use saq::core::{QueryOutcome, QueryRequest};
-use saq::engine::{BatchQuery, EngineConfig, QueryEngine};
+use saq::engine::{EngineConfig, QueryEngine};
 use saq::sequence::generators::{random_walk, seismic_burst};
 use saq::sequence::Sequence;
 
@@ -27,16 +26,14 @@ fn station_data() -> Vec<Sequence> {
     traces
 }
 
-/// Runs `batch` as one coalesced wave through the unified request API.
+/// Runs `batch` as one coalesced wave.
 fn run_wave(
     engine: &QueryEngine,
     archive: &ArchiveStore,
-    batch: &[BatchQuery],
+    batch: &[QueryRequest],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        batch.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
     engine
-        .run_requests(&archive.snapshot(), &requests)
+        .run_requests(&archive.snapshot(), batch)
         .unwrap()
         .into_iter()
         .map(|r| r.unwrap().outcome)
@@ -64,7 +61,7 @@ fn main() {
     );
 
     // "Sudden vigorous seismic activity": at least one steep peak.
-    let query = QuerySpec::HasSteepPeak { steepness: 2.0, slack: 0.0 };
+    let query = QueryExpr::has_steep_peak(2.0, 0.0);
     let (outcome, local_cost) = tiered.query_local(&query).unwrap();
     println!(
         "\nquery `any peak steeper than 2.0` answered locally in {:.6} simulated seconds",
@@ -103,10 +100,7 @@ fn main() {
         ..EngineConfig::default()
     })
     .unwrap();
-    let batch = vec![
-        BatchQuery::Feature(query.clone()),
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 1, tolerance: 1 }),
-    ];
+    let batch = [QueryRequest::expr(query), QueryRequest::saql("peaks = 1 tol 1")];
     tiered.archive().reset_clock();
     let outcomes = run_wave(&engine, tiered.archive(), &batch);
     assert_eq!(

@@ -5,7 +5,8 @@
 //! Run with `cargo run --example goalpost_fever`.
 
 use saq::baseline::euclid::band_match;
-use saq::core::query::{evaluate, QuerySpec};
+use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::request::QueryRequest;
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 use saq::sequence::Sequence;
@@ -79,9 +80,8 @@ fn main() {
     }
 
     // The generalized approximate query: shape, not values.
-    let outcome =
-        evaluate(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
-            .unwrap();
+    let engine = StoreEngine::new(&store);
+    let outcome = engine.execute(&QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*")).unwrap();
 
     println!("goal-post fever query `0* 1+ (-1)+ 0* 1+ (-1)+ 0*`\n");
     println!("patient                      | true peaks | matched");
@@ -107,7 +107,7 @@ fn main() {
     }
 
     // Peak-count query with an approximation tolerance (±1 peak).
-    let approx = evaluate(&store, &QuerySpec::PeakCount { count: 2, tolerance: 1 }).unwrap();
+    let approx = engine.execute(&QueryExpr::peak_count(2, 1)).unwrap();
     println!("\npeak-count query (2 +- 1):");
     println!("  exact: {:?}", approx.exact);
     for m in &approx.approximate {
@@ -115,9 +115,9 @@ fn main() {
         println!("  approximate: {name} (off by {})", m.deviation);
     }
 
-    // The same ward, asked through the textual query language (§6's future
-    // work): conjunctive clauses with per-dimension tolerances.
+    // The same ward, asked through SAQL, the textual query language (§6's
+    // future work): clauses with per-dimension tolerances.
     let text = r#"shape "0* 1+ (-1)+ 0* 1+ (-1)+ 0*" and steepness all >= 0.5"#;
-    let lang_out = saq::core::run_query(&store, text).unwrap();
+    let lang_out = engine.request(&QueryRequest::saql(text)).unwrap().outcome;
     println!("\nquery-language form:\n  {text}\n  exact matches: {:?}", lang_out.exact);
 }

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example query_algebra`.
 
 use saq::archive::{ArchiveStore, Medium};
-use saq::core::algebra::{IndexCaps, QueryEngine, QueryExpr, StoreEngine};
+use saq::core::algebra::{IndexCaps, Planner, QueryEngine, QueryExpr, StoreEngine};
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::engine::{EngineConfig, QueryEngine as BatchEngine};
 use saq::sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
@@ -71,11 +71,11 @@ fn main() {
     }
 
     // Without indexes every leaf scans — same answer, more work.
-    let (scan_outcome, scan_stats) =
-        StoreEngine::with_caps(&store, IndexCaps::none()).execute_with_stats(&expr).unwrap();
+    let scan_plan = Planner::new(IndexCaps::none()).plan(&expr).unwrap();
+    let (scan_outcome, scan_stats) = engine.run_plan(&scan_plan).unwrap();
     assert_eq!(outcome, scan_outcome);
     println!(
-        "scan-only engine agrees, but scanned {} entries instead of {}",
+        "scan-only plan agrees, but scanned {} entries instead of {}",
         scan_stats.entries_scanned, stats.entries_scanned
     );
 

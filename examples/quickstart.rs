@@ -3,10 +3,11 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use saq::core::algebra::{QueryEngine as _, StoreEngine};
 use saq::core::alphabet::{series_symbols, symbols_to_string, DEFAULT_THETA};
 use saq::core::brk::{Breaker, LinearInterpolationBreaker};
-use saq::core::query::{evaluate, QuerySpec};
 use saq::core::repr::FunctionSeries;
+use saq::core::request::QueryRequest;
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::curves::RegressionFitter;
 use saq::sequence::generators::{goalpost, GoalpostSpec};
@@ -46,8 +47,7 @@ fn main() {
     // 5. Store it and ask the goal-post fever query.
     let mut store = SequenceStore::new(StoreConfig::default()).unwrap();
     let id = store.insert(&log).unwrap();
-    let outcome =
-        evaluate(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
-            .unwrap();
+    let query = QueryRequest::saql(r#"shape "0* 1+ (-1)+ 0* 1+ (-1)+ 0*""#);
+    let outcome = StoreEngine::new(&store).request(&query).unwrap().outcome;
     println!("\ngoal-post query exact matches: {:?} (our log is id {id})", outcome.exact);
 }

@@ -27,22 +27,23 @@
 //! ## Quickstart
 //!
 //! ```
-//! use saq::core::{store::{SequenceStore, StoreConfig}, query::{evaluate, QuerySpec}};
+//! use saq::core::store::{SequenceStore, StoreConfig};
+//! use saq::core::{QueryEngine as _, QueryRequest, StoreEngine};
 //! use saq::sequence::generators::{goalpost, GoalpostSpec};
 //!
 //! // Ingest a 24-hour temperature log; query for goal-post fever.
 //! let mut store = SequenceStore::new(StoreConfig::default()).unwrap();
 //! let id = store.insert(&goalpost(GoalpostSpec::default())).unwrap();
-//! let out = evaluate(&store, &QuerySpec::Shape {
-//!     pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into(),
-//! }).unwrap();
-//! assert_eq!(out.exact, vec![id]);
+//! let query = QueryRequest::saql(r#"shape "0* 1+ (-1)+ 0* 1+ (-1)+ 0*""#);
+//! let resp = StoreEngine::new(&store).request(&query).unwrap();
+//! assert_eq!(resp.outcome.exact, vec![id]);
 //! ```
 //!
 //! Queries compose: see [`core::algebra`] for the `And`/`Or`/`Not`/
 //! `Limit`/`TopK` expression algebra, the planner that pushes indexable
-//! leaves into [`index`] structures, and the `QueryEngine` trait shared
-//! by the sequential and sharded execution backends.
+//! leaves into [`index`] structures, and the `QueryEngine` trait — one
+//! `request(&QueryRequest)` entry point shared by the sequential, sharded
+//! and remote execution backends.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -245,7 +245,8 @@ pub fn assert_all_engines_match(
     let indexed = StoreEngine::new(store).execute(expr).unwrap();
     prop_assert_eq!(&indexed, &expected, "store engine (index pushdown) vs oracle: {:?}", expr);
 
-    let scan_only = StoreEngine::with_caps(store, IndexCaps::none()).execute(expr).unwrap();
+    let scan_plan = Planner::new(IndexCaps::none()).plan(expr).unwrap();
+    let (scan_only, _) = StoreEngine::new(store).run_plan(&scan_plan).unwrap();
     prop_assert_eq!(&scan_only, &expected, "store engine (scan only) vs oracle: {:?}", expr);
 
     let archive_seq =

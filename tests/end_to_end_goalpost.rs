@@ -2,7 +2,7 @@
 //! crate — generate, preprocess, ingest, index, query, verify closure under
 //! feature-preserving transformations.
 
-use saq::core::query::{evaluate, QuerySpec};
+use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::core::Transform;
 use saq::preprocess::{add_gaussian_noise, Pipeline};
@@ -33,7 +33,7 @@ fn ward_query_full_pipeline() {
     let id_one = store.insert(&one).unwrap();
     let id_three = store.insert(&three).unwrap();
 
-    let outcome = evaluate(&store, &QuerySpec::Shape { pattern: GOALPOST.into() }).unwrap();
+    let outcome = StoreEngine::new(&store).execute(&QueryExpr::shape(GOALPOST)).unwrap();
     for id in &expected {
         assert!(outcome.exact.contains(id), "two-peak patient {id} missed");
     }
@@ -51,7 +51,7 @@ fn query_closed_under_feature_preserving_transforms() {
     for (_, t) in Transform::figure5_suite() {
         ids.push(store.insert(&t.apply(&base).unwrap()).unwrap());
     }
-    let outcome = evaluate(&store, &QuerySpec::Shape { pattern: GOALPOST.into() }).unwrap();
+    let outcome = StoreEngine::new(&store).execute(&QueryExpr::shape(GOALPOST)).unwrap();
     for id in ids {
         assert!(outcome.exact.contains(&id), "transformed member {id} not exact");
     }
@@ -67,7 +67,7 @@ fn approximate_tier_orders_by_deviation() {
         .insert(&peaks(PeaksSpec { centers: vec![3.0, 9.0, 15.0, 21.0], ..PeaksSpec::default() }))
         .unwrap();
 
-    let out = evaluate(&store, &QuerySpec::PeakCount { count: 2, tolerance: 2 }).unwrap();
+    let out = StoreEngine::new(&store).execute(&QueryExpr::peak_count(2, 2)).unwrap();
     assert_eq!(out.exact, vec![two]);
     let ids: Vec<u64> = out.approximate.iter().map(|m| m.id).collect();
     assert_eq!(ids, vec![one, four], "sorted by deviation then id: {out:?}");

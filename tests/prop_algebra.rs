@@ -9,12 +9,20 @@
 //! The corpus generator, the oracle, the expression strategies, and the
 //! all-engines harness live in `tests/common/mod.rs`, shared with the
 //! SAQL round-trip suite (`prop_saql.rs`).
+//!
+//! Beyond outcomes, every local engine must answer a `QueryRequest` by
+//! the same rules — pin checked before the body is parsed, explain
+//! annotated with observed cardinalities, the served snapshot named in
+//! the response (`requests_follow_one_pipeline_on_every_engine`).
 
 mod common;
 
 use common::{assert_all_engines_match, expr_strategy, ingest, mixed_sequence, GOALPOST};
 use proptest::prelude::*;
+use saq::archive::ArchiveScanEngine;
 use saq::core::algebra::{QueryEngine, QueryExpr, StoreEngine};
+use saq::core::store::StoreConfig;
+use saq::core::{QueryRequest, SnapshotRef};
 use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
 use saq::sequence::generators::{goalpost, GoalpostSpec};
 use saq::sequence::Sequence;
@@ -48,6 +56,57 @@ fn compound_expressions_identical_across_all_engines() {
     }
 }
 
+/// Cross-engine request conformance: the pipeline around planning and
+/// execution behaves identically whichever engine answers.
+#[test]
+fn requests_follow_one_pipeline_on_every_engine() {
+    let corpus: Vec<Sequence> = (0..24).map(|i| mixed_sequence(i, 7000 + i)).collect();
+    let (store, archive) = ingest(&corpus);
+    let store_snap = store.snapshot();
+    let store_ref = SnapshotRef::new(store_snap.instance_id(), store_snap.generation());
+    let archive_snap = archive.snapshot();
+    let archive_ref = SnapshotRef::new(archive_snap.instance_id(), archive_snap.generation());
+    let sharded = ShardedEngine::new(EngineConfig::default()).unwrap();
+
+    let engines: [(&str, &dyn QueryEngine, SnapshotRef); 5] = [
+        ("StoreEngine", &StoreEngine::new(&store), store_ref),
+        ("StoreSnapshot", &store_snap, store_ref),
+        (
+            "ArchiveScanEngine",
+            &ArchiveScanEngine::new(&archive, StoreConfig::default()),
+            archive_ref,
+        ),
+        ("sharded bind", &sharded.bind(&archive), archive_ref),
+        ("sharded bind_snapshot", &sharded.bind_snapshot(archive_snap.clone()), archive_ref),
+    ];
+    for (name, engine, current) in engines {
+        let stale = SnapshotRef::new(current.instance, current.generation + 1);
+        // (a) The pin is checked before the body is parsed.
+        let err = engine.request(&QueryRequest::saql("peaks 2").pinned(stale)).unwrap_err();
+        assert_eq!(err.code(), 8, "{name}: stale pin + malformed SAQL -> {err}");
+        // (b) A matching pin lets the parse error through.
+        let err = engine.request(&QueryRequest::saql("peaks 2").pinned(current)).unwrap_err();
+        assert_eq!(err.code(), 7, "{name}: good pin + malformed SAQL -> {err}");
+        // (c) Explain carries what each evaluated leaf observed — with an
+        // estimate beside it or without — and (d) the response names the
+        // snapshot it was answered from.
+        let queries =
+            [("peaks = 2 tol 1 and steepness any >= 0.5 slack 0.2", 2), ("peaks = 2 tol 1", 1)];
+        for (saql, leaf_count) in queries {
+            let resp = engine.request(&QueryRequest::saql(saql).with_explain()).unwrap();
+            assert!(!resp.outcome.all_ids().is_empty(), "{name}: `{saql}` matches something");
+            let explain = resp.explain.expect("explain was requested");
+            let leaves: Vec<&str> =
+                explain.lines().filter(|l| l.trim_start().starts_with('#')).collect();
+            assert_eq!(leaves.len(), leaf_count, "{name}: `{saql}` explain:\n{explain}");
+            for leaf in leaves {
+                assert!(leaf.contains("(observed "), "{name}: `{saql}` explain:\n{explain}");
+            }
+            assert_eq!(resp.snapshot, Some(current), "{name}: `{saql}`");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -78,7 +137,7 @@ proptest! {
         let corpus: Vec<Sequence> =
             seeds.iter().map(|&(kind, seed)| mixed_sequence(kind, seed)).collect();
         let (_store, archive) = ingest(&corpus);
-        let requests = vec![saq::core::QueryRequest::expr(expr.clone()).with_stats()];
+        let requests = vec![QueryRequest::expr(expr.clone()).with_stats()];
         let snapshot = archive.snapshot();
         let run = |adaptive: bool| {
             let engine = ShardedEngine::new(EngineConfig {
@@ -106,41 +165,6 @@ proptest! {
                     "observed {} exceeds universe {}: {:?}", observed, universe, expr
                 );
             }
-        }
-    }
-
-    /// Single-leaf expressions through the trait's back-compat `evaluate`
-    /// agree with the classic store-level evaluator.
-    #[allow(deprecated)] // the shims must stay byte-identical until removal
-    #[test]
-    fn evaluate_shim_agrees_with_store_evaluate(
-        seeds in prop::collection::vec((0u64..4, 0u64..10_000), 5..20),
-        count in 0usize..4,
-        tolerance in 0usize..3,
-        interval in 3i64..13,
-        epsilon in 0i64..4,
-    ) {
-        let corpus: Vec<Sequence> =
-            seeds.iter().map(|&(kind, seed)| mixed_sequence(kind, seed)).collect();
-        let (store, archive) = ingest(&corpus);
-        let specs = [
-            saq::core::QuerySpec::Shape { pattern: GOALPOST.into() },
-            saq::core::QuerySpec::PeakCount { count, tolerance },
-            saq::core::QuerySpec::PeakInterval { interval, epsilon },
-        ];
-        for spec in &specs {
-            let classic = saq::core::query::evaluate(&store, spec).unwrap();
-            prop_assert_eq!(
-                &StoreEngine::new(&store).evaluate(spec).unwrap(),
-                &classic,
-                "store engine shim: {:?}", spec
-            );
-            let engine = ShardedEngine::new(EngineConfig::default()).unwrap();
-            prop_assert_eq!(
-                &engine.bind(&archive).evaluate(spec).unwrap(),
-                &classic,
-                "sharded shim: {:?}", spec
-            );
         }
     }
 }

@@ -1,16 +1,17 @@
-//! Equivalence of the sharded parallel batch engine with the sequential
-//! query paths: for every query type, `saq-engine` with multiple workers
+//! Equivalence of the sharded parallel engine with the sequential query
+//! paths: for every query type, a `saq-engine` wave with multiple workers
 //! must return byte-identical result sets (same hits, same order) as both
-//! its own single-pass sequential oracle and the store-level
-//! `saq::core::query::evaluate`.
+//! the sequential archive scan (`ArchiveScanEngine`: fetch → break →
+//! represent → `PreparedPred::matches`, one id at a time) and the
+//! index-assisted `StoreEngine`.
 
 use proptest::prelude::*;
-use saq::archive::{ArchiveStore, Medium};
-use saq::core::algebra::QueryExpr;
-use saq::core::query::{evaluate, QueryOutcome, QuerySpec};
+use saq::archive::{ArchiveScanEngine, ArchiveStore, Medium};
+use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::query::QueryOutcome;
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::core::QueryRequest;
-use saq::engine::{BatchQuery, EngineConfig, QueryEngine};
+use saq::engine::{EngineConfig, QueryEngine};
 use saq::sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
 use saq::sequence::Sequence;
 
@@ -41,15 +42,13 @@ fn mixed_sequence(kind: u64, seed: u64) -> Sequence {
     }
 }
 
-/// Runs `queries` as one coalesced wave through the unified request API,
-/// so the oracle suites cover the path every entry point now routes to.
+/// Runs `queries` as one coalesced wave of single-leaf requests.
 fn run_wave(
     engine: &QueryEngine,
     archive: &ArchiveStore,
-    queries: &[BatchQuery],
+    queries: &[QueryExpr],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
+    let requests: Vec<QueryRequest> = queries.iter().cloned().map(QueryRequest::expr).collect();
     engine
         .run_requests(&archive.snapshot(), &requests)
         .unwrap()
@@ -58,13 +57,20 @@ fn run_wave(
         .collect()
 }
 
-fn feature_queries() -> Vec<QuerySpec> {
+/// The sequential oracle: one pass over the archive per query, no
+/// sharding, no cache.
+fn scan_sequentially(archive: &ArchiveStore, queries: &[QueryExpr]) -> Vec<QueryOutcome> {
+    let scan = ArchiveScanEngine::new(archive, StoreConfig::default());
+    queries.iter().map(|q| scan.execute(q).unwrap()).collect()
+}
+
+fn feature_queries() -> Vec<QueryExpr> {
     vec![
-        QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() },
-        QuerySpec::PeakCount { count: 2, tolerance: 1 },
-        QuerySpec::PeakInterval { interval: 7, epsilon: 2 },
-        QuerySpec::MinPeakSteepness { steepness: 1.0, slack: 0.4 },
-        QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.2 },
+        QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
+        QueryExpr::peak_count(2, 1),
+        QueryExpr::peak_interval(7, 2),
+        QueryExpr::min_steepness(1.0, 0.4),
+        QueryExpr::has_steep_peak(1.5, 0.2),
     ]
 }
 
@@ -78,23 +84,17 @@ fn four_workers_match_sequential_paths_on_200_sequences() {
     let engine =
         QueryEngine::new(EngineConfig { workers: 4, shards: 16, ..EngineConfig::default() })
             .unwrap();
-    let mut batch: Vec<BatchQuery> =
-        feature_queries().into_iter().map(BatchQuery::Feature).collect();
-    batch.push(BatchQuery::ValueBand {
-        query: goalpost(GoalpostSpec::default()),
-        delta: 1.0,
-        slack: 1.0,
-    });
+    let mut batch = feature_queries();
+    batch.push(QueryExpr::value_band(goalpost(GoalpostSpec::default()), 1.0, 1.0));
 
     let parallel = run_wave(&engine, &archive, &batch);
-    let sequential = engine.run_sequential(&archive, &batch).unwrap();
-    assert_eq!(parallel, sequential, "parallel vs sequential oracle");
+    assert_eq!(parallel, scan_sequentially(&archive, &batch), "parallel vs sequential oracle");
 
     // Feature queries also agree with the store-level (index-assisted)
-    // evaluator, hit for hit and byte for byte.
-    for (spec, outcome) in feature_queries().iter().zip(&parallel) {
-        let store_outcome = evaluate(&store, spec).unwrap();
-        assert_eq!(outcome, &store_outcome, "engine vs store for {spec:?}");
+    // engine, hit for hit and byte for byte.
+    for (query, outcome) in feature_queries().iter().zip(&parallel) {
+        let store_outcome = StoreEngine::new(&store).execute(query).unwrap();
+        assert_eq!(outcome, &store_outcome, "engine vs store for {query:?}");
     }
 
     // Sanity: the corpus is a quarter goalposts; the shape query finds a
@@ -126,17 +126,17 @@ proptest! {
             ..EngineConfig::default()
         })
         .unwrap();
-        let specs = [
-            QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() },
-            QuerySpec::PeakCount { count, tolerance },
-            QuerySpec::PeakInterval { interval, epsilon },
-            QuerySpec::MinPeakSteepness { steepness: 1.0, slack: 0.3 },
-            QuerySpec::HasSteepPeak { steepness: 1.2, slack: 0.3 },
+        let batch = [
+            QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
+            QueryExpr::peak_count(count, tolerance),
+            QueryExpr::peak_interval(interval, epsilon),
+            QueryExpr::min_steepness(1.0, 0.3),
+            QueryExpr::has_steep_peak(1.2, 0.3),
         ];
-        let batch: Vec<BatchQuery> = specs.iter().cloned().map(BatchQuery::Feature).collect();
         let outcomes = run_wave(&engine, &archive, &batch);
-        for (spec, outcome) in specs.iter().zip(&outcomes) {
-            prop_assert_eq!(outcome, &evaluate(&store, spec).unwrap(), "{:?}", spec);
+        for (query, outcome) in batch.iter().zip(&outcomes) {
+            let store_outcome = StoreEngine::new(&store).execute(query).unwrap();
+            prop_assert_eq!(outcome, &store_outcome, "{:?}", query);
         }
     }
 
@@ -159,14 +159,7 @@ proptest! {
             ..EngineConfig::default()
         })
         .unwrap();
-        let batch = vec![BatchQuery::ValueBand {
-            query: goalpost(GoalpostSpec::default()),
-            delta,
-            slack,
-        }];
-        prop_assert_eq!(
-            run_wave(&engine, &archive, &batch),
-            engine.run_sequential(&archive, &batch).unwrap()
-        );
+        let batch = [QueryExpr::value_band(goalpost(GoalpostSpec::default()), delta, slack)];
+        prop_assert_eq!(run_wave(&engine, &archive, &batch), scan_sequentially(&archive, &batch));
     }
 }

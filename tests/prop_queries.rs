@@ -1,10 +1,10 @@
-//! Property-based tests of the query engine: agreement between the store's
-//! indexed answers and first-principles recomputation, and soundness of the
-//! conjunctive query language.
+//! Property-based tests of the store engine: agreement between the store's
+//! indexed answers and first-principles recomputation, and soundness of
+//! SAQL conjunctions.
 
 use proptest::prelude::*;
-use saq::core::query::{evaluate, QuerySpec};
-use saq::core::run_query;
+use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::request::QueryRequest;
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::sequence::generators::{peaks, PeaksSpec};
 use saq::sequence::Sequence;
@@ -35,7 +35,7 @@ proptest! {
             let id = store.insert(seq).unwrap();
             truth.push((id, *k));
         }
-        let out = evaluate(&store, &QuerySpec::PeakCount { count: want, tolerance: 0 }).unwrap();
+        let out = StoreEngine::new(&store).execute(&QueryExpr::peak_count(want, 0)).unwrap();
         for (id, k) in &truth {
             // Detected peak count equals constructed count on clean,
             // well-separated trains; so exact-match sets agree.
@@ -56,7 +56,7 @@ proptest! {
             ids.push(store.insert(seq).unwrap());
         }
         let pattern = "0* 1+ (-1)+ 0* 1+ (-1)+ 0*";
-        let out = evaluate(&store, &QuerySpec::Shape { pattern: pattern.into() }).unwrap();
+        let out = StoreEngine::new(&store).execute(&QueryExpr::shape(pattern)).unwrap();
         let dfa = saq::core::alphabet::parse_slope_pattern(pattern).unwrap().compile();
         for id in ids {
             let symbols = store.get(id).unwrap().symbols.clone();
@@ -74,9 +74,13 @@ proptest! {
         for (seq, _) in &corpus {
             store.insert(seq).unwrap();
         }
-        let qa = evaluate(&store, &QuerySpec::PeakCount { count: a, tolerance: 0 }).unwrap();
-        let qb = evaluate(&store, &QuerySpec::PeakCount { count: b, tolerance: 0 }).unwrap();
-        let both = run_query(&store, &format!("peaks = {a} and peaks = {b}")).unwrap();
+        let engine = StoreEngine::new(&store);
+        let qa = engine.execute(&QueryExpr::peak_count(a, 0)).unwrap();
+        let qb = engine.execute(&QueryExpr::peak_count(b, 0)).unwrap();
+        let both = engine
+            .request(&QueryRequest::saql(format!("peaks = {a} and peaks = {b}")))
+            .unwrap()
+            .outcome;
         let expected: Vec<u64> = qa
             .exact
             .iter()
@@ -97,11 +101,7 @@ proptest! {
         for (seq, _) in &corpus {
             store.insert(seq).unwrap();
         }
-        let out = evaluate(
-            &store,
-            &QuerySpec::PeakInterval { interval: target, epsilon: eps },
-        )
-        .unwrap();
+        let out = StoreEngine::new(&store).execute(&QueryExpr::peak_interval(target, eps)).unwrap();
         for id in out.all_ids() {
             let buckets = store.get(id).unwrap().peaks.interval_buckets();
             prop_assert!(

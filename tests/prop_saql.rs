@@ -75,7 +75,7 @@ proptest! {
     }
 
     /// The re-parsed tree, run through every engine, matches the PR 3
-    /// oracle — and the textual entry point (`execute_saql`) agrees with
+    /// oracle — and a `QueryRequest::saql` of the printed text agrees with
     /// executing the constructed tree.
     #[test]
     fn reparsed_trees_match_every_engine_and_the_oracle(

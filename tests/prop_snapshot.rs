@@ -20,7 +20,7 @@ use saq::core::algebra::{Planner, QueryEngine as _, QueryExpr};
 use saq::core::query::QueryOutcome;
 use saq::core::store::{SequenceStore, SharedStore, StoreConfig, StoreSnapshot, StoredEntry};
 use saq::core::QueryRequest;
-use saq::engine::{BatchQuery, EngineConfig, QueryEngine as ShardedEngine};
+use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,15 +51,13 @@ fn store_oracle(snap: &StoreSnapshot, expr: &QueryExpr) -> QueryOutcome {
     to_outcome(naive_eval(&Planner::normalize(expr), &ids, &refs))
 }
 
-/// Runs `queries` as one coalesced wave over a pinned snapshot through
-/// the unified request API.
+/// Runs `queries` as one coalesced wave over a pinned snapshot.
 fn run_wave(
     engine: &ShardedEngine,
     snap: &ArchiveSnapshot,
-    queries: &[BatchQuery],
+    queries: &[QueryExpr],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
+    let requests: Vec<QueryRequest> = queries.iter().cloned().map(QueryRequest::expr).collect();
     engine.run_requests(snap, &requests).unwrap().into_iter().map(|r| r.unwrap().outcome).collect()
 }
 
@@ -84,12 +82,8 @@ fn small_exprs() -> Vec<QueryExpr> {
     ]
 }
 
-fn batch() -> Vec<BatchQuery> {
-    use saq::core::query::QuerySpec;
-    vec![
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-        BatchQuery::Feature(QuerySpec::PeakInterval { interval: 10, epsilon: 3 }),
-    ]
+fn batch() -> Vec<QueryExpr> {
+    vec![QueryExpr::peak_count(2, 1), QueryExpr::peak_interval(10, 3)]
 }
 
 proptest! {
@@ -100,7 +94,7 @@ proptest! {
     /// The tentpole property: readers pinning snapshots of a live archive
     /// under concurrent writer churn always match the oracle at their
     /// pinned generation — through the pinned sequential scan engine, the
-    /// sharded engine's algebra binding, and its batch API, all sharing
+    /// sharded engine's algebra binding, and its request waves, all sharing
     /// one engine (and thus one stamped LRU) across threads.
     #[test]
     fn concurrent_archive_readers_match_their_pinned_generation(
@@ -159,8 +153,7 @@ proptest! {
                         }
                         let outs = run_wave(&engine, &snap, queries);
                         for (q, out) in queries.iter().zip(&outs) {
-                            let expected = archive_oracle(&snap, &QueryExpr::Leaf(q.to_pred()));
-                            assert_eq!(out, &expected, "batch @{generation}");
+                            assert_eq!(out, &archive_oracle(&snap, q), "wave @{generation}");
                         }
                         assert_eq!(snap.generation(), generation, "a snapshot never moves");
                     }
@@ -319,7 +312,7 @@ fn rerun_after_k_puts_fetches_exactly_k_sequences() {
         let outs = run_wave(&engine, &snap, &queries);
         assert_eq!(archive.fetch_count() - before, k, "exactly the {k} dirty ids re-fetched");
         for (q, out) in queries.iter().zip(&outs) {
-            assert_eq!(out, &archive_oracle(&snap, &QueryExpr::Leaf(q.to_pred())));
+            assert_eq!(out, &archive_oracle(&snap, q));
         }
     }
 }

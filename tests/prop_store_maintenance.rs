@@ -7,7 +7,7 @@
 //! can never drift from the entries).
 
 use proptest::prelude::*;
-use saq::core::algebra::{IndexCaps, QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::algebra::{IndexCaps, Planner, QueryEngine as _, QueryExpr, StoreEngine};
 use saq::core::store::{SequenceStore, StoreConfig, StoredEntry};
 use saq::index::{IndexDoc, IndexSet, SequenceIndex as _};
 use saq::sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
@@ -136,12 +136,12 @@ fn assert_queries_match_scan_oracle(store: &SequenceStore) -> Result<(), TestCas
         QueryExpr::shape(GOALPOST).or(QueryExpr::peak_count(1, 0)),
         QueryExpr::peak_count(3, 1).negate(),
     ];
-    let indexed = StoreEngine::new(store);
-    let scan = StoreEngine::with_caps(store, IndexCaps::none());
+    let engine = StoreEngine::new(store);
+    let scan = Planner::new(IndexCaps::none());
     for expr in &exprs {
         prop_assert_eq!(
-            indexed.execute(expr).unwrap(),
-            scan.execute(expr).unwrap(),
+            engine.execute(expr).unwrap(),
+            engine.run_plan(&scan.plan(expr).unwrap()).unwrap().0,
             "index-served vs scan oracle after mutations: {:?}",
             expr
         );
