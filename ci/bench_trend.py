@@ -3,11 +3,12 @@
 against the checked-in previous one and fail on a >25% regression in
 WAL replay throughput (per corpus size), any kernel's measured
 speedup over its scalar baseline, or a streaming feed's splice/pump
-win over the batch re-run. Sections missing from the previous
-snapshot (older schema) are skipped, so the gate tightens as the
-trajectory grows. Set SAQ_BENCH_ALLOW_REGRESSION=1 to record a known
-slowdown instead of failing (e.g. a deliberate trade-off, or a noisy
-shared runner).
+win over the batch re-run — and outright on any kernel slower than
+the scalar code it replaced (speedup < 1.0), whatever its previous
+value. Sections missing from the previous snapshot (older schema) are
+skipped, so the gate tightens as the trajectory grows. Set
+SAQ_BENCH_ALLOW_REGRESSION=1 to record a known slowdown instead of
+failing (e.g. a deliberate trade-off, or a noisy shared runner).
 
 Usage: bench_trend.py <previous.json> <fresh.json>
 """
@@ -44,6 +45,10 @@ def main() -> int:
 
     prev_kernels = {k["name"]: k for k in prev.get("kernels", [])}
     for k in now.get("kernels", []):
+        if k["speedup"] < 1.0:
+            failures.append(
+                f"kernel {k['name']}: {k['speedup']:.2f}x is slower than its scalar baseline"
+            )
         p = prev_kernels.get(k["name"])
         if p is None:
             continue
@@ -64,7 +69,7 @@ def main() -> int:
                 )
 
     if failures:
-        print(f"bench-trend regressions (>{TOLERANCE:.0%} vs {prev_path}):")
+        print(f"bench-trend failures (>{TOLERANCE:.0%} vs {prev_path}, or a kernel below 1.0x):")
         for f in failures:
             print(f"  {f}")
         if os.environ.get("SAQ_BENCH_ALLOW_REGRESSION") == "1":

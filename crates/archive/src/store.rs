@@ -10,7 +10,6 @@ use crate::medium::{AccessCost, Medium};
 use parking_lot::{Mutex, RwLock};
 use saq_core::{QueryExpr, QueryOutcome, Result, SequenceStore, StoreConfig};
 use saq_durable::{Backend, DurableConfig, DurableStore, WalRecord};
-use saq_index::cold::SegmentIndexSet;
 use saq_index::ShardedCowMap;
 use saq_sequence::{Point, Sequence};
 use std::collections::VecDeque;
@@ -567,14 +566,6 @@ impl ArchiveStore {
     /// coherently with the snapshot's contents.
     pub fn cold_docs(&self) -> Option<Arc<ColdDocs>> {
         self.shared.durable.as_ref().and_then(|d| d.cold.read().clone())
-    }
-
-    /// A lazily-hydrating index set over the persisted cold documents:
-    /// documents page in from the durable segment on demand instead of
-    /// being recomputed from raw sequences. `None` when the archive is
-    /// not durable or no compaction has written documents yet.
-    pub fn cold_index_set(&self) -> Option<SegmentIndexSet> {
-        self.cold_docs().map(|cold| SegmentIndexSet::new(cold))
     }
 
     /// WAL records accumulated since the last compaction (0 for
@@ -1459,10 +1450,9 @@ mod tests {
         let recovered = a.cold_docs().unwrap();
         assert_eq!(recovered.base_generation(), a.generation());
         assert_eq!(recovered.ids().len(), 8);
-        let mut set = a.cold_index_set().unwrap();
-        assert!(set.hydrate_all().is_empty());
-        use saq_index::SequenceIndex as _;
-        assert_eq!(set.warm().doc_count(), 8);
+        for id in 0..8u64 {
+            assert!(recovered.doc(id).is_some(), "recovered pager serves id {id}");
+        }
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! Columnar hot-path kernels vs their scalar formulations: L∞ distance,
-//! max-deviation, regression, the DP breaker's cost sweep, and the
-//! twiddle-table DFT. The scalar baselines live in `saq_bench::kernels`
-//! so the harness and criterion time the same code.
+//! Columnar hot-path kernels vs their scalar formulations: regression,
+//! the DP breaker's cost sweep, and the twiddle-table DFT. The scalar
+//! baselines live in `saq_bench::kernels` so the harness and criterion
+//! time the same code.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use saq_bench::kernels::{
-    dp_break_scalar, kernel_signal, linf_distance_scalar, max_deviation_scalar, naive_dft_scalar,
-    regression_scalar,
-};
+use saq_bench::kernels::{dp_break_scalar, kernel_signal, naive_dft_scalar, regression_scalar};
 use saq_core::brk::{Breaker, DynamicProgrammingBreaker};
-use saq_curves::{max_deviation, Line};
+use saq_curves::Line;
 use saq_sequence::{Point, Sequence};
 use std::hint::black_box;
 
@@ -17,25 +14,8 @@ fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
 
     let n = 4096;
-    let a = Sequence::from_samples(&kernel_signal(n)).unwrap();
-    let b = Sequence::from_samples(&kernel_signal(n).iter().map(|v| v * 1.1).collect::<Vec<_>>())
-        .unwrap();
-    group.bench_function(BenchmarkId::new("linf/kernel", n), |bch| {
-        bch.iter(|| black_box(black_box(&a).linf_distance(black_box(&b))));
-    });
-    group.bench_function(BenchmarkId::new("linf/scalar", n), |bch| {
-        bch.iter(|| black_box(linf_distance_scalar(black_box(&a), black_box(&b))));
-    });
-
     let points: Vec<Point> =
         kernel_signal(n).iter().enumerate().map(|(i, &v)| Point::new(i as f64, v)).collect();
-    let line = Line::new(0.001, 0.2);
-    group.bench_function(BenchmarkId::new("max_deviation/kernel", n), |bch| {
-        bch.iter(|| black_box(max_deviation(black_box(&line), black_box(&points))));
-    });
-    group.bench_function(BenchmarkId::new("max_deviation/scalar", n), |bch| {
-        bch.iter(|| black_box(max_deviation_scalar(black_box(&line), black_box(&points))));
-    });
     group.bench_function(BenchmarkId::new("regression/kernel", n), |bch| {
         bch.iter(|| black_box(Line::regression(black_box(&points)).unwrap()));
     });

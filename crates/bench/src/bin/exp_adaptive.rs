@@ -11,13 +11,14 @@
 //! ```
 //!
 //! The sharded pass plans without histograms, so the static order runs
-//! the unselective steepness leaf first over every candidate. With
-//! `EngineConfig::adaptive` on, the first ~1/8 of shards double as an
-//! observation wave: per-leaf match counts feed `PlanStats::refine`,
-//! and the remaining shards run the corrected order — the selective
-//! peak-count leaf first, the steepness leaf only over its survivors.
-//! Both modes keep conjunctive guard-skipping, so re-planning itself is
-//! the only variable.
+//! the unselective steepness leaf first over every candidate. Over
+//! many shards, the first ~1/8 of them double as an observation wave:
+//! per-leaf match counts feed `PlanStats::refine`, and the remaining
+//! shards run the corrected order — the selective peak-count leaf
+//! first, the steepness leaf only over its survivors. The static
+//! reference is the same engine over one shard, where no observation
+//! wave exists; both runs keep conjunctive guard-skipping, so
+//! re-planning itself is the only variable.
 //!
 //! Environment knobs (CI smoke-runs cap these):
 //! * `SAQ_EXP_SEQUENCES` — store size (default 600)

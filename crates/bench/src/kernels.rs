@@ -1,7 +1,7 @@
 //! Columnar hot-path kernels vs their scalar formulations.
 //!
-//! The library's inner loops (L∞ distance, breaker fitting, DFT) were
-//! rewritten as chunked, branch-free sweeps that autovectorize. This
+//! Three of the library's inner loops (regression sums, the DP breaker's
+//! cost fill, DFT) were rewritten as chunked or table-driven sweeps. This
 //! module keeps the *scalar* formulations alive as baselines — checked
 //! against the optimized kernels for agreement, then timed, so
 //! `bench_harness` can record the before/after in the `kernels` section
@@ -11,7 +11,7 @@
 use crate::recovery::best_of;
 use saq_baseline::dft::Complex;
 use saq_core::brk::{Breaker, DynamicProgrammingBreaker};
-use saq_curves::{Curve, Line};
+use saq_curves::Line;
 use saq_sequence::{Point, Sequence};
 use std::hint::black_box;
 
@@ -28,35 +28,6 @@ pub struct KernelReport {
     pub kernel_seconds: f64,
     /// `scalar / kernel` (>1 means the rewrite won).
     pub speedup: f64,
-}
-
-/// Sequential-fold L∞ distance — the loop `Sequence::linf_distance`
-/// shipped before the chunked multi-accumulator rewrite.
-pub fn linf_distance_scalar(a: &Sequence, b: &Sequence) -> Option<f64> {
-    if a.len() != b.len() {
-        return None;
-    }
-    let mut best = 0.0f64;
-    for (p, q) in a.points().iter().zip(b.points()) {
-        best = best.max((p.v - q.v).abs());
-    }
-    Some(best)
-}
-
-/// One-pass max-deviation scan — the fused index-tracking loop
-/// `max_deviation` shipped before the two-pass rewrite.
-pub fn max_deviation_scalar<C: Curve + ?Sized>(
-    curve: &C,
-    points: &[Point],
-) -> Option<(usize, f64)> {
-    let mut worst: Option<(usize, f64)> = None;
-    for (i, p) in points.iter().enumerate() {
-        let d = (curve.eval(p.t) - p.v).abs();
-        if worst.is_none_or(|(_, w)| d > w) {
-            worst = Some((i, d));
-        }
-    }
-    worst
 }
 
 /// Sequential two-pass least-squares line — `Line::regression` before
@@ -182,44 +153,10 @@ pub fn measure_kernels(rounds: usize) -> Vec<KernelReport> {
         });
     };
 
-    // L∞ distance over two long sequences.
+    // Least-squares regression over a long run.
     let n = 4096;
-    let a = Sequence::from_samples(&kernel_signal(n)).unwrap();
-    let b = Sequence::from_samples(&kernel_signal(n).iter().map(|v| v * 1.1).collect::<Vec<_>>())
-        .unwrap();
-    assert_eq!(a.linf_distance(&b), linf_distance_scalar(&a, &b), "linf kernels agree");
-    let (scalar, _) = best_of(rounds, || {
-        for _ in 0..256 {
-            black_box(linf_distance_scalar(black_box(&a), black_box(&b)));
-        }
-    });
-    let (kernel, _) = best_of(rounds, || {
-        for _ in 0..256 {
-            black_box(black_box(&a).linf_distance(black_box(&b)));
-        }
-    });
-    push("linf_distance", n, scalar, kernel);
-
-    // Max deviation of a long run from a fitted line.
     let points: Vec<Point> =
         kernel_signal(n).iter().enumerate().map(|(i, &v)| Point::new(i as f64, v)).collect();
-    let line = Line::new(0.001, 0.2);
-    let dev = saq_curves::max_deviation(&line, &points).unwrap();
-    let (si, sv) = max_deviation_scalar(&line, &points).unwrap();
-    assert!((dev.index, dev.value) == (si, sv), "max_deviation kernels agree");
-    let (scalar, _) = best_of(rounds, || {
-        for _ in 0..256 {
-            black_box(max_deviation_scalar(black_box(&line), black_box(&points)));
-        }
-    });
-    let (kernel, _) = best_of(rounds, || {
-        for _ in 0..256 {
-            black_box(saq_curves::max_deviation(black_box(&line), black_box(&points)));
-        }
-    });
-    push("max_deviation", n, scalar, kernel);
-
-    // Least-squares regression over the same run.
     let reg = Line::regression(&points).unwrap();
     let (slope, intercept) = regression_scalar(&points).unwrap();
     assert!(
@@ -286,7 +223,7 @@ mod tests {
         // measure_kernels asserts agreement internally; one round keeps
         // the test fast while still exercising every pair.
         let reports = measure_kernels(1);
-        assert_eq!(reports.len(), 5);
+        assert_eq!(reports.len(), 3);
         for r in &reports {
             assert!(r.scalar_seconds > 0.0 && r.kernel_seconds > 0.0, "{r:?}");
         }

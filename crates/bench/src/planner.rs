@@ -1,6 +1,7 @@
-//! Adaptive re-planning measurements: the sharded engine with
-//! [`saq_engine::EngineConfig::adaptive`] on vs off, over a corpus whose
-//! selectivities the static scan order mis-ranks. Shared by
+//! Adaptive re-planning measurements: the sharded engine over many
+//! shards (an observation wave re-plans the rest) vs one shard (no
+//! observation wave exists, so the static scan order runs throughout),
+//! over a corpus whose selectivities the static order mis-ranks. Shared by
 //! `exp_adaptive` and the `bench_harness` `planner` JSON section.
 //!
 //! The ward is skewed — mostly single-peak logs, a sliver of goalposts —
@@ -61,9 +62,11 @@ pub fn misranked_expr() -> QueryExpr {
     QueryExpr::min_steepness(0.05, 0.0).and(QueryExpr::peak_count(2, 0))
 }
 
-/// Runs [`misranked_expr`] through two sharded engines — adaptive
-/// re-planning on and off — and reports full-sequence evaluation counts.
-/// Outcomes are asserted identical: re-planning is ordering-only.
+/// Runs [`misranked_expr`] through two sharded engines — `shards` shards
+/// (re-planning after the observation wave) and one shard (the static
+/// reference: guard skipping is per id, so it is shard-independent) — and
+/// reports full-sequence evaluation counts. Outcomes are asserted
+/// identical: re-planning is ordering-only.
 pub fn measure_adaptive(sequences: usize, shards: usize) -> PlannerReport {
     let mut archive = ArchiveStore::new(Medium::memory());
     for (id, seq) in correlated_ward(sequences).into_iter().enumerate() {
@@ -71,10 +74,9 @@ pub fn measure_adaptive(sequences: usize, shards: usize) -> PlannerReport {
     }
     let snapshot = archive.snapshot();
     let requests = vec![QueryRequest::expr(misranked_expr()).with_stats()];
-    let run = |adaptive: bool| {
+    let run = |shards: usize| {
         let engine = ShardedEngine::new(EngineConfig {
             shards,
-            adaptive,
             cache_capacity: sequences + 16,
             ..EngineConfig::default()
         })
@@ -82,8 +84,8 @@ pub fn measure_adaptive(sequences: usize, shards: usize) -> PlannerReport {
         let mut responses = engine.run_requests(&snapshot, &requests).expect("batch runs");
         responses.pop().expect("one request").expect("request succeeds")
     };
-    let adaptive = run(true);
-    let fixed = run(false);
+    let adaptive = run(shards);
+    let fixed = run(1);
     assert_eq!(adaptive.outcome, fixed.outcome, "re-planning must be ordering-only");
     let static_entry_evals = fixed.stats.as_ref().expect("stats requested").entries_scanned;
     let adaptive_entry_evals = adaptive.stats.as_ref().expect("stats requested").entries_scanned;

@@ -79,6 +79,7 @@ use crate::query::{
 };
 use crate::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use crate::store::{SequenceStore, StoreSnapshot, StoredEntry};
+use saq_index::IndexDoc;
 use saq_sequence::Sequence;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -168,14 +169,8 @@ impl PreparedPred {
         &self.pred
     }
 
-    /// Whether evaluating this predicate requires the stored entry
-    /// (`false` for [`Pred::IdRange`], which tests the id alone).
-    pub fn needs_entry(&self) -> bool {
-        !matches!(self.pred, Pred::IdRange { .. })
-    }
-
-    /// Evaluates one sequence. `entry` may be `None` only when
-    /// [`PreparedPred::needs_entry`] is false.
+    /// Evaluates one sequence. `entry` may be `None` only for
+    /// [`Pred::IdRange`], which tests the id alone.
     ///
     /// # Panics
     /// Panics if the predicate needs an entry and none is supplied.
@@ -184,46 +179,26 @@ impl PreparedPred {
             Pred::Feature(spec) => {
                 let entry = entry.expect("feature predicate needs a stored entry");
                 match spec {
-                    QuerySpec::Shape { .. } => {
-                        let (_, dfa) =
-                            self.shape.as_ref().expect("prepared shape leaf holds a DFA");
-                        dfa.is_match(&entry.symbols).then_some(SequenceMatch::Exact)
-                    }
-                    QuerySpec::PeakCount { count, tolerance } => {
-                        let dev = entry.peaks.len().abs_diff(*count);
-                        if dev == 0 {
-                            Some(SequenceMatch::Exact)
-                        } else if dev <= *tolerance {
-                            Some(SequenceMatch::Approximate(dev as f64))
-                        } else {
-                            None
-                        }
-                    }
-                    QuerySpec::PeakInterval { interval, epsilon } => {
-                        // Mirrors the inverted-file path: postings arrive in
-                        // position order, an id is exact if *any* in-band
-                        // interval hits the target dead-on, and otherwise its
-                        // deviation is the first in-band interval's.
-                        let mut first_in_band = None;
-                        let mut exact = false;
-                        for bucket in entry.peaks.interval_buckets() {
-                            let dev = (bucket - interval).abs();
-                            if dev <= *epsilon {
-                                exact |= dev == 0;
-                                first_in_band.get_or_insert(dev);
-                            }
-                        }
-                        if exact {
-                            Some(SequenceMatch::Exact)
-                        } else {
-                            first_in_band.map(|dev| SequenceMatch::Approximate(dev as f64))
-                        }
-                    }
                     QuerySpec::MinPeakSteepness { steepness, slack } => {
                         steepness_match(entry, *steepness, *slack, f64::min, f64::INFINITY)
                     }
                     QuerySpec::HasSteepPeak { steepness, slack } => {
                         steepness_match(entry, *steepness, *slack, f64::max, f64::NEG_INFINITY)
+                    }
+                    QuerySpec::Shape { .. }
+                    | QuerySpec::PeakCount { .. }
+                    | QuerySpec::PeakInterval { .. } => {
+                        // The entry derives its interval buckets on demand;
+                        // only the interval predicate reads them.
+                        let buckets = match spec {
+                            QuerySpec::PeakInterval { .. } => entry.peaks.interval_buckets(),
+                            _ => Vec::new(),
+                        };
+                        self.matches_doc(&IndexDoc {
+                            symbols: &entry.symbols,
+                            interval_buckets: &buckets,
+                            peak_count: entry.peaks.len(),
+                        })
                     }
                 }
             }
@@ -243,9 +218,58 @@ impl PreparedPred {
         }
     }
 
+    /// Evaluates a doc-servable predicate — shape, peak count, peak
+    /// interval — from a sequence's index document alone. This is the one
+    /// definition of those three semantics: [`PreparedPred::matches`]
+    /// delegates here through a view over the stored entry, and backends
+    /// holding persisted documents answer from them without the entry.
+    ///
+    /// # Panics
+    /// Panics on any other predicate (steepness, value band, id range):
+    /// an index document does not carry what they test.
+    pub fn matches_doc(&self, doc: &IndexDoc<'_>) -> Option<SequenceMatch> {
+        match &self.pred {
+            Pred::Feature(QuerySpec::Shape { .. }) => {
+                let (_, dfa) = self.shape.as_ref().expect("prepared shape leaf holds a DFA");
+                dfa.is_match(doc.symbols).then_some(SequenceMatch::Exact)
+            }
+            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
+                let dev = doc.peak_count.abs_diff(*count);
+                if dev == 0 {
+                    Some(SequenceMatch::Exact)
+                } else if dev <= *tolerance {
+                    Some(SequenceMatch::Approximate(dev as f64))
+                } else {
+                    None
+                }
+            }
+            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
+                // Mirrors the inverted-file path: postings arrive in
+                // position order, an id is exact if *any* in-band
+                // interval hits the target dead-on, and otherwise its
+                // deviation is the first in-band interval's.
+                let mut first_in_band = None;
+                let mut exact = false;
+                for bucket in doc.interval_buckets {
+                    let dev = (bucket - interval).abs();
+                    if dev <= *epsilon {
+                        exact |= dev == 0;
+                        first_in_band.get_or_insert(dev);
+                    }
+                }
+                if exact {
+                    Some(SequenceMatch::Exact)
+                } else {
+                    first_in_band.map(|dev| SequenceMatch::Approximate(dev as f64))
+                }
+            }
+            _ => panic!("predicate is not answerable from an index document"),
+        }
+    }
+
     /// The compiled slope-pattern regex of a shape leaf, if any. Backends
-    /// that keep their own pattern indexes (the store engine, the sharded
-    /// engine's shard-local indexes) drive pruned index scans with it.
+    /// that keep a pattern index (the store engine) drive pruned index
+    /// scans with it.
     pub fn regex(&self) -> Option<&saq_pattern::Regex> {
         self.shape.as_ref().map(|(regex, _)| regex)
     }
@@ -615,10 +639,14 @@ impl IndexCaps {
 /// The access path the planner chose for one leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPath {
-    /// Serve a shape leaf from the slope-pattern index.
+    /// Serve a shape leaf from the slope-pattern index. On the archive
+    /// engine, which keeps no index: answered from the sequence's index
+    /// document ([`PreparedPred::matches_doc`]), never from an entry scan.
     PatternIndex,
     /// Serve a peak-interval leaf from the inverted interval file
-    /// (B+tree range lookup; no entry is touched).
+    /// (B+tree range lookup; no entry is touched). On the archive engine:
+    /// answered from the sequence's index document, never from an entry
+    /// scan.
     IntervalIndex,
     /// Serve an id-range leaf by id arithmetic alone.
     IdFilter,
@@ -1574,10 +1602,8 @@ impl LeafSource for SnapshotSource<'_> {
 /// of a sequence is its first in-band interval, and any posting at the
 /// exact key makes the match exact — precisely
 /// [`PreparedPred::matches`]'s interval semantics, without
-/// touching any stored entry. Shared by the store engine's
-/// [`AccessPath::IntervalIndex`] path and the sharded engine's shard-local
-/// indexes.
-pub fn interval_index_match_set(
+/// touching any stored entry.
+fn interval_index_match_set(
     index: &saq_index::InvertedIndex,
     interval: i64,
     epsilon: i64,

@@ -21,29 +21,14 @@ pub struct Deviation {
 ///
 /// Returns `None` for an empty slice.
 pub fn max_deviation<C: Curve + ?Sized>(curve: &C, points: &[Point]) -> Option<Deviation> {
-    if points.is_empty() {
-        return None;
-    }
-    // Two passes over the contiguous slice: a chunked multi-accumulator
-    // max (associative over the finite deviations a sequence can
-    // produce, so bit-identical to a sequential fold), then a scan for
-    // the first index attaining it — the same first-among-ties rule as
-    // the fused one-pass loop.
-    const LANES: usize = 4;
-    let mut acc = [f64::NEG_INFINITY; LANES];
-    let mut chunks = points.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for lane in 0..LANES {
-            acc[lane] = acc[lane].max((curve.eval(chunk[lane].t) - chunk[lane].v).abs());
+    let mut best: Option<Deviation> = None;
+    for (i, p) in points.iter().enumerate() {
+        let d = (curve.eval(p.t) - p.v).abs();
+        if best.is_none_or(|b| d > b.value) {
+            best = Some(Deviation { index: i, value: d });
         }
     }
-    let mut worst = acc.into_iter().fold(f64::NEG_INFINITY, f64::max);
-    for p in chunks.remainder() {
-        worst = worst.max((curve.eval(p.t) - p.v).abs());
-    }
-    let index = points.iter().position(|p| (curve.eval(p.t) - p.v).abs() >= worst).unwrap_or(0);
-    let p = points[index];
-    Some(Deviation { index, value: (curve.eval(p.t) - p.v).abs() })
+    best
 }
 
 /// Sum of squared vertical deviations.

@@ -20,16 +20,17 @@
 //!    near-equal shards ([`shard::plan`]).
 //! 3. **Execute** — a fixed pool of worker threads claims shards from a
 //!    shared counter; each worker fetches every sequence of its shard once
-//!    and emits per-leaf partial results. Shape and interval leaves are
-//!    not evaluated entry by entry: the worker builds **shard-local**
-//!    pattern/interval indexes ([`saq_index::IndexSet`]) over the shard's
-//!    cached entries and serves those leaves from them. Fetches pay the
-//!    archive's (simulated, optionally real-time emulated) access latency,
-//!    so workers overlap archive waits the way parallel tape or jukebox
-//!    requests would; each worker also keeps its own simulated clock and
-//!    cache counters, so [`QueryEngine::last_run_report`] exposes the
-//!    batch's simulated *makespan* and per-worker cache stats alongside
-//!    the serial total.
+//!    and emits per-leaf partial results, every leaf evaluated per id in
+//!    one loop. Shape and interval leaves are answered from the
+//!    sequence's **index document** ([`PreparedPred::matches_doc`]) — the
+//!    cold document compaction persisted when the pager serves it, else
+//!    the cached entry's own symbols and buckets — and never count as
+//!    entry scans. Fetches pay the archive's (simulated, optionally
+//!    real-time emulated) access latency, so workers overlap archive
+//!    waits the way parallel tape or jukebox requests would; each worker
+//!    also keeps its own simulated clock and cache counters, so
+//!    [`QueryEngine::last_run_report`] exposes the batch's simulated
+//!    *makespan* and per-worker cache stats alongside the serial total.
 //! 4. **Cache** — per-sequence break/feature results ([`StoredEntry`]) go
 //!    through a bounded LRU ([`cache::LruCache`]) stamped with the
 //!    archive's `(instance, generation)`. Invalidation is *incremental*:
@@ -81,15 +82,14 @@ use parking_lot::Mutex;
 use report::RunReport;
 use saq_archive::{ArchiveSnapshot, ArchiveStore};
 use saq_core::algebra::{
-    execute_plan, interval_index_match_set, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet,
-    MatchTier, PhysicalPlan, PlanNode, PlanStats, Planner, Pred, PreparedPred, QueryExpr,
+    execute_plan, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet, MatchTier, PhysicalPlan,
+    PlanNode, PlanStats, Planner, PreparedPred, QueryExpr,
 };
-use saq_core::query::QuerySpec;
 use saq_core::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use saq_core::store::{StoreConfig, StoredEntry};
 use saq_core::subscribe::{Delta, SubscriptionId, SubscriptionRegistry};
 use saq_core::{Error, Result};
-use saq_index::{DocPager as _, IndexDoc, IndexSet, SequenceIndex as _};
+use saq_index::DocPager as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -108,26 +108,11 @@ pub struct EngineConfig {
     /// sequence. Raw copies are always retained in cached entries — band
     /// queries need them — regardless of `store.keep_raw`.
     pub store: StoreConfig,
-    /// Adaptive re-planning between shard waves: when a wave's scan
-    /// order can matter (two or more entry-scanned predicates, at least
-    /// one of them skippable under a conjunctive guard), the pool first
-    /// evaluates an *observation wave* of shards, folds the observed
-    /// per-predicate selectivities back into the planner statistics
-    /// ([`saq_core::algebra::PlanStats::refine`]), and re-plans the scan
-    /// order for the remaining shards when observation diverges from the
-    /// estimates. Ordering-only: outcomes are byte-identical either way.
-    pub adaptive: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            workers: 4,
-            shards: 16,
-            cache_capacity: 1024,
-            store: StoreConfig::default(),
-            adaptive: true,
-        }
+        EngineConfig { workers: 4, shards: 16, cache_capacity: 1024, store: StoreConfig::default() }
     }
 }
 
@@ -142,8 +127,7 @@ impl Default for EngineConfig {
 /// automatically. Each run captures its stamp up front and touches the
 /// cache only while it still carries that stamp, so even concurrent runs
 /// against *different* archives stay correct — the superseded run just
-/// stops caching. [`QueryEngine::clear_cache`] remains for explicit
-/// resets (it also zeroes the hit/miss counters).
+/// stops caching.
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
@@ -195,13 +179,6 @@ impl QueryEngine {
     /// Counters of the per-sequence feature cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.lock().lru.stats()
-    }
-
-    /// Drops every cached feature entry (counters reset too). Staleness is
-    /// handled automatically via the archive's generation stamp; this
-    /// remains for explicit resets (e.g. reclaiming memory).
-    pub fn clear_cache(&self) {
-        self.cache.lock().lru = LruCache::new(self.config.cache_capacity);
     }
 
     /// Per-worker simulated clocks of the most recent
@@ -268,12 +245,12 @@ impl QueryEngine {
     ) -> Result<Vec<Result<QueryResponse>>> {
         let current = SnapshotRef::new(snapshot.instance_id(), snapshot.generation());
         let ids = snapshot.ids();
-        let mut slots: Vec<PreparedPred> = Vec::new();
+        let mut slots: Vec<WaveSlot> = Vec::new();
         let prepped: Vec<Result<PreppedRequest>> = requests
             .iter()
             .map(|req| {
-                // Full index capability: shape and interval leaves are
-                // served by the workers' shard-local indexes.
+                // Full index capability: shape and interval leaves get the
+                // index paths, which the workers answer from index documents.
                 let plan = request::prepare(req, current, |_| Planner::new(IndexCaps::all()))?;
                 let universe: Vec<u64> = match plan.id_bounds() {
                     Some((lo, hi)) => {
@@ -287,13 +264,15 @@ impl QueryEngine {
                     .leaves()
                     .into_iter()
                     .map(|node| {
-                        let PlanNode::Leaf { pred, .. } = node else {
+                        let PlanNode::Leaf { pred, path, .. } = node else {
                             unreachable!("leaves() yields only leaves")
                         };
-                        slots.iter().position(|p| p.pred() == pred.pred()).unwrap_or_else(|| {
-                            slots.push(pred.as_ref().clone());
-                            slots.len() - 1
-                        })
+                        slots.iter().position(|s| s.pred.pred() == pred.pred()).unwrap_or_else(
+                            || {
+                                slots.push(WaveSlot { pred: pred.as_ref().clone(), path: *path });
+                                slots.len() - 1
+                            },
+                        )
                     })
                     .collect();
                 Ok(PreppedRequest { plan, universe, leaf_slots })
@@ -315,7 +294,7 @@ impl QueryEngine {
             };
 
         let stamp = self.ensure_fresh(snapshot);
-        let adapt = wave_adaptivity(&slots, &prepped, &union, self.config.adaptive);
+        let adapt = wave_adaptivity(&slots, &prepped, &union);
         let (sets, report, leaf_evals) =
             self.eval_leaves(snapshot, &union, &slots, stamp, &adapt)?;
         *self.last_run.lock() = report;
@@ -333,8 +312,8 @@ impl QueryEngine {
                 let (outcome, mut stats) = execute_plan(&prep.plan, &mut source)?;
                 // The sharded pass evaluated this request's scan leaves
                 // over the whole wave universe; report the per-entry
-                // evaluations performed on its behalf (index-served
-                // leaves perform none, shared leaves are counted once
+                // evaluations performed on its behalf (index-path
+                // leaves count none, shared leaves are counted once
                 // per request they serve).
                 stats.entries_scanned = prep.leaf_slots.iter().map(|&s| leaf_evals[s]).sum();
                 Ok(request::respond(req, current, &prep.plan, outcome, stats))
@@ -420,8 +399,8 @@ impl QueryEngine {
     /// sharded worker pool; returns one id-sorted [`MatchSet`] per leaf,
     /// the per-worker report (simulated clocks + cache counters), and the
     /// number of per-entry predicate evaluations performed *per leaf*
-    /// (leaves served by the shard-local indexes contribute none, and
-    /// evaluations skipped under a conjunctive guard are not counted).
+    /// (index-path leaves, answered from index documents, contribute none,
+    /// and evaluations skipped under a conjunctive guard are not counted).
     ///
     /// When the wave's scan order can matter (`adapt.replan` is set), the
     /// shards run as two barrier-separated waves: an **observation wave**
@@ -434,22 +413,22 @@ impl QueryEngine {
         &self,
         snapshot: &ArchiveSnapshot,
         ids: &[u64],
-        preds: &[PreparedPred],
+        slots: &[WaveSlot],
         stamp: (u64, u64),
         adapt: &WaveAdaptivity,
     ) -> Result<(Vec<MatchSet>, RunReport, Vec<u64>)> {
         let shards = shard::plan(ids.len(), self.config.shards);
-        if shards.is_empty() || preds.is_empty() {
+        if shards.is_empty() || slots.is_empty() {
             return Ok((
-                vec![MatchSet::new(); preds.len()],
+                vec![MatchSet::new(); slots.len()],
                 RunReport::new(0),
-                vec![0; preds.len()],
+                vec![0; slots.len()],
             ));
         }
         let workers = self.config.workers.min(shards.len());
         let logs: Vec<Mutex<(f64, CacheStats)>> =
             (0..workers).map(|_| Mutex::new((0.0, CacheStats::default()))).collect();
-        let leaf_evals: Vec<AtomicU64> = preds.iter().map(|_| AtomicU64::new(0)).collect();
+        let leaf_evals: Vec<AtomicU64> = slots.iter().map(|_| AtomicU64::new(0)).collect();
 
         // Observation wave size: enough shards to see real selectivities,
         // small enough that most of the batch still benefits from the
@@ -464,7 +443,7 @@ impl QueryEngine {
             snapshot,
             ids,
             &shards[..observe],
-            preds,
+            slots,
             stamp,
             policy,
             &logs,
@@ -472,13 +451,13 @@ impl QueryEngine {
         )?;
         let rest = if observe < shards.len() {
             if let Some(replan) = &adapt.replan {
-                let matched: Vec<u64> = (0..preds.len())
+                let matched: Vec<u64> = (0..slots.len())
                     .map(|slot| first.iter().map(|p| p[slot].len() as u64).sum())
                     .collect();
                 let evaluated: Vec<u64> =
                     leaf_evals.iter().map(|n| n.load(Ordering::Relaxed)).collect();
                 if let Some(refined) =
-                    replan.refined_order(ids.len() as u64, &matched, &evaluated, preds)
+                    replan.refined_order(ids.len() as u64, &matched, &evaluated, slots)
                 {
                     order = refined;
                 }
@@ -488,7 +467,7 @@ impl QueryEngine {
                 snapshot,
                 ids,
                 &shards[observe..],
-                preds,
+                slots,
                 stamp,
                 policy,
                 &logs,
@@ -498,9 +477,9 @@ impl QueryEngine {
             Vec::new()
         };
 
-        let mut sets = vec![MatchSet::new(); preds.len()];
+        let mut sets = vec![MatchSet::new(); slots.len()];
         for partials in first.into_iter().chain(rest) {
-            debug_assert_eq!(partials.len(), preds.len());
+            debug_assert_eq!(partials.len(), slots.len());
             for (set, partial) in sets.iter_mut().zip(partials) {
                 for (id, tier) in partial {
                     set.insert(id, tier);
@@ -524,13 +503,13 @@ impl QueryEngine {
         snapshot: &ArchiveSnapshot,
         ids: &[u64],
         shards: &[std::ops::Range<usize>],
-        preds: &[PreparedPred],
+        slots: &[WaveSlot],
         stamp: (u64, u64),
         policy: ScanPolicy<'_>,
         logs: &[Mutex<(f64, CacheStats)>],
         leaf_evals: &[AtomicU64],
     ) -> Result<Vec<ShardPartials>> {
-        let slots: Vec<Mutex<Option<ShardPartials>>> =
+        let done: Vec<Mutex<Option<ShardPartials>>> =
             shards.iter().map(|_| Mutex::new(None)).collect();
         let next_shard = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
@@ -543,9 +522,9 @@ impl QueryEngine {
                     if s >= shards.len() || abort.load(Ordering::Relaxed) {
                         return;
                     }
-                    match self.eval_shard(snapshot, &ids[shards[s].clone()], preds, stamp, policy) {
+                    match self.eval_shard(snapshot, &ids[shards[s].clone()], slots, stamp, policy) {
                         Ok(eval) => {
-                            *slots[s].lock() = Some(eval.partials);
+                            *done[s].lock() = Some(eval.partials);
                             let mut log = log.lock();
                             log.0 += eval.sim_seconds;
                             log.1.merge(eval.cache);
@@ -565,32 +544,26 @@ impl QueryEngine {
         if let Some(e) = first_error.into_inner() {
             return Err(e);
         }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every shard completed"))
-            .collect())
+        Ok(done.into_iter().map(|slot| slot.into_inner().expect("every shard completed")).collect())
     }
 
-    /// Evaluates every leaf against every id of one shard through the
-    /// feature cache.
+    /// Evaluates every leaf against every id of one shard, in one per-id
+    /// loop, through the feature cache.
     ///
-    /// Shape and interval leaves are not evaluated entry by entry:
-    /// the worker builds a **shard-local** [`IndexSet`] over the shard's
-    /// (LRU-cached) entries and serves those leaves from it — shape leaves
-    /// by a required-symbol-pruned pattern-index scan, interval leaves by
-    /// a B+tree range lookup — so they stop scanning every cached entry.
-    /// Only the remaining leaves (peak count, steepness, value bands) pay
-    /// a per-entry evaluation, counted per leaf in
+    /// Index-path leaves (shape, peak interval) are answered from the
+    /// sequence's index document and never count as entry scans; only
+    /// scan-path leaves (peak count, steepness, value bands) pay a
+    /// per-entry evaluation, counted per leaf in
     /// [`ShardEval::leaf_evals`].
     ///
-    /// When no leaf scans entries, the shard-local index is fed from the
-    /// archive's **cold documents** ([`ArchiveSnapshot::cold_docs`])
-    /// where available — documents persisted by the last compaction under
-    /// the same representation parameters page in from the durable
-    /// segment instead of re-running fetch → break → represent per id.
-    /// Ids the pager refuses (mutated since compaction, or simply absent)
-    /// fall back to the full pipeline, so results never depend on cold
-    /// coverage.
+    /// When no leaf scans entries, the document is the archive's **cold
+    /// document** ([`ArchiveSnapshot::cold_docs`]) where available —
+    /// documents persisted by the last compaction under the same
+    /// representation parameters page in from the durable segment instead
+    /// of re-running fetch → break → represent per id. Ids the pager
+    /// refuses (mutated since compaction, or simply absent) fall back to
+    /// the cached entry, whose symbols and buckets are the same document,
+    /// so results never depend on cold coverage.
     ///
     /// The scan policy orders the per-id slot evaluations and names each
     /// slot's conjunctive guards: when a guard evaluated earlier for the
@@ -602,30 +575,31 @@ impl QueryEngine {
         &self,
         snapshot: &ArchiveSnapshot,
         ids: &[u64],
-        preds: &[PreparedPred],
+        slots: &[WaveSlot],
         stamp: (u64, u64),
         policy: ScanPolicy<'_>,
     ) -> Result<ShardEval> {
-        let serves: Vec<LeafServe> = preds.iter().map(LeafServe::of).collect();
-        let needs_scan = serves.iter().any(|s| matches!(s, LeafServe::EntryScan));
-        let build_index = serves.iter().any(LeafServe::is_index);
-        let cold = if build_index && !needs_scan {
+        let needs_scan = slots.iter().any(|s| s.path == AccessPath::Scan);
+        let has_index = slots
+            .iter()
+            .any(|s| matches!(s.path, AccessPath::PatternIndex | AccessPath::IntervalIndex));
+        let cold = if has_index && !needs_scan {
             snapshot.cold_docs().filter(|c| c.matches_config(&self.ingest_config())).cloned()
         } else {
             None
         };
-        let mut shard_index = build_index.then(IndexSet::new);
         let mut eval = ShardEval {
-            partials: vec![Vec::new(); preds.len()],
+            partials: vec![Vec::new(); slots.len()],
             sim_seconds: 0.0,
             cache: CacheStats::default(),
-            leaf_evals: vec![0; preds.len()],
+            leaf_evals: vec![0; slots.len()],
         };
         // Per-id verdicts for this shard's scan loop: NotEvaluated also
         // covers skipped slots, so a skipped slot never guards another.
-        let mut verdicts = vec![Verdict::NotEvaluated; preds.len()];
+        let mut verdicts = vec![Verdict::NotEvaluated; slots.len()];
         for &id in ids {
-            let entry = if needs_scan {
+            let doc = cold.as_ref().and_then(|c| c.doc(id));
+            let entry = if needs_scan || (has_index && doc.is_none()) {
                 let (entry, cost, cache) = self.entry_for(snapshot, id, stamp)?;
                 eval.sim_seconds += cost;
                 eval.cache.merge(cache);
@@ -633,70 +607,30 @@ impl QueryEngine {
             } else {
                 None
             };
-            if let Some(index) = shard_index.as_mut() {
-                match entry.as_deref() {
-                    Some(entry) => insert_entry_doc(index, id, entry),
-                    None => match cold.as_ref().and_then(|c| c.doc(id)) {
-                        Some(doc) => index.insert_doc(id, &doc.as_doc()),
-                        None => {
-                            let (entry, cost, cache) = self.entry_for(snapshot, id, stamp)?;
-                            eval.sim_seconds += cost;
-                            eval.cache.merge(cache);
-                            insert_entry_doc(index, id, &entry);
-                        }
-                    },
-                }
-            }
             verdicts.fill(Verdict::NotEvaluated);
             for &ix in policy.order {
-                match serves[ix] {
-                    LeafServe::IdOnly => {
-                        verdicts[ix] = match preds[ix].matches(id, None) {
-                            Some(m) => {
-                                eval.partials[ix].push((id, MatchTier::from_match(m)));
-                                Verdict::Matched
-                            }
-                            None => Verdict::Rejected,
-                        };
-                    }
-                    LeafServe::EntryScan => {
+                let pred = &slots[ix].pred;
+                let hit = match slots[ix].path {
+                    AccessPath::IdFilter => pred.matches(id, None),
+                    AccessPath::Scan => {
                         if policy.guards[ix].iter().any(|&g| verdicts[g] == Verdict::Rejected) {
                             continue;
                         }
                         eval.leaf_evals[ix] += 1;
-                        verdicts[ix] = match preds[ix].matches(id, entry.as_deref()) {
-                            Some(m) => {
-                                eval.partials[ix].push((id, MatchTier::from_match(m)));
-                                Verdict::Matched
-                            }
-                            None => Verdict::Rejected,
-                        };
+                        pred.matches(id, entry.as_deref())
                     }
-                    LeafServe::PatternIndex | LeafServe::IntervalIndex => {}
-                }
-            }
-        }
-        if let Some(index) = &shard_index {
-            for ((partial, pred), serve) in eval.partials.iter_mut().zip(preds).zip(&serves) {
-                match serve {
-                    LeafServe::PatternIndex => {
-                        let regex = pred.regex().expect("shape leaf holds its regex");
-                        let mut hits = index.pattern().full_matches(regex);
-                        hits.sort_unstable();
-                        *partial = hits.into_iter().map(|id| (id, MatchTier::exact())).collect();
+                    AccessPath::PatternIndex | AccessPath::IntervalIndex => match &doc {
+                        Some(doc) => pred.matches_doc(&doc.as_doc()),
+                        None => pred.matches(id, entry.as_deref()),
+                    },
+                };
+                verdicts[ix] = match hit {
+                    Some(m) => {
+                        eval.partials[ix].push((id, MatchTier::from_match(m)));
+                        Verdict::Matched
                     }
-                    LeafServe::IntervalIndex => {
-                        let Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) =
-                            *pred.pred()
-                        else {
-                            unreachable!("interval serve implies an interval leaf");
-                        };
-                        *partial = interval_index_match_set(index.interval(), interval, epsilon)
-                            .iter()
-                            .collect();
-                    }
-                    LeafServe::IdOnly | LeafServe::EntryScan => {}
-                }
+                    None => Verdict::Rejected,
+                };
             }
         }
         Ok(eval)
@@ -743,19 +677,6 @@ impl QueryEngine {
 /// Per-leaf hit lists of one shard (id order within the shard).
 type ShardPartials = Vec<Vec<(u64, MatchTier)>>;
 
-/// Indexes one materialized entry into a shard-local index set.
-fn insert_entry_doc(index: &mut IndexSet, id: u64, entry: &StoredEntry) {
-    let buckets = entry.peaks.interval_buckets();
-    index.insert_doc(
-        id,
-        &IndexDoc {
-            symbols: &entry.symbols,
-            interval_buckets: &buckets,
-            peak_count: entry.peaks.len(),
-        },
-    );
-}
-
 /// Everything one shard's evaluation produced.
 struct ShardEval {
     partials: ShardPartials,
@@ -763,47 +684,23 @@ struct ShardEval {
     sim_seconds: f64,
     /// Cache counters observed while materializing this shard's entries.
     cache: CacheStats,
-    /// Per-entry predicate evaluations, per leaf (scan-served leaves
-    /// only; index-served leaves stay 0).
+    /// Per-entry predicate evaluations, per leaf (scan-path leaves
+    /// only; index-path leaves stay 0).
     leaf_evals: Vec<u64>,
 }
 
-/// How the sharded pass serves one leaf predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeafServe {
-    /// Id arithmetic alone — no entry, no index.
-    IdOnly,
-    /// Shard-local slope-pattern index (pruned full-match scan).
-    PatternIndex,
-    /// Shard-local inverted interval file (B+tree range lookup).
-    IntervalIndex,
-    /// Per-entry predicate evaluation.
-    EntryScan,
-}
-
-impl LeafServe {
-    fn of(pred: &PreparedPred) -> LeafServe {
-        match pred.pred() {
-            Pred::IdRange { .. } => LeafServe::IdOnly,
-            Pred::Feature(QuerySpec::Shape { .. }) => LeafServe::PatternIndex,
-            Pred::Feature(QuerySpec::PeakInterval { .. }) => LeafServe::IntervalIndex,
-            _ => LeafServe::EntryScan,
-        }
-    }
-
-    fn is_index(&self) -> bool {
-        matches!(self, LeafServe::PatternIndex | LeafServe::IntervalIndex)
-    }
-
-    fn is_per_id(&self) -> bool {
-        matches!(self, LeafServe::IdOnly | LeafServe::EntryScan)
-    }
+/// One distinct leaf predicate of a wave and the access path its plan
+/// leaves carry (every plan of a wave comes from the same
+/// [`IndexCaps::all`] planner, so equal predicates share one path).
+struct WaveSlot {
+    pred: PreparedPred,
+    path: AccessPath,
 }
 
 /// One id's verdict for one slot within a shard's scan loop.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Verdict {
-    /// Not reached yet, index-served, or skipped under a guard.
+    /// Not reached yet, or skipped under a guard.
     NotEvaluated,
     Rejected,
     Matched,
@@ -822,10 +719,9 @@ struct ScanPolicy<'a> {
 struct WaveAdaptivity {
     /// Slot indices in initial evaluation order: id filters first, then
     /// scans by estimated cardinality (the slot conjunction's
-    /// `exec_order`), index-served slots wherever they fall (their loop
-    /// arm is a no-op).
+    /// `exec_order`).
     order: Vec<usize>,
-    /// Per slot: the guard slots — per-id-served slots that are a direct
+    /// Per slot: the guard slots — id-filter or scan slots that are a direct
     /// conjunct sibling of this slot's root `And` in **every** request
     /// using it. An id a guard rejected is excluded from every outcome
     /// this slot can feed, so its evaluation may be skipped.
@@ -861,12 +757,12 @@ impl ReplanCtx {
         universe: u64,
         matched: &[u64],
         evaluated: &[u64],
-        preds: &[PreparedPred],
+        slots: &[WaveSlot],
     ) -> Option<Vec<usize>> {
         let mut exec =
-            ExecStats { universe, observed: vec![None; preds.len()], ..ExecStats::default() };
-        for (slot, pred) in preds.iter().enumerate() {
-            if LeafServe::of(pred) != LeafServe::EntryScan || evaluated[slot] == 0 {
+            ExecStats { universe, observed: vec![None; slots.len()], ..ExecStats::default() };
+        for (slot, leaf) in slots.iter().enumerate() {
+            if leaf.path != AccessPath::Scan || evaluated[slot] == 0 {
                 continue;
             }
             let rate = matched[slot] as f64 / evaluated[slot] as f64;
@@ -879,7 +775,7 @@ impl ReplanCtx {
         stats.refine(&exec, &self.plan);
         let plan = Planner::with_stats(IndexCaps::all(), stats).plan(&self.expr).ok()?;
         match plan.root() {
-            PlanNode::And { exec_order, .. } if exec_order.len() == preds.len() => {
+            PlanNode::And { exec_order, .. } if exec_order.len() == slots.len() => {
                 Some(exec_order.clone())
             }
             _ => None,
@@ -918,20 +814,18 @@ fn breaker_slots(
 ///
 /// A guard is sound only if it holds in **every** request that shares
 /// the slot: the guard sets are the intersection, over each request
-/// using a slot, of the per-id-served leaf slots sitting as direct
+/// using a slot, of the id-filter and scan leaf slots sitting as direct
 /// children of that request's root `And` — and a request whose root is
 /// not an `And`, or that reads the slot under a pipeline breaker,
 /// contributes the empty set. Skipping an id the guard rejected is then
 /// outcome-preserving: the final conjunction intersects with the guard's
 /// match set, which excludes that id, in every consuming request.
 fn wave_adaptivity(
-    slots: &[PreparedPred],
+    slots: &[WaveSlot],
     prepped: &[Result<PreppedRequest>],
     union: &[u64],
-    adaptive: bool,
 ) -> WaveAdaptivity {
     use std::collections::BTreeSet;
-    let serves: Vec<LeafServe> = slots.iter().map(LeafServe::of).collect();
     let mut guards: Vec<Option<BTreeSet<usize>>> = vec![None; slots.len()];
     for prep in prepped.iter().flatten() {
         let conjuncts: BTreeSet<usize> = match prep.plan.root() {
@@ -941,7 +835,7 @@ fn wave_adaptivity(
                     PlanNode::Leaf { ix, .. } => Some(prep.leaf_slots[*ix]),
                     _ => None,
                 })
-                .filter(|&s| serves[s].is_per_id())
+                .filter(|&s| matches!(slots[s].path, AccessPath::IdFilter | AccessPath::Scan))
                 .collect(),
             _ => BTreeSet::new(),
         };
@@ -970,24 +864,24 @@ fn wave_adaptivity(
             observed: Default::default(),
         };
         let expr =
-            QueryExpr::And(slots.iter().map(|p| QueryExpr::Leaf(p.pred().clone())).collect());
+            QueryExpr::And(slots.iter().map(|s| QueryExpr::Leaf(s.pred.pred().clone())).collect());
         if let Ok(plan) = Planner::with_stats(IndexCaps::all(), stats.clone()).plan(&expr) {
             // The slot conjunction's plan is usable only if normalization
             // kept it aligned: child i is exactly slot i's predicate.
             let aligned = matches!(plan.root(), PlanNode::And { children, .. }
             if children.len() == slots.len()
                 && children.iter().zip(slots).all(|(child, slot)| {
-                    matches!(child, PlanNode::Leaf { pred, .. } if pred.pred() == slot.pred())
+                    matches!(child, PlanNode::Leaf { pred, .. } if pred.pred() == slot.pred.pred())
                 }));
             if aligned {
                 if let PlanNode::And { exec_order, .. } = plan.root() {
                     order = exec_order.clone();
                 }
                 let reorderable = guards.iter().enumerate().any(|(s, g)| {
-                    serves[s] == LeafServe::EntryScan
-                        && g.iter().any(|&g| serves[g] == LeafServe::EntryScan)
+                    slots[s].path == AccessPath::Scan
+                        && g.iter().any(|&g| slots[g].path == AccessPath::Scan)
                 });
-                if adaptive && reorderable {
+                if reorderable {
                     replan = Some(ReplanCtx { expr, plan, stats });
                 }
             }
@@ -1363,13 +1257,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_local_indexes_serve_shape_and_interval_leaves() {
+    fn index_documents_serve_shape_and_interval_leaves() {
         let archive = mixed_archive(30);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         let expr =
             QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*").and(QueryExpr::peak_interval(10, 3));
         let (out, stats) = engine.bind(&archive).execute_with_stats(&expr).unwrap();
-        assert_eq!(stats.entries_scanned, 0, "both leaves served by shard-local indexes");
+        assert_eq!(stats.entries_scanned, 0, "both leaves served by index documents");
         assert_eq!(stats.index_leaves, 2);
         assert_eq!(stats.scan_leaves, 0);
         assert!(!out.all_ids().is_empty(), "{out:?}");

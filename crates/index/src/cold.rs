@@ -7,24 +7,19 @@
 //! exactly the work compaction already did once. The durable layer
 //! therefore persists *encoded documents* next to the entries, and this
 //! module is the index-side consumer: [`OwnedDoc`] is the owning
-//! (de)serializable form of [`IndexDoc`], [`DocPager`] abstracts "who
-//! can produce the document for an id" (in production, a B-tree
-//! segment reader), and [`SegmentIndexSet`] is a [`SequenceIndex`]
-//! that starts with every document cold in the pager and hydrates
-//! them into a real [`IndexSet`] on demand — so a query that needs
-//! twelve documents pages in twelve, not the archive.
+//! (de)serializable form of [`IndexDoc`], and [`DocPager`] abstracts
+//! "who can produce the document for an id" (in production, a B-tree
+//! segment reader) — so a query over twelve ids pages in twelve
+//! documents, not the archive.
 //!
 //! A pager is allowed to *refuse* an id (return `None`): documents go
 //! stale the moment a sequence is mutated after compaction, and the
 //! contract is that refusal only ever costs the caller a recompute,
-//! never correctness. [`SegmentIndexSet::hydrate`] reports refused ids
-//! back so the caller can index them from source.
+//! never correctness.
 
-use crate::index_set::{IndexDoc, IndexSet, SequenceIndex};
+use crate::index_set::IndexDoc;
 use saq_durable::codec::{self, Cursor};
 use saq_durable::Result;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// An owning [`IndexDoc`]: the form that crosses the storage boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +42,7 @@ impl OwnedDoc {
         }
     }
 
-    /// The borrowed view every [`SequenceIndex`] consumes.
+    /// The borrowed view every [`crate::SequenceIndex`] consumes.
     pub fn as_doc(&self) -> IndexDoc<'_> {
         IndexDoc {
             symbols: &self.symbols,
@@ -99,120 +94,12 @@ pub trait DocPager: Send + Sync {
     fn ids(&self) -> Vec<u64>;
 }
 
-/// A [`SequenceIndex`] whose documents start cold in a [`DocPager`] and
-/// are hydrated into a warm [`IndexSet`] on demand.
-///
-/// Construction is O(ids): nothing is decoded until
-/// [`SegmentIndexSet::hydrate`] pulls specific ids in. Mutations behave
-/// like any index — [`SequenceIndex::insert_doc`] supersedes a cold
-/// document, [`SequenceIndex::remove_doc`] drops one — so the wrapper
-/// can stand wherever an [`IndexSet`] does, with
-/// [`SequenceIndex::doc_count`] spanning both temperatures.
-pub struct SegmentIndexSet {
-    pager: Arc<dyn DocPager>,
-    warm: IndexSet,
-    cold: BTreeSet<u64>,
-}
-
-impl SegmentIndexSet {
-    /// A set whose every document starts cold in `pager`.
-    pub fn new(pager: Arc<dyn DocPager>) -> SegmentIndexSet {
-        let cold = pager.ids().into_iter().collect();
-        SegmentIndexSet { pager, warm: IndexSet::new(), cold }
-    }
-
-    /// The warm, queryable index over everything hydrated so far.
-    pub fn warm(&self) -> &IndexSet {
-        &self.warm
-    }
-
-    /// Documents still cold (pageable but not yet hydrated).
-    pub fn cold_count(&self) -> usize {
-        self.cold.len()
-    }
-
-    /// Pages the documents for `ids` into the warm set. Returns the ids
-    /// that could **not** be served — unknown to the pager, or refused
-    /// as stale — which the caller must index from source (via
-    /// [`SequenceIndex::insert_doc`]) to keep `doc_count` honest.
-    pub fn hydrate(&mut self, ids: impl IntoIterator<Item = u64>) -> Vec<u64> {
-        let mut unserved = Vec::new();
-        for id in ids {
-            if !self.cold.remove(&id) {
-                if !self.warm_has(id) {
-                    unserved.push(id);
-                }
-                continue;
-            }
-            match self.pager.doc(id) {
-                Some(doc) => self.warm.insert_doc(id, &doc.as_doc()),
-                None => unserved.push(id),
-            }
-        }
-        unserved
-    }
-
-    /// Hydrates every cold document; returns the refused ids.
-    pub fn hydrate_all(&mut self) -> Vec<u64> {
-        let all: Vec<u64> = self.cold.iter().copied().collect();
-        self.hydrate(all)
-    }
-
-    fn warm_has(&self, id: u64) -> bool {
-        // The peak histogram's doc map is private; the pattern index
-        // answers membership for anything inserted through IndexSet.
-        self.warm.pattern().symbols_of(id).is_some()
-    }
-}
-
-impl SequenceIndex for SegmentIndexSet {
-    fn insert_doc(&mut self, id: u64, doc: &IndexDoc<'_>) {
-        self.cold.remove(&id);
-        self.warm.insert_doc(id, doc);
-    }
-
-    fn remove_doc(&mut self, id: u64) -> bool {
-        let was_cold = self.cold.remove(&id);
-        self.warm.remove_doc(id) || was_cold
-    }
-
-    fn doc_count(&self) -> usize {
-        self.warm.doc_count() + self.cold.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn doc(tag: u8, buckets: &[i64], peaks: usize) -> OwnedDoc {
         OwnedDoc { symbols: vec![tag, tag], interval_buckets: buckets.to_vec(), peak_count: peaks }
-    }
-
-    /// A pager over a fixed map that refuses a configurable id set.
-    struct MapPager {
-        docs: HashMap<u64, OwnedDoc>,
-        refuse: BTreeSet<u64>,
-    }
-
-    impl DocPager for MapPager {
-        fn doc(&self, id: u64) -> Option<OwnedDoc> {
-            if self.refuse.contains(&id) {
-                return None;
-            }
-            self.docs.get(&id).cloned()
-        }
-
-        fn ids(&self) -> Vec<u64> {
-            self.docs.keys().copied().collect()
-        }
-    }
-
-    fn pager(n: u64, refuse: &[u64]) -> Arc<MapPager> {
-        let docs =
-            (0..n).map(|id| (id, doc(id as u8 % 3, &[id as i64 + 4], id as usize % 4))).collect();
-        Arc::new(MapPager { docs, refuse: refuse.iter().copied().collect() })
     }
 
     #[test]
@@ -228,66 +115,5 @@ mod tests {
         bytes.push(0);
         assert!(OwnedDoc::decode(&bytes).is_err(), "trailing bytes rejected");
         assert!(OwnedDoc::decode(&bytes[..3]).is_err(), "truncation rejected");
-    }
-
-    #[test]
-    fn hydration_is_lazy_and_partial() {
-        let mut set = SegmentIndexSet::new(pager(10, &[]));
-        assert_eq!(set.doc_count(), 10);
-        assert_eq!(set.cold_count(), 10);
-        assert_eq!(set.warm().doc_count(), 0);
-        let unserved = set.hydrate([3, 4]);
-        assert!(unserved.is_empty());
-        assert_eq!(set.warm().doc_count(), 2);
-        assert_eq!(set.cold_count(), 8);
-        assert_eq!(set.doc_count(), 10, "temperature never changes the count");
-        assert_eq!(set.warm().interval().matching_sequences(7, 0), vec![3]);
-        // Re-hydrating a warm id is a no-op, not a refusal.
-        assert!(set.hydrate([3]).is_empty());
-    }
-
-    #[test]
-    fn refused_and_unknown_ids_are_reported_back() {
-        let mut set = SegmentIndexSet::new(pager(6, &[2, 5]));
-        let mut unserved = set.hydrate([0, 2, 5, 77]);
-        unserved.sort_unstable();
-        assert_eq!(unserved, vec![2, 5, 77]);
-        // The caller indexes the refused ids from source; counts mend.
-        let d = doc(1, &[100], 2);
-        set.insert_doc(2, &d.as_doc());
-        set.insert_doc(5, &d.as_doc());
-        assert_eq!(set.doc_count(), 6);
-        assert_eq!(set.warm().doc_count(), 3);
-    }
-
-    #[test]
-    fn hydrate_all_matches_an_eager_build() {
-        let p = pager(20, &[]);
-        let mut lazy = SegmentIndexSet::new(Arc::clone(&p) as Arc<dyn DocPager>);
-        assert!(lazy.hydrate_all().is_empty());
-        let mut eager = IndexSet::new();
-        for id in p.ids() {
-            eager.insert_doc(id, &p.doc(id).unwrap().as_doc());
-        }
-        assert_eq!(lazy.warm().stats().pattern.docs, eager.stats().pattern.docs);
-        assert_eq!(lazy.warm().stats().interval.postings, eager.stats().interval.postings);
-        assert_eq!(lazy.warm().peak_count_histogram(), eager.peak_count_histogram());
-    }
-
-    #[test]
-    fn mutations_supersede_cold_documents() {
-        let mut set = SegmentIndexSet::new(pager(4, &[]));
-        // Upsert over a cold id: the stored doc must never resurface.
-        let fresh = doc(2, &[40], 3);
-        set.insert_doc(1, &fresh.as_doc());
-        assert_eq!(set.doc_count(), 4);
-        assert!(set.hydrate([1]).is_empty(), "warm id needs no paging");
-        assert_eq!(set.warm().interval().matching_sequences(40, 0), vec![1]);
-        assert!(set.warm().interval().matching_sequences(5, 0).is_empty());
-        // Removal spans temperatures.
-        assert!(set.remove_doc(0), "cold removal");
-        assert!(set.remove_doc(1), "warm removal");
-        assert!(!set.remove_doc(99));
-        assert_eq!(set.doc_count(), 2);
     }
 }

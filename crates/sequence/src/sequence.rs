@@ -122,26 +122,13 @@ impl Sequence {
         if self.len() != other.len() {
             return None;
         }
-        // Chunked multi-accumulator max: four independent lanes with no
-        // cross-iteration dependency, so the loop autovectorizes. `max`
-        // is associative and commutative over finite values (the
-        // construction invariant), so the result is bit-identical to the
-        // sequential fold.
-        const LANES: usize = 4;
-        let mut acc = [0.0f64; LANES];
-        let (a, b) = (&self.points, &other.points);
-        let mut chunks_a = a.chunks_exact(LANES);
-        let mut chunks_b = b.chunks_exact(LANES);
-        for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-            for lane in 0..LANES {
-                acc[lane] = acc[lane].max((ca[lane].v - cb[lane].v).abs());
-            }
-        }
-        let mut best = acc.into_iter().fold(0.0, f64::max);
-        for (p, q) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-            best = best.max((p.v - q.v).abs());
-        }
-        Some(best)
+        Some(
+            self.points
+                .iter()
+                .zip(&other.points)
+                .map(|(p, q)| (p.v - q.v).abs())
+                .fold(0.0, f64::max),
+        )
     }
 
     /// A sub-sequence view over point indices `[lo, hi)` copied into a new

@@ -126,8 +126,9 @@ proptest! {
 
     /// Adaptive re-planning is ordering-only: for random trees, corpora,
     /// and shard counts, the sharded engine returns identical outcomes
-    /// with mid-batch re-planning on and off, and every per-leaf
-    /// observed cardinality stays within the universe.
+    /// with mid-batch re-planning (many shards) and without (one shard:
+    /// no observation wave exists), and every per-leaf observed
+    /// cardinality stays within the universe.
     #[test]
     fn adaptive_replanning_is_ordering_only(
         seeds in prop::collection::vec((0u64..4, 0u64..10_000), 8..28),
@@ -139,19 +140,15 @@ proptest! {
         let (_store, archive) = ingest(&corpus);
         let requests = vec![QueryRequest::expr(expr.clone()).with_stats()];
         let snapshot = archive.snapshot();
-        let run = |adaptive: bool| {
-            let engine = ShardedEngine::new(EngineConfig {
-                workers: 4,
-                shards,
-                adaptive,
-                ..EngineConfig::default()
-            })
-            .unwrap();
+        let run = |shards: usize| {
+            let engine =
+                ShardedEngine::new(EngineConfig { workers: 4, shards, ..EngineConfig::default() })
+                    .unwrap();
             let mut responses = engine.run_requests(&snapshot, &requests).unwrap();
             responses.pop().unwrap().unwrap()
         };
-        let on = run(true);
-        let off = run(false);
+        let on = run(shards);
+        let off = run(1);
         prop_assert_eq!(
             &on.outcome, &off.outcome,
             "adaptive vs static outcomes ({} shards): {:?}", shards, expr

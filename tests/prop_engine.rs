@@ -6,10 +6,10 @@
 //! index-assisted `StoreEngine`.
 
 use proptest::prelude::*;
-use saq::archive::{ArchiveScanEngine, ArchiveStore, Medium};
-use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
-use saq::core::query::QueryOutcome;
-use saq::core::store::{SequenceStore, StoreConfig};
+use saq::archive::{compute_doc, ArchiveScanEngine, ArchiveStore, Medium};
+use saq::core::algebra::{Pred, PreparedPred, QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::query::{QueryOutcome, QuerySpec};
+use saq::core::store::{SequenceStore, StoreConfig, StoredEntry};
 use saq::core::QueryRequest;
 use saq::engine::{EngineConfig, QueryEngine};
 use saq::sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
@@ -137,6 +137,44 @@ proptest! {
         for (query, outcome) in batch.iter().zip(&outcomes) {
             let store_outcome = StoreEngine::new(&store).execute(query).unwrap();
             prop_assert_eq!(outcome, &store_outcome, "{:?}", query);
+        }
+    }
+
+    /// The doc-servable predicates read the same answer off a sequence's
+    /// index document as off its stored entry — what lets the sharded
+    /// pass answer index-path leaves from persisted cold documents.
+    #[test]
+    fn index_documents_answer_like_stored_entries(
+        seeds in prop::collection::vec((0u64..4, 0u64..10_000), 1..12),
+        pattern in prop_oneof![
+            Just("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
+            Just("0* 1+ (-1)+ 0*"),
+            Just("(0|1|(-1))*"),
+            Just("(-1)+"),
+        ],
+        count in 0usize..5,
+        tolerance in 0usize..3,
+        interval in 3i64..15,
+        epsilon in 0i64..4,
+    ) {
+        let cfg = StoreConfig::default();
+        let preds = [
+            QuerySpec::Shape { pattern: pattern.to_string() },
+            QuerySpec::PeakCount { count, tolerance },
+            QuerySpec::PeakInterval { interval, epsilon },
+        ]
+        .map(|spec| PreparedPred::new(&Pred::Feature(spec)).unwrap());
+        for (id, &(kind, seed)) in seeds.iter().enumerate() {
+            let seq = mixed_sequence(kind, seed);
+            let doc = compute_doc(&seq, &cfg).unwrap();
+            let entry = StoredEntry::compute(&seq, &cfg).unwrap();
+            for pred in &preds {
+                prop_assert_eq!(
+                    pred.matches_doc(&doc.as_doc()),
+                    pred.matches(id as u64, Some(&entry)),
+                    "{:?} on kind {} seed {}", pred.pred(), kind, seed
+                );
+            }
         }
     }
 
