@@ -27,7 +27,7 @@ use parking_lot::{Mutex, RwLock};
 use saq_core::{Error, Result, StoreConfig, StoredEntry};
 use saq_durable::codec::{self, Cursor};
 use saq_durable::store::DocsReader;
-use saq_durable::{DurableStore, SegmentReader, WalOp};
+use saq_durable::{DurableStore, SegmentReader};
 use saq_index::cold::{DocPager, OwnedDoc};
 use saq_sequence::{Point, Sequence};
 use std::collections::HashSet;
@@ -109,22 +109,6 @@ pub fn decode_sequence(bytes: &[u8]) -> saq_durable::Result<Sequence> {
     c.finish()?;
     Sequence::new(points)
         .map_err(|e| saq_durable::Error::corrupt(format!("sequence payload rejected: {e}")))
-}
-
-/// Builds the WAL op for a mutation: puts carry the encoded sequence.
-pub(crate) fn wal_op(id: Option<u64>, seq: Option<&Sequence>) -> WalOp {
-    match (id, seq) {
-        (Some(id), Some(seq)) => WalOp::Put { id, payload: encode_sequence(seq) },
-        (Some(id), None) => WalOp::Remove { id },
-        (None, _) => WalOp::Wildcard,
-    }
-}
-
-/// Builds the WAL op for an append wave: the payload carries only the
-/// *delta* points, in the same [`encode_sequence`] framing as puts.
-/// Replay folds deltas into their entry through [`merge_append`].
-pub(crate) fn wal_append_op(id: u64, delta: &Sequence) -> WalOp {
-    WalOp::Append { id, payload: encode_sequence(delta) }
 }
 
 /// The archive's [`saq_durable::AppendMerge`]: folds an append-delta

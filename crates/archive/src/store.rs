@@ -9,7 +9,7 @@ use crate::durability::{self, ColdDocs, DurabilityConfig, DurableHandle};
 use crate::medium::{AccessCost, Medium};
 use parking_lot::{Mutex, RwLock};
 use saq_core::{QueryExpr, QueryOutcome, Result, SequenceStore, StoreConfig};
-use saq_durable::{Backend, DurableConfig, DurableStore, WalRecord};
+use saq_durable::{Backend, DurableConfig, DurableStore, WalOp, WalRecord};
 use saq_index::ShardedCowMap;
 use saq_sequence::{Point, Sequence};
 use std::collections::VecDeque;
@@ -36,6 +36,11 @@ const MUTATION_LOG_CAP: usize = 4096;
 /// one archive without external locking. Mutators keep `&mut self`
 /// signatures to mark intent, but mutations are visible through every
 /// handle. Readers that need a stable view take an [`ArchiveSnapshot`].
+///
+/// Every mutator ends in one private `commit` (the "Commit protocol" of
+/// `docs/STORAGE.md`), so whichever one is called, a write the log
+/// refused leaves contents, generation, delta log and cold documents
+/// exactly as they were.
 #[derive(Debug, Clone)]
 pub struct ArchiveStore {
     shared: Arc<ArchiveShared>,
@@ -159,6 +164,69 @@ impl ArchiveShared {
             std::thread::sleep(std::time::Duration::from_secs_f64(cost.total() * scale));
         }
         cost
+    }
+}
+
+/// One archive mutation, as [`ArchiveStore::commit`] sees it: what goes
+/// into the WAL, which id it dirties, and how it changes the contents.
+enum Change {
+    /// Store `seq` under the id, replacing silently.
+    Put(u64, Sequence),
+    /// Drop the id (a tracked mutation even when it is absent).
+    Remove(u64),
+    /// Extend the sequence at `id` with `delta`, creating it when absent
+    /// — mirroring what WAL replay does with an append to a missing entry.
+    Append { id: u64, delta: Sequence },
+    /// "Anything may have changed": contents stay, every delta crossing
+    /// this generation is unknown.
+    Wildcard,
+}
+
+impl Change {
+    /// The WAL record of this change creating `generation`. Puts carry the
+    /// whole encoded sequence, appends only the *delta* points in the same
+    /// framing; replay folds deltas into their entry through
+    /// [`durability::merge_append`].
+    fn record(&self, generation: u64) -> WalRecord {
+        let op = match self {
+            Change::Put(id, seq) => {
+                WalOp::Put { id: *id, payload: durability::encode_sequence(seq) }
+            }
+            Change::Remove(id) => WalOp::Remove { id: *id },
+            Change::Append { id, delta } => {
+                WalOp::Append { id: *id, payload: durability::encode_sequence(delta) }
+            }
+            Change::Wildcard => WalOp::Wildcard,
+        };
+        WalRecord { generation, op }
+    }
+
+    /// The id whose cold document and delta-log entry this change
+    /// dirties; `None` is the wildcard.
+    fn dirty_id(&self) -> Option<u64> {
+        match self {
+            Change::Put(id, _) | Change::Remove(id) | Change::Append { id, .. } => Some(*id),
+            Change::Wildcard => None,
+        }
+    }
+
+    /// Applies the change to `sequences`, returning the sequence it
+    /// displaced: the replaced, removed or extended one. Fails — leaving
+    /// `sequences` as it was — when an append does not start after the
+    /// stored sequence ends.
+    fn apply(self, sequences: &mut ShardedCowMap<Sequence>) -> Result<Option<Arc<Sequence>>> {
+        Ok(match self {
+            Change::Put(id, seq) => sequences.insert(id, seq),
+            Change::Remove(id) => sequences.remove(id),
+            Change::Append { id, delta } => {
+                let extended = match sequences.get(id) {
+                    Some(prior) => prior.concat(&delta)?,
+                    None => delta,
+                };
+                sequences.insert(id, extended)
+            }
+            Change::Wildcard => None,
+        })
     }
 }
 
@@ -301,34 +369,66 @@ impl ArchiveStore {
         f64::from_bits(self.shared.realtime_scale_bits.load(Ordering::Relaxed))
     }
 
-    /// Installs a new state built from the current one by `f`, logging the
-    /// mutation as `id`. The write lock serializes writers; readers are
-    /// never blocked for longer than the `Arc` swap.
+    /// Commits one wave of changes — the only write path. Every mutator
+    /// builds its [`Change`]s and ends here, so the protocol is spelled
+    /// once:
     ///
-    /// Durable archives write the mutation ahead to the WAL first (`seq`
-    /// is the payload for puts), under the durable lock — always taken
-    /// *before* the state lock, the same order compaction uses. A WAL
-    /// append failure leaves the in-memory state untouched.
-    fn mutate(
-        &mut self,
-        id: Option<u64>,
-        seq: Option<&Sequence>,
-        f: impl FnOnce(&mut ShardedCowMap<Sequence>),
-    ) -> Result<()> {
+    /// 1. take the durable lock, *then* the state write lock — the order
+    ///    [`ArchiveStore::compact`] uses, so no writer can append between
+    ///    the state a compaction captures and its WAL truncation. The
+    ///    write lock serializes writers; readers are never blocked for
+    ///    longer than the `Arc` swap;
+    /// 2. validate: apply the whole wave to a working clone-on-write copy
+    ///    of the contents, so a change that cannot apply (an
+    ///    [`Change::Append`] whose boundary does not extend the stored
+    ///    sequence) returns `Err` with WAL and state untouched;
+    /// 3. write ahead: one [`DurableStore::append_batch`] — one backend
+    ///    append, one fsync — covers the wave. A failure returns `Err`
+    ///    and drops the working copy: nothing was applied;
+    /// 4. mark each change's cold document dirty *before* publishing, so
+    ///    a `(state, cold)` pair captured by
+    ///    [`ArchiveStore::snapshot`] is never optimistic about freshness;
+    /// 5. log `(generation, id)` per change — each consumes its own
+    ///    generation, keeping [`ArchiveStore::changed_since`] exact;
+    /// 6. install the working copy as the new state;
+    /// 7. release both locks;
+    /// 8. compact if the WAL outgrew `compact_after`. The wave is already
+    ///    committed; a failed auto-compaction surfaces as this call's
+    ///    `Err` all the same.
+    ///
+    /// Returns, per change, the sequence it displaced (see
+    /// [`Change::apply`]).
+    fn commit(&mut self, changes: Vec<Change>) -> Result<Vec<Option<Arc<Sequence>>>> {
+        if changes.is_empty() {
+            return Ok(Vec::new());
+        }
         let durable = self.shared.durable.clone();
         let mut wal = durable.as_ref().map(|d| d.store.lock());
         let mut state = self.shared.state.write();
-        let generation = state.generation + 1;
-        if let Some(wal) = wal.as_mut() {
-            let record = WalRecord { generation, op: durability::wal_op(id, seq) };
-            wal.append(&record).map_err(saq_core::Error::from)?;
-        }
-        if let Some(durable) = &durable {
-            durable.mark(id);
-        }
+        let base = state.generation;
+
         let mut sequences = state.sequences.clone();
-        f(&mut sequences);
-        self.shared.log.lock().record(generation, id);
+        let dirty: Vec<Option<u64>> = changes.iter().map(Change::dirty_id).collect();
+        let records: Vec<WalRecord> = match wal {
+            Some(_) => changes.iter().zip(base + 1..).map(|(c, g)| c.record(g)).collect(),
+            None => Vec::new(),
+        };
+        let displaced =
+            changes.into_iter().map(|c| c.apply(&mut sequences)).collect::<Result<Vec<_>>>()?;
+        if let Some(wal) = wal.as_mut() {
+            wal.append_batch(&records).map_err(saq_core::Error::from)?;
+        }
+
+        if let Some(durable) = &durable {
+            dirty.iter().for_each(|&id| durable.mark(id));
+        }
+        let generation = base + dirty.len() as u64;
+        {
+            let mut log = self.shared.log.lock();
+            for (&id, generation) in dirty.iter().zip(base + 1..) {
+                log.record(generation, id);
+            }
+        }
         *state = Arc::new(ArchiveState { generation, sequences, ids: OnceLock::new() });
         drop(state);
         let compact_now = wal.as_ref().is_some_and(|w| w.should_compact());
@@ -336,7 +436,7 @@ impl ArchiveStore {
         if compact_now {
             self.compact()?;
         }
-        Ok(())
+        Ok(displaced)
     }
 
     /// Archives a raw sequence (writing is done off the query path and not
@@ -358,9 +458,7 @@ impl ArchiveStore {
     /// As [`ArchiveStore::put`], surfacing storage failures instead of
     /// panicking.
     pub fn try_put(&mut self, id: u64, seq: Sequence) -> Result<()> {
-        self.mutate(Some(id), Some(&seq), |sequences| {
-            sequences.insert(id, seq.clone());
-        })
+        self.commit(vec![Change::Put(id, seq)]).map(drop)
     }
 
     /// Archives a batch of sequences under a single lock acquisition.
@@ -382,48 +480,7 @@ impl ArchiveStore {
     /// failed group append leaves the in-memory state untouched — none
     /// of the batch is applied.
     pub fn try_put_batch(&mut self, items: Vec<(u64, Sequence)>) -> Result<()> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        // Same locking order as `mutate` and `compact`: durable handle
-        // first, then the archive state lock.
-        let durable = self.shared.durable.clone();
-        let mut wal = durable.as_ref().map(|d| d.store.lock());
-        let mut state = self.shared.state.write();
-        let base = state.generation;
-        if let Some(wal) = wal.as_mut() {
-            let records: Vec<WalRecord> = items
-                .iter()
-                .zip(1u64..)
-                .map(|((id, seq), off)| WalRecord {
-                    generation: base + off,
-                    op: durability::wal_op(Some(*id), Some(seq)),
-                })
-                .collect();
-            wal.append_batch(&records).map_err(saq_core::Error::from)?;
-        }
-        if let Some(durable) = &durable {
-            for (id, _) in &items {
-                durable.mark(Some(*id));
-            }
-        }
-        let generation = base + items.len() as u64;
-        let mut sequences = state.sequences.clone();
-        {
-            let mut log = self.shared.log.lock();
-            for (off, (id, seq)) in (1u64..).zip(items) {
-                log.record(base + off, Some(id));
-                sequences.insert(id, seq);
-            }
-        }
-        *state = Arc::new(ArchiveState { generation, sequences, ids: OnceLock::new() });
-        drop(state);
-        let compact_now = wal.as_ref().is_some_and(|w| w.should_compact());
-        drop(wal);
-        if compact_now {
-            self.compact()?;
-        }
-        Ok(())
+        self.commit(items.into_iter().map(|(id, seq)| Change::Put(id, seq)).collect()).map(drop)
     }
 
     /// Removes an archived sequence (a tracked mutation, like
@@ -440,11 +497,7 @@ impl ArchiveStore {
 
     /// As [`ArchiveStore::remove`], surfacing storage failures.
     pub fn try_remove(&mut self, id: u64) -> Result<Option<Arc<Sequence>>> {
-        let mut removed = None;
-        self.mutate(Some(id), None, |sequences| {
-            removed = sequences.remove(id);
-        })?;
-        Ok(removed)
+        Ok(self.commit(vec![Change::Remove(id)])?.pop().flatten())
     }
 
     /// Extends the stored sequence at `id` with `points` — the streaming
@@ -477,37 +530,8 @@ impl ArchiveStore {
             return Err(saq_core::Error::EmptyInput);
         }
         let delta = Sequence::new(points.to_vec())?;
-        // Same locking order as `mutate` and `compact`: durable handle
-        // first, then the archive state lock.
-        let durable = self.shared.durable.clone();
-        let mut wal = durable.as_ref().map(|d| d.store.lock());
-        let mut state = self.shared.state.write();
-        // Build (and thereby validate) the extended sequence before the
-        // write-ahead step; `concat` rejects a non-extending boundary.
-        let extended = match state.sequences.get_arc(id) {
-            Some(prior) => prior.concat(&delta)?,
-            None => delta.clone(),
-        };
-        let total = extended.len();
-        let generation = state.generation + 1;
-        if let Some(wal) = wal.as_mut() {
-            let record = WalRecord { generation, op: durability::wal_append_op(id, &delta) };
-            wal.append(&record).map_err(saq_core::Error::from)?;
-        }
-        if let Some(durable) = &durable {
-            durable.mark(Some(id));
-        }
-        let mut sequences = state.sequences.clone();
-        sequences.insert(id, extended);
-        self.shared.log.lock().record(generation, Some(id));
-        *state = Arc::new(ArchiveState { generation, sequences, ids: OnceLock::new() });
-        drop(state);
-        let compact_now = wal.as_ref().is_some_and(|w| w.should_compact());
-        drop(wal);
-        if compact_now {
-            self.compact()?;
-        }
-        Ok(total)
+        let prior = self.commit(vec![Change::Append { id, delta }])?.pop().flatten();
+        Ok(prior.map_or(0, |prior| prior.len()) + points.len())
     }
 
     /// Marks the whole archive as potentially changed (a wildcard
@@ -520,7 +544,7 @@ impl ArchiveStore {
     ///
     /// Like [`ArchiveStore::put`], panics if the write-ahead append fails.
     pub fn mark_all_changed(&mut self) {
-        self.mutate(None, None, |_| {}).expect("durable archive write failed");
+        self.commit(vec![Change::Wildcard]).expect("durable archive write failed");
     }
 
     /// Whether this archive persists its mutations.
@@ -1240,6 +1264,23 @@ mod tests {
         assert_eq!(a.changed_since(g), Some(vec![1, 2, 3, 4]), "deltas stay exact");
         assert_eq!(a.ids(), vec![0, 1, 2, 3, 4]);
 
+        // Group commit changes how many appends reach the backend, not a
+        // byte of what they write.
+        let singly: Arc<dyn saq_durable::Backend> = Arc::new(saq_durable::MemoryBackend::new());
+        let mut b = ArchiveStore::open_backend(
+            Arc::clone(&singly),
+            Medium::memory(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        for i in 0..5u64 {
+            b.put(i, goalpost(GoalpostSpec { seed: i, ..GoalpostSpec::default() }));
+        }
+        let wal = |backend: &Arc<dyn saq_durable::Backend>| {
+            backend.get(saq_durable::wal::WAL_KEY).unwrap().expect("a WAL was written")
+        };
+        assert_eq!(wal(&backend), wal(&singly), "same WAL bytes as one-at-a-time puts");
+
         // Recovery replays the group exactly as individual appends would.
         drop(a);
         let a = ArchiveStore::open_backend(backend, Medium::memory(), DurabilityConfig::default())
@@ -1251,6 +1292,105 @@ mod tests {
             assert_eq!(a.get(i).unwrap().points(), expect.points(), "sequence {i} bit-exact");
         }
         assert_eq!(a.changed_since(g), Some(vec![1, 2, 3, 4]));
+    }
+
+    /// A [`saq_durable::MemoryBackend`] whose `append` fails while the
+    /// switch is on — the write-ahead step failing on demand.
+    #[derive(Default)]
+    struct FailingAppends {
+        inner: saq_durable::MemoryBackend,
+        fail: std::sync::atomic::AtomicBool,
+    }
+
+    impl Backend for FailingAppends {
+        fn get(&self, key: &str) -> saq_durable::Result<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &str, value: &[u8]) -> saq_durable::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn append(&self, key: &str, bytes: &[u8]) -> saq_durable::Result<u64> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected append failure").into());
+            }
+            self.inner.append(key, bytes)
+        }
+        fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> saq_durable::Result<usize> {
+            self.inner.read_at(key, offset, buf)
+        }
+        fn len(&self, key: &str) -> saq_durable::Result<Option<u64>> {
+            self.inner.len(key)
+        }
+        fn truncate(&self, key: &str, len: u64) -> saq_durable::Result<()> {
+            self.inner.truncate(key, len)
+        }
+        fn delete(&self, key: &str) -> saq_durable::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list(&self) -> saq_durable::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn sync(&self) -> saq_durable::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn a_failed_write_ahead_leaves_every_mutator_a_no_op() {
+        use saq_index::cold::DocPager as _;
+        let backend = Arc::new(FailingAppends::default());
+        let open = || {
+            ArchiveStore::open_backend(
+                Arc::clone(&backend) as Arc<dyn Backend>,
+                Medium::memory(),
+                DurabilityConfig::default(),
+            )
+            .unwrap()
+        };
+        let mut a = open();
+        let base = goalpost(GoalpostSpec::default());
+        a.put(1, base.clone());
+        a.put(2, goalpost(GoalpostSpec { seed: 2, ..GoalpostSpec::default() }));
+        // Compact, then mutate once more, so there is a cold pager with a
+        // dirty document and a non-empty WAL for a failure to disturb.
+        a.compact().unwrap();
+        let two = goalpost(GoalpostSpec { seed: 3, ..GoalpostSpec::default() });
+        a.put(2, two.clone());
+        let (g, wal) = (a.generation(), a.wal_records());
+        let dirty = a.cold_docs().unwrap().dirty_count();
+        assert_eq!((wal, dirty), (1, 1));
+
+        let seq = goalpost(GoalpostSpec { seed: 7, ..GoalpostSpec::default() });
+        let wave = tail(&base, 3, 5);
+        type Mutator<'a> = &'a dyn Fn(&mut ArchiveStore) -> Result<()>;
+        let mutators: [(&str, Mutator); 5] = [
+            ("try_put", &|a| a.try_put(1, seq.clone())),
+            ("try_put_batch", &|a| a.try_put_batch(vec![(3, seq.clone()), (1, seq.clone())])),
+            ("try_remove", &|a| a.try_remove(1).map(drop)),
+            ("try_append_points", &|a| a.try_append_points(1, &wave).map(drop)),
+            ("wildcard", &|a| a.commit(vec![Change::Wildcard]).map(drop)),
+        ];
+        backend.fail.store(true, Ordering::SeqCst);
+        for (name, mutate) in mutators {
+            assert!(mutate(&mut a).is_err(), "{name} surfaces the storage failure");
+            assert_eq!(a.generation(), g, "{name}: no generation consumed");
+            assert_eq!(a.ids(), vec![1, 2], "{name}: contents untouched");
+            assert_eq!(a.get(1).unwrap().points(), base.points(), "{name}");
+            assert_eq!(a.wal_records(), wal, "{name}: nothing counted as logged");
+            assert_eq!(a.changed_since(g), Some(vec![]), "{name}: nothing in the delta log");
+            assert_eq!(a.cold_docs().unwrap().dirty_count(), dirty, "{name}: no doc dirtied");
+        }
+        assert!(!a.cold_docs().unwrap().ids().is_empty(), "the failed wildcard poisoned nothing");
+
+        // What was never acknowledged was never written: reopening lands
+        // on the pre-failure generation and contents.
+        drop(a);
+        backend.fail.store(false, Ordering::SeqCst);
+        let a = open();
+        assert_eq!(a.generation(), g);
+        assert_eq!(a.ids(), vec![1, 2]);
+        assert_eq!(a.get(1).unwrap().points(), base.points());
+        assert_eq!(a.get(2).unwrap().points(), two.points());
     }
 
     fn tail(seq: &Sequence, n: usize, seed: u64) -> Vec<Point> {

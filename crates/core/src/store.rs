@@ -223,9 +223,7 @@ impl SequenceStore {
         let entry = StoredEntry::compute(seq, &self.config)?;
         let id = self.next_id;
         self.next_id += 1;
-        self.index_entry(id, &entry);
-        self.entries.insert(id, entry);
-        self.generation += 1;
+        self.install(id, entry);
         Ok(id)
     }
 
@@ -257,9 +255,7 @@ impl SequenceStore {
     ) -> Result<crate::streaming::SpliceReport> {
         let entry = self.entries.get(id).ok_or(Error::UnknownSequence { id })?;
         let (next, report) = crate::streaming::append_entry(entry, points, &self.config)?;
-        self.index_entry(id, &next);
-        self.entries.insert(id, next);
-        self.generation += 1;
+        self.install(id, next);
         Ok(report)
     }
 
@@ -276,9 +272,7 @@ impl SequenceStore {
     ) -> Result<crate::streaming::SpliceReport> {
         let entry = self.entries.get(id).ok_or(Error::UnknownSequence { id })?;
         let (next, report) = crate::streaming::extend_entry(entry, extended, &self.config)?;
-        self.index_entry(id, &next);
-        self.entries.insert(id, next);
-        self.generation += 1;
+        self.install(id, next);
         Ok(report)
     }
 
@@ -291,15 +285,15 @@ impl SequenceStore {
             return Err(Error::UnknownSequence { id });
         }
         let entry = StoredEntry::compute(seq, &self.config)?;
-        self.index_entry(id, &entry);
-        self.entries.insert(id, entry);
-        self.generation += 1;
+        self.install(id, entry);
         Ok(())
     }
 
-    /// Routes one entry's index mutation through the [`IndexSet`] (an
-    /// upsert: old postings of `id`, if any, are dropped first).
-    fn index_entry(&mut self, id: u64, entry: &StoredEntry) {
+    /// The one step that publishes an entry under `id`: its index
+    /// mutation goes through the [`IndexSet`] (an upsert — old postings of
+    /// `id`, if any, are dropped first), then the entry map and the
+    /// generation follow, so the indexes cannot drift from the entries.
+    fn install(&mut self, id: u64, entry: StoredEntry) {
         let buckets = entry.peaks.interval_buckets();
         self.indexes.insert_doc(
             id,
@@ -309,6 +303,8 @@ impl SequenceStore {
                 peak_count: entry.peaks.len(),
             },
         );
+        self.entries.insert(id, entry);
+        self.generation += 1;
     }
 
     /// Number of stored sequences.

@@ -382,9 +382,7 @@ impl DurableStore {
     /// Appends one record to the WAL. This is the write-ahead step:
     /// call it *before* applying the mutation in memory.
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        self.backend.append(WAL_KEY, &record.encode())?;
-        self.wal_records += 1;
-        Ok(())
+        self.append_batch(std::slice::from_ref(record))
     }
 
     /// Appends a group of records as one framed write: the frames are

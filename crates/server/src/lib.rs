@@ -153,25 +153,30 @@ type Sink = Arc<Mutex<TcpStream>>;
 
 /// One unit of dispatcher work.
 enum Job {
-    /// A query from some connection; the answer (or the error's
-    /// wire-ready `(code, message)`) goes back through `reply`, tagged
-    /// with the size of the wave that served it.
-    Query { req: QueryRequest, reply: SyncSender<(StdResult, u64)> },
-    /// Register a standing SAQL query; membership changes push to `sink`.
-    Subscribe { saql: String, sink: Sink, reply: SyncSender<WireResult<u64>> },
-    /// Drop a subscription; answers whether it was live.
-    Unsubscribe { id: u64, reply: SyncSender<bool> },
-    /// Append points to one archived sequence (creating it if absent);
-    /// answers `(generation, total points)` after the wave is applied.
-    Append { id: u64, points: Vec<Point>, reply: SyncSender<WireResult<(u64, usize)>> },
+    /// A query from some connection; the answer, tagged with the size of
+    /// the wave that served it, goes back through `reply`.
+    Query { req: QueryRequest, reply: SyncSender<WireResult<(QueryResponse, u64)>> },
+    /// Applied and answered in place while the wave collects.
+    Control(Control),
     /// Stop the dispatch loop.
     Shutdown,
 }
 
-/// A result whose error half is already wire-shaped: `Error` is not
-/// `Clone`, and a wave-level failure must fan out to every member.
+/// The jobs that never wait on a wave — see [`apply`].
+enum Control {
+    /// Register a standing SAQL query; membership changes push to `sink`.
+    Subscribe { saql: String, sink: Sink, reply: SyncSender<WireResult<u64>> },
+    /// Drop a subscription; answers whether it was live.
+    Unsubscribe { id: u64, reply: SyncSender<WireResult<bool>> },
+    /// Append points to one archived sequence (creating it if absent);
+    /// answers `(generation, total points)` after the wave is applied.
+    Append { id: u64, points: Vec<Point>, reply: SyncSender<WireResult<(u64, usize)>> },
+}
+
+/// A result whose error half is already wire-shaped `(code, message)`:
+/// `Error` is not `Clone`, and a wave-level failure must fan out to every
+/// member.
 type WireResult<T> = std::result::Result<T, (u16, String)>;
-type StdResult = WireResult<QueryResponse>;
 
 /// A running `saqd` server: an acceptor, one reader thread per
 /// connection, and the single coalescing dispatcher. Dropping the handle
@@ -269,15 +274,6 @@ impl Saqd {
     }
 }
 
-/// How one job left the collection loop: a query joins the wave, a
-/// control job (subscribe/unsubscribe/append) was applied and answered
-/// in place, a shutdown ends the loop after this iteration.
-enum Handled {
-    Query((QueryRequest, SyncSender<(StdResult, u64)>)),
-    Control,
-    Stop,
-}
-
 /// The wave loop: take one job, hold the wave open for the configured
 /// window (or until full), run the accumulated queries against **one**
 /// archive snapshot, then pump the subscription registry and push the
@@ -296,34 +292,40 @@ fn dispatch_loop(
     let mut sinks: HashMap<u64, Sink> = HashMap::new();
     let mut last_pumped = archive.generation();
     loop {
-        let mut wave: Vec<(QueryRequest, SyncSender<(StdResult, u64)>)> = Vec::new();
+        let mut wave = Vec::new();
         let mut stop_after = false;
-        match jobs.recv() {
-            Ok(job) => match apply(job, &mut archive, &mut registry, &mut sinks, metrics) {
-                Handled::Query(q) => wave.push(q),
-                Handled::Control => {}
-                Handled::Stop => stop_after = true,
-            },
-            Err(_) => return,
-        }
-        let deadline = Instant::now() + config.wave_window;
+        // Unset until the job that opens the wave has been taken (and, if
+        // a control job, applied): the window counts from there.
+        let mut deadline: Option<Instant> = None;
         while !stop_after && wave.len() < config.max_wave.max(1) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match jobs.recv_timeout(left) {
-                Ok(job) => match apply(job, &mut archive, &mut registry, &mut sinks, metrics) {
-                    Handled::Query(q) => wave.push(q),
-                    Handled::Control => {}
-                    Handled::Stop => stop_after = true,
+            let job = match deadline {
+                None => match jobs.recv() {
+                    Ok(job) => job,
+                    Err(_) => return,
                 },
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    stop_after = true;
-                    break;
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    match jobs.recv_timeout(left) {
+                        Ok(job) => job,
+                        Err(RecvTimeoutError::Timeout) => break,
+                        Err(RecvTimeoutError::Disconnected) => {
+                            stop_after = true;
+                            break;
+                        }
+                    }
                 }
+            };
+            match job {
+                Job::Query { req, reply } => wave.push((req, reply)),
+                Job::Control(control) => {
+                    apply(control, &mut archive, &mut registry, &mut sinks, metrics)
+                }
+                Job::Shutdown => stop_after = true,
             }
+            deadline.get_or_insert_with(|| Instant::now() + config.wave_window);
         }
 
         let snapshot = archive.snapshot();
@@ -337,11 +339,11 @@ fn dispatch_loop(
             match engine.run_requests(&snapshot, &requests) {
                 Ok(results) => {
                     for ((_, reply), result) in wave.into_iter().zip(results) {
-                        let result = result.map_err(|e| {
+                        let result = result.map(|resp| (resp, size)).map_err(|e| {
                             metrics.errors.fetch_add(1, Ordering::Relaxed);
                             (e.code(), e.to_string())
                         });
-                        let _ = reply.send((result, size));
+                        let _ = reply.send(result);
                     }
                 }
                 Err(e) => {
@@ -351,7 +353,7 @@ fn dispatch_loop(
                     let message = e.to_string();
                     metrics.errors.fetch_add(size, Ordering::Relaxed);
                     for (_, reply) in wave {
-                        let _ = reply.send((Err((code, message.clone())), size));
+                        let _ = reply.send(Err((code, message.clone())));
                     }
                 }
             }
@@ -396,18 +398,17 @@ fn dispatch_loop(
     }
 }
 
-/// Applies one job. Queries are deferred to the wave; everything else is
-/// answered immediately so control round-trips never wait on a wave.
+/// Applies one control job, answering immediately so control round trips
+/// never wait on a wave.
 fn apply(
-    job: Job,
+    job: Control,
     archive: &mut ArchiveStore,
     registry: &mut SubscriptionRegistry,
     sinks: &mut HashMap<u64, Sink>,
     metrics: &Metrics,
-) -> Handled {
+) {
     match job {
-        Job::Query { req, reply } => Handled::Query((req, reply)),
-        Job::Subscribe { saql, sink, reply } => {
+        Control::Subscribe { saql, sink, reply } => {
             let result = registry
                 .register_saql(&saql)
                 .map(|id| {
@@ -420,18 +421,16 @@ fn apply(
                     (e.code(), e.to_string())
                 });
             let _ = reply.send(result);
-            Handled::Control
         }
-        Job::Unsubscribe { id, reply } => {
+        Control::Unsubscribe { id, reply } => {
             let live = registry.unregister(SubscriptionId::from_raw(id));
             sinks.remove(&id);
             if live {
                 metrics.subscriptions.fetch_sub(1, Ordering::Relaxed);
             }
-            let _ = reply.send(live);
-            Handled::Control
+            let _ = reply.send(Ok(live));
         }
-        Job::Append { id, points, reply } => {
+        Control::Append { id, points, reply } => {
             let result = archive
                 .try_append_points(id, &points)
                 .map(|total| {
@@ -443,9 +442,7 @@ fn apply(
                     (e.code(), e.to_string())
                 });
             let _ = reply.send(result);
-            Handled::Control
         }
-        Job::Shutdown => Handled::Stop,
     }
 }
 
@@ -481,7 +478,7 @@ impl Session {
         // dispatcher stops evaluating (and pushing) for a gone peer.
         for id in std::mem::take(&mut self.subs) {
             let (reply, _) = mpsc::sync_channel(1);
-            let _ = self.jobs.send(Job::Unsubscribe { id, reply });
+            let _ = self.jobs.send(Job::Control(Control::Unsubscribe { id, reply }));
         }
     }
 
@@ -493,7 +490,10 @@ impl Session {
     fn respond(&mut self, request: &WireRequest, writer: &Sink) -> WireResponse {
         match request.verb {
             Verb::Query => match request.to_request(self.pin) {
-                Ok(req) => self.run_query(req),
+                Ok(req) => match self.ask(|reply| Job::Query { req, reply }) {
+                    Ok((resp, wave)) => WireResponse::from_response(&resp, wave),
+                    Err(e) => wire_err(e),
+                },
                 Err(e) => {
                     self.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     WireResponse::err(e.code(), &e.to_string())
@@ -514,22 +514,13 @@ impl Session {
                     .with("snapshot", self.current())
             }
             Verb::Subscribe => {
-                let (reply, result) = mpsc::sync_channel(1);
-                let job = Job::Subscribe {
-                    saql: request.body.trim().to_string(),
-                    sink: writer.clone(),
-                    reply,
-                };
-                if self.stopping.load(Ordering::SeqCst) || self.jobs.send(job).is_err() {
-                    return stopping_err();
-                }
-                match result.recv() {
-                    Ok(Ok(id)) => {
+                let (saql, sink) = (request.body.trim().to_string(), writer.clone());
+                match self.ask(|reply| Job::Control(Control::Subscribe { saql, sink, reply })) {
+                    Ok(id) => {
                         self.subs.push(id);
                         WireResponse::ok().with("subscription", id)
                     }
-                    Ok(Err((code, message))) => WireResponse::err(code, &message),
-                    Err(_) => stopping_err(),
+                    Err(e) => wire_err(e),
                 }
             }
             Verb::Unsubscribe => {
@@ -542,16 +533,17 @@ impl Session {
                         )
                     }
                 };
-                let (reply, result) = mpsc::sync_channel(1);
-                if self.jobs.send(Job::Unsubscribe { id, reply }).is_err() {
-                    return stopping_err();
+                // Subscription ids are global; a session may only drop its
+                // own, so a foreign id never reaches the registry.
+                if !self.subs.contains(&id) {
+                    return WireResponse::ok().with("known", false);
                 }
-                match result.recv() {
+                match self.ask(|reply| Job::Control(Control::Unsubscribe { id, reply })) {
                     Ok(live) => {
                         self.subs.retain(|&s| s != id);
                         WireResponse::ok().with("known", live)
                     }
-                    Err(_) => stopping_err(),
+                    Err(e) => wire_err(e),
                 }
             }
             Verb::Append => {
@@ -568,17 +560,11 @@ impl Session {
                     Ok(points) => points,
                     Err(e) => return WireResponse::err(e.code(), &e.to_string()),
                 };
-                let (reply, result) = mpsc::sync_channel(1);
-                let job = Job::Append { id, points, reply };
-                if self.stopping.load(Ordering::SeqCst) || self.jobs.send(job).is_err() {
-                    return stopping_err();
-                }
-                match result.recv() {
-                    Ok(Ok((generation, total))) => WireResponse::ok()
+                match self.ask(|reply| Job::Control(Control::Append { id, points, reply })) {
+                    Ok((generation, total)) => WireResponse::ok()
                         .with("total", total)
                         .with("snapshot", SnapshotRef::new(self.archive.instance_id(), generation)),
-                    Ok(Err((code, message))) => WireResponse::err(code, &message),
-                    Err(_) => stopping_err(),
+                    Err(e) => wire_err(e),
                 }
             }
             Verb::Delta => {
@@ -605,24 +591,21 @@ impl Session {
         }
     }
 
-    fn run_query(&self, req: QueryRequest) -> WireResponse {
-        if self.stopping.load(Ordering::SeqCst) {
-            return stopping_err();
+    /// One dispatcher round trip: refuse while stopping, send the job
+    /// `build` makes around the reply sender, wait for its answer. A
+    /// dispatcher that is gone answers like a stopping one.
+    fn ask<T>(&self, build: impl FnOnce(SyncSender<WireResult<T>>) -> Job) -> WireResult<T> {
+        let stopping = || (9, "protocol error: server is stopping".to_string());
+        let (reply, answer) = mpsc::sync_channel(1);
+        if self.stopping.load(Ordering::SeqCst) || self.jobs.send(build(reply)).is_err() {
+            return Err(stopping());
         }
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        if self.jobs.send(Job::Query { req, reply: reply_tx }).is_err() {
-            return stopping_err();
-        }
-        match reply_rx.recv() {
-            Ok((Ok(resp), wave)) => WireResponse::from_response(&resp, wave),
-            Ok((Err((code, message)), _)) => WireResponse::err(code, &message),
-            Err(_) => stopping_err(),
-        }
+        answer.recv().map_err(|_| stopping())?
     }
 }
 
-fn stopping_err() -> WireResponse {
-    WireResponse::err(9, "protocol error: server is stopping")
+fn wire_err((code, message): (u16, String)) -> WireResponse {
+    WireResponse::err(code, &message)
 }
 
 /// Convenience re-export: the error type everything in this crate
@@ -760,6 +743,25 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(client.stats().unwrap().deltas, 1, "only the baseline was ever pushed");
+        server.shutdown();
+    }
+
+    #[test]
+    fn unsubscribe_cannot_reach_another_sessions_subscription() {
+        let server = Saqd::spawn(demo_archive(), SaqdConfig::default()).unwrap();
+        let mut a = SaqClient::connect(server.addr()).unwrap();
+        let mut b = SaqClient::connect(server.addr()).unwrap();
+        let sub = a.subscribe("peaks = 2").unwrap();
+        a.next_delta_within(Duration::from_secs(10)).unwrap().unwrap();
+
+        // Ids are global, so B can name A's subscription — and must get
+        // nowhere with it.
+        b.unsubscribe(sub).unwrap();
+        assert_eq!(b.stats().unwrap().subscriptions, 1, "A's standing query is still live");
+        let seq = goalpost(GoalpostSpec { seed: 42, ..GoalpostSpec::default() });
+        b.append(50, seq.points()).unwrap();
+        let frame = a.next_delta_within(Duration::from_secs(10)).unwrap().unwrap();
+        assert_eq!((frame.subscription, frame.delta.entered), (sub, vec![50]));
         server.shutdown();
     }
 

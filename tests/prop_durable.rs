@@ -32,12 +32,15 @@ fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// One scripted mutation against the durable archive.
+/// One scripted mutation against the durable archive. `PutBatch` is `n`
+/// puts in one group commit: item `i` lands on id `(id + i * stride) % 10`,
+/// so stride 0 rewrites one id `n` times.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Put { kind: u64, seed: u64, id: u64 },
     Remove { id: u64 },
     Append { id: u64, n: u64, seed: u64 },
+    PutBatch { kind: u64, seed: u64, id: u64, stride: u64, n: u64 },
     Wildcard,
     Compact,
 }
@@ -51,6 +54,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..10).prop_map(|id| Op::Remove { id }),
         (0u64..10, 1u64..24, 0u64..1000).prop_map(|(id, n, seed)| Op::Append { id, n, seed }),
         (0u64..10, 1u64..24, 0u64..1000).prop_map(|(id, n, seed)| Op::Append { id, n, seed }),
+        (0u64..4, 0u64..1000, 0u64..10, 0u64..4, 2u64..6)
+            .prop_map(|(kind, seed, id, stride, n)| Op::PutBatch { kind, seed, id, stride, n }),
         Just(Op::Wildcard),
         Just(Op::Compact),
     ]
@@ -116,6 +121,20 @@ fn run_script(ops: &[Op]) -> (ArchiveStore, Arc<MemoryBackend>, Oracle) {
                 let tail = walk_tail(start, n, seed);
                 next.entry(id).or_default().extend_from_slice(&tail);
                 archive.append_points(id, &tail);
+            }
+            Op::PutBatch { kind, seed, id, stride, n } => {
+                let items: Vec<_> = (0..n)
+                    .map(|i| ((id + i * stride) % 10, mixed_sequence(kind + i, seed + i)))
+                    .collect();
+                // One generation — one oracle state — per batched record;
+                // the last one is pushed by the shared tail below.
+                let (last, rest) = items.split_last().unwrap();
+                for (id, seq) in rest {
+                    next.insert(*id, seq.points().to_vec());
+                    oracle.states.push(next.clone());
+                }
+                next.insert(last.0, last.1.points().to_vec());
+                archive.put_batch(items);
             }
             Op::Wildcard => archive.mark_all_changed(),
             Op::Compact => {
@@ -249,6 +268,35 @@ fn append_waves_recover_to_an_exact_prefix_at_every_byte() {
     let wal = backend.get(WAL_KEY).unwrap().unwrap_or_default();
     let readback = read_wal_bytes(&wal);
     assert_eq!(readback.records.len(), ops.len(), "one record per wave");
+    let generations: Vec<u64> = readback.records.iter().map(|r| r.generation).collect();
+    for cut in 0..=wal.len() as u64 {
+        let fork = Arc::new(backend.fork());
+        fork.truncate(WAL_KEY, cut).unwrap();
+        let expect = generation_at_cut(&readback.ends, &generations, oracle.base_generation, cut);
+        assert_recovers_to(fork, &oracle, expect);
+    }
+}
+
+/// A group commit is one backend append but still one frame per record:
+/// a crash inside it recovers to the last whole *record* — a prefix of
+/// the batch — at every byte offset, never to all-or-nothing and never
+/// to a blend.
+#[test]
+fn group_commits_recover_record_by_record_at_every_byte() {
+    let ops = [
+        Op::Put { kind: 0, seed: 5, id: 3 },
+        Op::Compact,
+        Op::PutBatch { kind: 1, seed: 60, id: 2, stride: 3, n: 5 },
+        Op::Append { id: 2, n: 4, seed: 8 },
+        Op::PutBatch { kind: 2, seed: 70, id: 3, stride: 0, n: 3 }, // one id, rewritten 3 times
+        Op::PutBatch { kind: 3, seed: 80, id: 9, stride: 1, n: 2 },
+    ];
+    let (archive, backend, oracle) = run_script(&ops);
+    drop(archive);
+
+    let wal = backend.get(WAL_KEY).unwrap().unwrap_or_default();
+    let readback = read_wal_bytes(&wal);
+    assert_eq!(readback.records.len(), 5 + 1 + 3 + 2, "one record per batched put");
     let generations: Vec<u64> = readback.records.iter().map(|r| r.generation).collect();
     for cut in 0..=wal.len() as u64 {
         let fork = Arc::new(backend.fork());
