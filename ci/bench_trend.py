@@ -5,7 +5,9 @@ WAL replay throughput (per corpus size), any kernel's measured
 speedup over its scalar baseline, or a streaming feed's splice/pump
 win over the batch re-run — and outright on any kernel slower than
 the scalar code it replaced (speedup < 1.0), whatever its previous
-value. Sections missing from the previous snapshot (older schema) are
+value, on any difference in the planner row's entry-evaluation counts
+for a matching (sequences, shards), and on an adaptive count above the
+static one. Sections missing from the previous snapshot (older schema) are
 skipped, so the gate tightens as the trajectory grows. Set
 SAQ_BENCH_ALLOW_REGRESSION=1 to record a known slowdown instead of
 failing (e.g. a deliberate trade-off, or a noisy shared runner).
@@ -57,6 +59,24 @@ def main() -> int:
                 f"kernel {k['name']}: speedup {p['speedup']:.2f}x -> {k['speedup']:.2f}x"
             )
 
+    # Entry-evaluation counts are exact for a seed on any machine, so a
+    # row of the same size must not differ at all from the checked-in
+    # one; and the adaptive pass must never cost more than the static.
+    prev_planner = {(p["sequences"], p["shards"]): p for p in prev.get("planner", [])}
+    for r in now.get("planner", []):
+        size = f"n={r['sequences']}, shards={r['shards']}"
+        if r["adaptive_entry_evals"] > r["static_entry_evals"]:
+            failures.append(
+                f"planner ({size}): adaptive {r['adaptive_entry_evals']} evals"
+                f" > static {r['static_entry_evals']}"
+            )
+        p = prev_planner.get((r["sequences"], r["shards"]))
+        if p is None:
+            continue
+        for metric in ("static_entry_evals", "adaptive_entry_evals"):
+            if r[metric] != p[metric]:
+                failures.append(f"planner ({size}): {metric} {p[metric]} -> {r[metric]}")
+
     prev_streaming = {s["name"]: s for s in prev.get("streaming", [])}
     for s in now.get("streaming", []):
         p = prev_streaming.get(s["name"])
@@ -69,7 +89,10 @@ def main() -> int:
                 )
 
     if failures:
-        print(f"bench-trend failures (>{TOLERANCE:.0%} vs {prev_path}, or a kernel below 1.0x):")
+        print(
+            f"bench-trend failures (>{TOLERANCE:.0%} vs {prev_path}, a kernel below 1.0x,"
+            " or a changed planner count):"
+        )
         for f in failures:
             print(f"  {f}")
         if os.environ.get("SAQ_BENCH_ALLOW_REGRESSION") == "1":

@@ -11,7 +11,7 @@
 //! the file name and stamp for reproducible output.
 
 use saq_bench::kernels::measure_kernels;
-use saq_bench::planner::measure_adaptive;
+use saq_bench::planner::bench_row;
 use saq_bench::recovery::{bench_date, measure_recovery};
 use saq_bench::streaming::measure_streaming;
 use saq_bench::{env_usize, fnum};
@@ -63,8 +63,9 @@ fn main() {
     }
 
     // Mid-batch re-planning: adaptive vs static full-sequence
-    // evaluation counts on the misranked ward.
-    let planner = measure_adaptive(env_usize("SAQ_EXP_SEQUENCES", 600).max(40), 16);
+    // evaluation counts on the misranked ward, at a fixed size whatever
+    // the CI caps say, so the trend gate can compare them exactly.
+    let planner = bench_row();
     println!(
         "planner: static {} evals, adaptive {} evals ({:.2}x win)",
         planner.static_entry_evals, planner.adaptive_entry_evals, planner.speedup

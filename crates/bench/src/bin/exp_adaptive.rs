@@ -13,8 +13,9 @@
 //! The sharded pass plans without histograms, so the static order runs
 //! the unselective steepness leaf first over every candidate. Over
 //! many shards, the first ~1/8 of them double as an observation wave:
-//! per-leaf match counts feed `PlanStats::refine`, and the remaining
-//! shards run the corrected order — the selective peak-count leaf
+//! per-slot match counts re-order the slots by the planner's own rule
+//! (`saq_core::algebra::conjunct_order`), and the remaining shards run
+//! the corrected order — the selective peak-count leaf
 //! first, the steepness leaf only over its survivors. The static
 //! reference is the same engine over one shard, where no observation
 //! wave exists; both runs keep conjunctive guard-skipping, so

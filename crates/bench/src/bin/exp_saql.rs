@@ -34,7 +34,7 @@ fn main() {
     let n_sequences = env_usize("SAQ_EXP_SEQUENCES", 120);
 
     let store = ward(n_sequences);
-    let planner = Planner::with_stats(IndexCaps::all(), PlanStats::from_store(&store));
+    let planner = Planner::with_stats(IndexCaps::all(), PlanStats::from_snapshot(&store));
     let engine = StoreEngine::new(&store);
 
     let mut rng = StdRng::seed_from_u64(0x5aa1_1996);

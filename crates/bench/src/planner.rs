@@ -100,6 +100,13 @@ pub fn measure_adaptive(sequences: usize, shards: usize) -> PlannerReport {
     }
 }
 
+/// The `planner` row of `BENCH_<date>.json`, at a fixed 600 sequences ×
+/// 16 shards: two in-memory count runs, cheap enough that no CI cap
+/// applies, so the row always compares against the checked-in one.
+pub fn bench_row() -> PlannerReport {
+    measure_adaptive(600, 16)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,5 +119,9 @@ mod tests {
             report.adaptive_entry_evals < report.static_entry_evals,
             "observation must cut evaluations: {report:?}"
         );
+        // The checked-in `planner` row: counts, exact for a seed on any
+        // machine (`ci/bench_trend.py` gates them).
+        let row = bench_row();
+        assert_eq!((row.static_entry_evals, row.adaptive_entry_evals), (1196, 701), "{row:?}");
     }
 }

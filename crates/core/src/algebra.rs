@@ -17,6 +17,9 @@
 //!   leaves with cardinality estimates and orders conjunctions by them —
 //!   most selective first within each access-path cost class — and serves
 //!   `Or`s of index-grade operands as index unions.
+//! * [`conjunct_order`] — that ordering rule, the only one: the planner
+//!   applies it to `And` children, the sharded engine to its wave slots
+//!   (before the wave from estimates, mid-wave from observed counts).
 //! * [`execute_plan`] — the one executor shared by every engine; data
 //!   access is abstracted behind [`LeafSource`], so the sequential store
 //!   engine, the sequential archive engine, and the sharded batch engine
@@ -655,6 +658,17 @@ pub enum AccessPath {
 }
 
 impl AccessPath {
+    /// Evaluation cost class of a leaf on this path inside a conjunction
+    /// (the first key of [`conjunct_order`]): id arithmetic, then index
+    /// lookups, then entry scans.
+    pub fn cost_class(self) -> usize {
+        match self {
+            AccessPath::IdFilter => 0,
+            AccessPath::PatternIndex | AccessPath::IntervalIndex => 1,
+            AccessPath::Scan => 2,
+        }
+    }
+
     fn label(self) -> &'static str {
         match self {
             AccessPath::PatternIndex => "pattern-index",
@@ -678,125 +692,47 @@ pub struct PlanStats {
     pub id_span: Option<(u64, u64)>,
     /// Index statistics, when the backend maintains indexes.
     pub index: Option<saq_index::IndexStats>,
-    /// Cardinalities observed by past executions, keyed by predicate
-    /// shape ([`pred_shape_key`]). [`PlanStats::estimate_leaf`] consults
-    /// this first, so a refined planner orders conjunctions by what
-    /// execution actually saw instead of the static index estimates.
-    pub observed: std::collections::BTreeMap<String, u64>,
-}
-
-/// The adaptive planner's key for one predicate: two leaves share a key
-/// exactly when they test the same thing, so an observed cardinality
-/// recorded for one applies to the other. Float parameters key by their
-/// bit pattern; value-band centers by their sample count and endpoint
-/// bits (cheap, and distinct centers of equal length are rare enough
-/// that a collision only costs a misordered conjunction, never a wrong
-/// result).
-pub fn pred_shape_key(pred: &Pred) -> String {
-    match pred {
-        Pred::Feature(QuerySpec::Shape { pattern }) => format!("shape:{pattern}"),
-        Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
-            format!("peaks:{count}:{tolerance}")
-        }
-        Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
-            format!("interval:{interval}:{epsilon}")
-        }
-        Pred::Feature(QuerySpec::MinPeakSteepness { steepness, slack }) => {
-            format!("steep-all:{:016x}:{:016x}", steepness.to_bits(), slack.to_bits())
-        }
-        Pred::Feature(QuerySpec::HasSteepPeak { steepness, slack }) => {
-            format!("steep-any:{:016x}:{:016x}", steepness.to_bits(), slack.to_bits())
-        }
-        Pred::ValueBand { query, delta, slack } => {
-            let points = query.points();
-            let (first, last) = match (points.first(), points.last()) {
-                (Some(a), Some(b)) => (a.v.to_bits(), b.v.to_bits()),
-                _ => (0, 0),
-            };
-            format!(
-                "band:{}:{:016x}:{:016x}:{first:016x}:{last:016x}",
-                points.len(),
-                delta.to_bits(),
-                slack.to_bits()
-            )
-        }
-        Pred::IdRange { lo, hi } => format!("id:{lo}:{hi}"),
-    }
 }
 
 impl PlanStats {
-    /// Snapshots a [`SequenceStore`]'s statistics.
-    pub fn from_store(store: &SequenceStore) -> PlanStats {
-        let ids = store.ids();
-        PlanStats {
-            universe: ids.len() as u64,
-            id_span: ids.first().copied().zip(ids.last().copied()),
-            index: Some(store.index_stats()),
-            observed: Default::default(),
-        }
-    }
-
-    /// Statistics of a pinned [`StoreSnapshot`] — byte-identical for the
-    /// lifetime of the snapshot no matter what the live store does.
+    /// Statistics of a [`StoreSnapshot`] — of the live state when called
+    /// on a [`SequenceStore`] (which dereferences to its snapshot), and
+    /// byte-identical for the lifetime of a pinned one no matter what the
+    /// live store does.
     pub fn from_snapshot(snap: &StoreSnapshot) -> PlanStats {
         let ids = snap.ids();
         PlanStats {
             universe: ids.len() as u64,
             id_span: ids.first().copied().zip(ids.last().copied()),
             index: Some(snap.index_stats()),
-            observed: Default::default(),
         }
     }
 
-    /// Records one observed cardinality for a predicate shape. Future
-    /// [`PlanStats::estimate_leaf`] calls for an identically shaped
-    /// predicate return it instead of the static index estimate.
-    pub fn observe(&mut self, pred: &Pred, count: u64) {
-        self.observed.insert(pred_shape_key(pred), count);
-    }
-
-    /// Folds one execution's per-leaf observed cardinalities
-    /// ([`ExecStats::observed`]) back into these statistics, keyed by
-    /// predicate shape, overwriting the static estimates. Re-planning
-    /// with the refined statistics is ordering-only: estimates steer
-    /// conjunction evaluation order, never results. Returns how many
-    /// leaves contributed an observation.
-    pub fn refine(&mut self, stats: &ExecStats, plan: &PhysicalPlan) -> usize {
-        let mut refined = 0;
-        for leaf in plan.leaves() {
-            let PlanNode::Leaf { ix, pred, .. } = leaf else { continue };
-            if let Some(count) = stats.observed_for(*ix) {
-                self.observe(pred.pred(), count);
-                refined += 1;
+    /// The index statistics' **upper bound** on the number of sequences
+    /// matching a shape, peak-interval or peak-count leaf; `None` for any
+    /// other predicate or without index statistics. These three are the
+    /// only *sound* estimates — the standing-query pump
+    /// ([`crate::subscribe`]) skips a subscription on a zero here — so
+    /// they are spelled once, for it and for [`PlanStats::estimate_leaf`].
+    pub(crate) fn index_upper_bound(&self, pred: &PreparedPred) -> Option<u64> {
+        let index = self.index.as_ref()?;
+        match pred.pred() {
+            Pred::Feature(QuerySpec::Shape { .. }) => {
+                Some(index.pattern.estimate_full_matches(pred.regex()?.ast()))
             }
+            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
+                Some(index.interval.estimate_matches(*interval, *epsilon))
+            }
+            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
+                Some(index.estimate_peak_count(*count, *tolerance))
+            }
+            _ => None,
         }
-        refined
-    }
-
-    /// Whether any evaluated leaf's observed cardinality diverges from
-    /// its estimate by more than `factor` (both sides smoothed by +1, so
-    /// a zero estimate against a handful of observed matches counts as
-    /// divergence and vice versa). Leaves without estimates diverge when
-    /// their observation differs from the pessimistic assumption (the
-    /// whole universe) by the factor — an unestimated leaf that turns
-    /// out highly selective is exactly the signal worth re-planning on.
-    pub fn diverged(&self, stats: &ExecStats, plan: &PhysicalPlan, factor: f64) -> bool {
-        plan.leaves().iter().any(|leaf| {
-            let PlanNode::Leaf { ix, est, .. } = leaf else { return false };
-            let Some(observed) = stats.observed_for(*ix) else { return false };
-            let expected = est.unwrap_or(self.universe);
-            let (hi, lo) = (expected.max(observed) + 1, expected.min(observed) + 1);
-            hi as f64 > factor * lo as f64
-        })
     }
 
     /// Estimated number of matching sequences for one leaf, `None` when no
-    /// statistic covers the predicate (steepness and value-band leaves
-    /// without a recorded observation).
+    /// statistic covers the predicate (steepness and value-band leaves).
     pub fn estimate_leaf(&self, pred: &PreparedPred) -> Option<u64> {
-        if let Some(&observed) = self.observed.get(&pred_shape_key(pred.pred())) {
-            return Some(observed);
-        }
         match pred.pred() {
             Pred::IdRange { lo, hi } => {
                 let (slo, shi) = self.id_span?;
@@ -809,17 +745,7 @@ impl PlanStats {
                 let overlap = (ohi - olo) as u128 + 1;
                 Some(((self.universe as u128 * overlap / span) as u64).min(self.universe))
             }
-            Pred::Feature(QuerySpec::Shape { .. }) => {
-                let stats = self.index.as_ref()?;
-                Some(stats.pattern.estimate_full_matches(pred.regex()?.ast()))
-            }
-            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
-                Some(self.index.as_ref()?.interval.estimate_matches(*interval, *epsilon))
-            }
-            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
-                Some(self.index.as_ref()?.estimate_peak_count(*count, *tolerance))
-            }
-            _ => None,
+            _ => self.index_upper_bound(pred),
         }
     }
 }
@@ -1032,7 +958,7 @@ impl Planner {
     /// let mut store = SequenceStore::default();
     /// store.insert(&goalpost(GoalpostSpec::default())).unwrap();
     ///
-    /// let planner = Planner::with_stats(IndexCaps::all(), PlanStats::from_store(&store));
+    /// let planner = Planner::with_stats(IndexCaps::all(), PlanStats::from_snapshot(&store));
     /// let expr = QueryExpr::peak_count(2, 0).and(QueryExpr::min_steepness(0.1, 0.0));
     /// let explain = planner.plan(&expr).unwrap().explain();
     /// // The peak-count leaf carries its histogram estimate (one goalpost).
@@ -1040,16 +966,6 @@ impl Planner {
     /// ```
     pub fn with_stats(caps: IndexCaps, stats: PlanStats) -> Planner {
         Planner { caps, stats: Some(stats) }
-    }
-
-    /// The capabilities this planner plans for.
-    pub fn caps(&self) -> IndexCaps {
-        self.caps
-    }
-
-    /// The statistics snapshot, if one was provided.
-    pub fn stats(&self) -> Option<&PlanStats> {
-        self.stats.as_ref()
     }
 
     /// Rewrites an expression into normal form: nested `And`/`Or` nodes
@@ -1123,14 +1039,9 @@ impl Planner {
                 let planned: Vec<PlanNode> =
                     children.iter().map(|c| self.plan_node(c, next_ix)).collect::<Result<_>>()?;
                 let universe = self.stats.as_ref().map(|s| s.universe);
-                let mut exec_order: Vec<usize> = (0..planned.len()).collect();
-                // Cheap access paths first; within a class, the smallest
-                // estimated result first (unknown estimates last), so every
-                // later operand sees the tightest candidates we can prove.
-                exec_order.sort_by_key(|&i| {
-                    let node = &planned[i];
-                    (cost_class(node), estimate_node(node, universe).unwrap_or(u64::MAX))
-                });
+                let exec_order = conjunct_order(
+                    planned.iter().map(|node| (cost_class(node), estimate_node(node, universe))),
+                );
                 Ok(PlanNode::And { children: planned, exec_order })
             }
             QueryExpr::Or(children) => {
@@ -1163,6 +1074,21 @@ impl Planner {
     }
 }
 
+/// The conjunct-ordering rule, for the planner's `And` nodes and for the
+/// sharded engine's wave slots alike: given each conjunct's
+/// `(cost class, estimated cardinality)` in declaration order, returns
+/// the indices in evaluation order — cheap access paths first; within a
+/// class, the smallest estimated result first (unknown estimates last),
+/// so every later conjunct sees the tightest candidates we can prove;
+/// ties keep declaration order.
+pub fn conjunct_order(conjuncts: impl IntoIterator<Item = (usize, Option<u64>)>) -> Vec<usize> {
+    let keys: Vec<(usize, u64)> =
+        conjuncts.into_iter().map(|(class, est)| (class, est.unwrap_or(u64::MAX))).collect();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    order
+}
+
 /// Evaluation cost class inside a conjunction: cheap access paths first so
 /// the expensive ones see narrowed candidates. An `Or` whose operands are
 /// all index-grade is itself index-grade — the *index-union* path: the
@@ -1171,10 +1097,8 @@ impl Planner {
 /// being evaluated over a wide candidate set).
 fn cost_class(node: &PlanNode) -> usize {
     match node {
-        PlanNode::Leaf { path: AccessPath::IdFilter, .. } => 0,
-        PlanNode::Leaf { path: AccessPath::PatternIndex | AccessPath::IntervalIndex, .. } => 1,
+        PlanNode::Leaf { path, .. } => path.cost_class(),
         PlanNode::Or(children) if children.iter().all(|c| cost_class(c) <= 1) => 1,
-        PlanNode::Leaf { path: AccessPath::Scan, .. } => 2,
         PlanNode::And { .. } | PlanNode::Or(_) => 3,
         PlanNode::Not(_) => 4,
         PlanNode::Limit(..) | PlanNode::TopK(..) => 5,
@@ -1265,8 +1189,8 @@ pub struct ExecStats {
     /// Per-leaf observed cardinalities, indexed by leaf `ix`: how many
     /// ids the leaf's [`MatchSet`] held (restricted to the candidates it
     /// was evaluated over). `None` for leaves a short-circuited
-    /// conjunction never evaluated. Feeds [`PlanStats::refine`] and the
-    /// `~N (observed M)` explain annotation.
+    /// conjunction never evaluated. Feeds the `~N (observed M)` explain
+    /// annotation.
     pub observed: Vec<Option<u64>>,
 }
 
@@ -1481,7 +1405,7 @@ impl<'a> StoreEngine<'a> {
     }
 
     /// Executes a previously built plan (over a snapshot taken now) —
-    /// e.g. one from a [`Planner`] with fewer capabilities or refined
+    /// e.g. one from a [`Planner`] with fewer capabilities or no
     /// statistics, to measure against the engine's own choice.
     pub fn run_plan(&self, plan: &PhysicalPlan) -> Result<(QueryOutcome, ExecStats)> {
         let snap = self.store.snapshot();
@@ -1663,62 +1587,22 @@ mod tests {
     const GOALPOST: &str = "0* 1+ (-1)+ 0* 1+ (-1)+ 0*";
 
     #[test]
-    fn refine_keys_observations_by_predicate_shape() {
-        let (store, _) = corpus();
-        let engine = StoreEngine::new(&store);
-        // Observe each predicate on its own so the counts are over the
-        // whole universe (inside a conjunction, later leaves see only
-        // the survivors of earlier ones).
-        let wide_plan = engine.plan(&QueryExpr::peak_count(2, 2)).unwrap();
-        let (_, wide_exec) = engine.run_plan(&wide_plan).unwrap();
-        let two_plan = engine.plan(&QueryExpr::peak_count(2, 0)).unwrap();
-        let (_, two_exec) = engine.run_plan(&two_plan).unwrap();
-
-        let mut stats = PlanStats::from_store(&store);
-        assert_eq!(stats.refine(&wide_exec, &wide_plan), 1, "one observed leaf per plan");
-        assert_eq!(stats.refine(&two_exec, &two_plan), 1, "one observed leaf per plan");
-
-        // Observations key by shape: the exact predicates re-surface
-        // their counts, a different tolerance is a different key.
-        let wide = Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 2 });
-        let two = Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 });
-        let near_two = Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 });
-        assert_eq!(stats.observed.get(&pred_shape_key(&wide)), Some(&4));
-        assert_eq!(stats.observed.get(&pred_shape_key(&two)), Some(&2));
-        assert_eq!(stats.observed.get(&pred_shape_key(&near_two)), None);
-
-        // Re-planning with the refined statistics is ordering-only and
-        // runs the observed-selective leaf first — despite pessimal
-        // declaration order and no index to consult.
-        let expr = QueryExpr::peak_count(2, 2).and(QueryExpr::peak_count(2, 0));
-        let replanned = Planner::with_stats(IndexCaps::none(), stats).plan(&expr).unwrap();
-        match replanned.root() {
-            PlanNode::And { exec_order, .. } => {
-                assert_eq!(exec_order, &vec![1, 0], "exact count (2 observed) before wide (4)");
-            }
-            other => panic!("expected And root, got {other:?}"),
-        }
-        let (base, _) = engine.run_plan(&engine.plan(&expr).unwrap()).unwrap();
-        let (reordered, _) = engine.run_plan(&replanned).unwrap();
-        assert_eq!(base, reordered, "refined ordering must not change results");
-    }
-
-    #[test]
-    fn divergence_compares_observations_against_estimates() {
-        let (store, _) = corpus();
-        let stats = PlanStats::from_store(&store);
-        // A scan leaf carries no estimate, so the pessimistic assumption
-        // is the whole universe (4).
-        let plan =
-            Planner::new(IndexCaps::none()).plan(&QueryExpr::min_steepness(0.0, 0.5)).unwrap();
-        let mut exec = ExecStats::default();
-        exec.record_observed(0, 0);
-        assert!(stats.diverged(&exec, &plan, 2.0), "0 observed vs universe 4 diverges at 2x");
-        let mut exec = ExecStats::default();
-        exec.record_observed(0, 3);
-        assert!(!stats.diverged(&exec, &plan, 2.0), "3 observed vs universe 4 is within 2x");
-        // A leaf that was never evaluated (short-circuited) is no signal.
-        assert!(!stats.diverged(&ExecStats::default(), &plan, 2.0));
+    fn conjunct_order_sorts_by_class_then_estimate_and_keeps_ties() {
+        let (id, index, scan) = (
+            AccessPath::IdFilter.cost_class(),
+            AccessPath::PatternIndex.cost_class(),
+            AccessPath::Scan.cost_class(),
+        );
+        assert_eq!(index, AccessPath::IntervalIndex.cost_class());
+        // Class before estimate: a scan estimated at 0 still runs after an
+        // index leaf estimated at 900 and an id filter with no estimate.
+        assert_eq!(conjunct_order([(scan, Some(0)), (index, Some(900)), (id, None)]), [2, 1, 0]);
+        // Within a class the smallest estimate first, unknown ones last.
+        assert_eq!(conjunct_order([(scan, None), (scan, Some(7)), (scan, Some(3))]), [2, 1, 0]);
+        // Ties — equal estimates, or none at all — keep declaration order.
+        assert_eq!(conjunct_order([(scan, Some(5)), (scan, Some(5)), (id, Some(5))]), [2, 0, 1]);
+        assert_eq!(conjunct_order([(scan, None), (scan, None), (scan, None)]), [0, 1, 2]);
+        assert!(conjunct_order([]).is_empty());
     }
 
     #[test]
@@ -1844,7 +1728,7 @@ mod tests {
     #[test]
     fn leaf_estimates_cover_every_statistic() {
         let (store, ids) = corpus();
-        let stats = PlanStats::from_store(&store);
+        let stats = PlanStats::from_snapshot(&store);
         let est = |expr: &QueryExpr| {
             let QueryExpr::Leaf(pred) = expr else { panic!("leaf expected") };
             stats.estimate_leaf(&PreparedPred::new(pred).unwrap())
@@ -1864,7 +1748,7 @@ mod tests {
         // No statistic covers steepness or value bands.
         assert_eq!(est(&QueryExpr::min_steepness(1.0, 0.0)), None);
         // An empty store estimates nothing (no id span).
-        let empty = PlanStats::from_store(&SequenceStore::default());
+        let empty = PlanStats::from_snapshot(&SequenceStore::default());
         assert_eq!(empty.universe, 0);
         assert_eq!(
             empty.estimate_leaf(&PreparedPred::new(&Pred::IdRange { lo: 0, hi: 9 }).unwrap()),

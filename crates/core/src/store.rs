@@ -5,6 +5,10 @@
 //! index (§4.4) and the inverted-file index over inter-peak intervals
 //! (§5.2, Fig. 10). Raw sequences may optionally be retained ("we don't
 //! propose discarding the actual sequences; they can be stored archivally").
+//!
+//! [`SequenceStore`] is the writer; [`StoreSnapshot`] is the read surface
+//! — both the pinned view readers query and the form the store keeps its
+//! own state in (it dereferences to it), so each accessor exists once.
 
 use crate::alphabet::{series_symbols, DEFAULT_THETA};
 use crate::brk::{Breaker, LinearInterpolationBreaker, OnlineBreaker};
@@ -45,7 +49,7 @@ pub enum BreakerKind {
 impl BreakerKind {
     /// A stable integer tag for persistence stamps (durable index
     /// documents record which breaker derived them, next to the ε/θ bit
-    /// patterns). Never reorder: 0 is on disk in every pre-tag manifest.
+    /// patterns). Never reorder: the tags are on disk in every manifest.
     pub fn tag(self) -> u64 {
         match self {
             BreakerKind::Offline => 0,
@@ -145,24 +149,31 @@ pub(crate) fn derive_features(series: &LinearSeries, theta: f64) -> (Vec<u8>, Pe
 /// the set's incremental insert/remove, so the indexes can never drift
 /// from the entry map.
 ///
+/// The store keeps its state *as* the [`StoreSnapshot`] it hands out and
+/// dereferences to it, so every read accessor (`get`, `ids`, `len`,
+/// `index_stats`, `pattern_index`, …) is defined once, on the snapshot.
 /// Both the entry map and the index set are clone-on-write, and every
-/// mutation advances a generation counter, so [`SequenceStore::snapshot`]
-/// is cheap (a few `Arc` clones) and hands out a [`StoreSnapshot`] —
-/// an immutable view pinned to `(instance, generation)` that later
-/// writes can never tear.
+/// mutation advances the generation, so [`SequenceStore::snapshot`] is
+/// cheap (a few `Arc` clones) and the view it returns is pinned to
+/// `(instance, generation)` — later writes can never tear it.
 #[derive(Debug)]
 pub struct SequenceStore {
-    config: StoreConfig,
     next_id: u64,
-    instance: u64,
-    generation: u64,
-    entries: ShardedCowMap<StoredEntry>,
-    indexes: IndexSet,
+    state: StoreSnapshot,
 }
 
 impl Default for SequenceStore {
     fn default() -> Self {
         SequenceStore::new(StoreConfig::default()).expect("default config is valid")
+    }
+}
+
+impl std::ops::Deref for SequenceStore {
+    type Target = StoreSnapshot;
+
+    /// The live state, read through the snapshot's accessors.
+    fn deref(&self) -> &StoreSnapshot {
+        &self.state
     }
 }
 
@@ -176,31 +187,15 @@ impl SequenceStore {
             return Err(Error::BadConfig("theta must be finite and >= 0".into()));
         }
         Ok(SequenceStore {
-            config,
             next_id: 1,
-            instance: NEXT_STORE_INSTANCE.fetch_add(1, Ordering::Relaxed),
-            generation: 0,
-            entries: ShardedCowMap::new(),
-            indexes: IndexSet::new(),
+            state: StoreSnapshot {
+                config,
+                instance: NEXT_STORE_INSTANCE.fetch_add(1, Ordering::Relaxed),
+                generation: 0,
+                entries: ShardedCowMap::new(),
+                indexes: IndexSet::new(),
+            },
         })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
-    /// A process-unique id for this store, so `(instance, generation)`
-    /// identifies a snapshot globally.
-    pub fn instance_id(&self) -> u64 {
-        self.instance
-    }
-
-    /// The mutation counter: bumped by every successful
-    /// [`SequenceStore::insert`] / [`SequenceStore::remove`] /
-    /// [`SequenceStore::reinsert`].
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// An immutable view of the store pinned to the current
@@ -208,19 +203,13 @@ impl SequenceStore {
     /// copying. Later mutations clone-on-write only what they touch; the
     /// snapshot keeps the superseded structures alive until dropped.
     pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            config: self.config,
-            instance: self.instance,
-            generation: self.generation,
-            entries: self.entries.clone(),
-            indexes: self.indexes.clone(),
-        }
+        self.state.clone()
     }
 
     /// Ingests a sequence: break → represent (regression lines) → quantize
     /// slopes → extract peaks → index. Returns the assigned id.
     pub fn insert(&mut self, seq: &Sequence) -> Result<u64> {
-        let entry = StoredEntry::compute(seq, &self.config)?;
+        let entry = StoredEntry::compute(seq, &self.state.config)?;
         let id = self.next_id;
         self.next_id += 1;
         self.install(id, entry);
@@ -230,9 +219,9 @@ impl SequenceStore {
     /// Removes a stored sequence, unindexing it everywhere; returns the
     /// evicted entry. Ids are never reused.
     pub fn remove(&mut self, id: u64) -> Result<StoredEntry> {
-        let entry = self.entries.remove(id).ok_or(Error::UnknownSequence { id })?;
-        self.indexes.remove_doc(id);
-        self.generation += 1;
+        let entry = self.state.entries.remove(id).ok_or(Error::UnknownSequence { id })?;
+        self.state.indexes.remove_doc(id);
+        self.state.generation += 1;
         // Snapshots may still share the entry; clone only in that case.
         Ok(Arc::try_unwrap(entry).unwrap_or_else(|shared| (*shared).clone()))
     }
@@ -253,8 +242,8 @@ impl SequenceStore {
         id: u64,
         points: &[saq_sequence::Point],
     ) -> Result<crate::streaming::SpliceReport> {
-        let entry = self.entries.get(id).ok_or(Error::UnknownSequence { id })?;
-        let (next, report) = crate::streaming::append_entry(entry, points, &self.config)?;
+        let (next, report) =
+            crate::streaming::append_entry(self.get(id)?, points, &self.state.config)?;
         self.install(id, next);
         Ok(report)
     }
@@ -270,8 +259,8 @@ impl SequenceStore {
         id: u64,
         extended: Sequence,
     ) -> Result<crate::streaming::SpliceReport> {
-        let entry = self.entries.get(id).ok_or(Error::UnknownSequence { id })?;
-        let (next, report) = crate::streaming::extend_entry(entry, extended, &self.config)?;
+        let (next, report) =
+            crate::streaming::extend_entry(self.get(id)?, extended, &self.state.config)?;
         self.install(id, next);
         Ok(report)
     }
@@ -281,10 +270,8 @@ impl SequenceStore {
     /// Fails (leaving the store untouched) on unknown ids — fresh data
     /// goes through [`SequenceStore::insert`].
     pub fn reinsert(&mut self, id: u64, seq: &Sequence) -> Result<()> {
-        if !self.entries.contains(id) {
-            return Err(Error::UnknownSequence { id });
-        }
-        let entry = StoredEntry::compute(seq, &self.config)?;
+        self.get(id)?;
+        let entry = StoredEntry::compute(seq, &self.state.config)?;
         self.install(id, entry);
         Ok(())
     }
@@ -295,7 +282,7 @@ impl SequenceStore {
     /// generation follow, so the indexes cannot drift from the entries.
     fn install(&mut self, id: u64, entry: StoredEntry) {
         let buckets = entry.peaks.interval_buckets();
-        self.indexes.insert_doc(
+        self.state.indexes.insert_doc(
             id,
             &IndexDoc {
                 symbols: &entry.symbols,
@@ -303,8 +290,64 @@ impl SequenceStore {
                 peak_count: entry.peaks.len(),
             },
         );
-        self.entries.insert(id, entry);
-        self.generation += 1;
+        self.state.entries.insert(id, entry);
+        self.state.generation += 1;
+    }
+
+    /// Aggregate compression across all stored representations.
+    pub fn total_compression(&self) -> crate::repr::CompressionReport {
+        let mut original = 0;
+        let mut segments = 0;
+        let mut parameters = 0;
+        for (_, e) in self.state.entries.iter() {
+            let r = e.series.compression();
+            original += r.original_points;
+            segments += r.segments;
+            parameters += r.parameters;
+        }
+        crate::repr::CompressionReport { original_points: original, segments, parameters }
+    }
+}
+
+/// An immutable view of a [`SequenceStore`] pinned to the
+/// `(instance, generation)` it was taken at — and the one definition of
+/// the store's read surface: the live store holds its state as a
+/// `StoreSnapshot` and dereferences to it. Entries, indexes, and
+/// statistics of a handed-out snapshot all read the pinned state, no
+/// matter what the live store does afterwards — this is what makes
+/// lock-free readers under live writers sound: a query evaluated against
+/// a snapshot can never observe a torn mutation.
+///
+/// Snapshots are cheap to take ([`SequenceStore::snapshot`]) and to clone
+/// (shared storage), and implement the full query surface: the algebra's
+/// `QueryEngine` is implemented directly on `StoreSnapshot`.
+#[derive(Debug, Clone)]
+pub struct StoreSnapshot {
+    config: StoreConfig,
+    instance: u64,
+    generation: u64,
+    entries: ShardedCowMap<StoredEntry>,
+    indexes: IndexSet,
+}
+
+impl StoreSnapshot {
+    /// The ingestion configuration.
+    pub fn config(&self) -> StoreConfig {
+        self.config
+    }
+
+    /// A process-unique id for the store, so `(instance, generation)`
+    /// identifies a snapshot globally.
+    pub fn instance_id(&self) -> u64 {
+        self.instance
+    }
+
+    /// The mutation counter this state is at: bumped by every successful
+    /// [`SequenceStore::insert`] / [`SequenceStore::remove`] /
+    /// [`SequenceStore::reinsert`] / append; fixed for a handed-out
+    /// snapshot.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of stored sequences.
@@ -312,7 +355,7 @@ impl SequenceStore {
         self.entries.len()
     }
 
-    /// Whether the store is empty.
+    /// Whether no sequence is stored.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -344,98 +387,8 @@ impl SequenceStore {
 
     /// Snapshots the per-index statistics (posting-list sizes, per-symbol
     /// prefix counts, interval and peak-count histograms) that drive the
-    /// planner's cardinality estimates.
-    pub fn index_stats(&self) -> IndexStats {
-        self.indexes.stats()
-    }
-
-    /// Aggregate compression across all stored representations.
-    pub fn total_compression(&self) -> crate::repr::CompressionReport {
-        let mut original = 0;
-        let mut segments = 0;
-        let mut parameters = 0;
-        for (_, e) in self.entries.iter() {
-            let r = e.series.compression();
-            original += r.original_points;
-            segments += r.segments;
-            parameters += r.parameters;
-        }
-        crate::repr::CompressionReport { original_points: original, segments, parameters }
-    }
-}
-
-/// An immutable view of a [`SequenceStore`] pinned to the
-/// `(instance, generation)` it was taken at. Entries, indexes, and
-/// statistics all read the pinned state, no matter what the live store
-/// does afterwards — this is what makes lock-free readers under live
-/// writers sound: a query evaluated against a snapshot can never observe
-/// a torn mutation.
-///
-/// Snapshots are cheap to take ([`SequenceStore::snapshot`]) and to clone
-/// (shared storage), and implement the full query surface: the algebra's
-/// `QueryEngine` is implemented directly on `StoreSnapshot`.
-#[derive(Debug, Clone)]
-pub struct StoreSnapshot {
-    config: StoreConfig,
-    instance: u64,
-    generation: u64,
-    entries: ShardedCowMap<StoredEntry>,
-    indexes: IndexSet,
-}
-
-impl StoreSnapshot {
-    /// The configuration of the store this snapshot came from.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
-    /// The instance id of the originating store.
-    pub fn instance_id(&self) -> u64 {
-        self.instance
-    }
-
-    /// The generation this snapshot is pinned to.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of sequences visible at the pinned generation.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot holds no sequences.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The stored entry for an id at the pinned generation.
-    pub fn get(&self, id: u64) -> Result<&StoredEntry> {
-        self.entries.get(id).ok_or(Error::UnknownSequence { id })
-    }
-
-    /// All ids visible at the pinned generation, ascending.
-    pub fn ids(&self) -> Vec<u64> {
-        self.entries.sorted_ids()
-    }
-
-    /// The slope-pattern index at the pinned generation.
-    pub fn pattern_index(&self) -> &saq_index::PatternIndex {
-        self.indexes.pattern()
-    }
-
-    /// The inverted-file interval index at the pinned generation.
-    pub fn interval_index(&self) -> &saq_index::InvertedIndex {
-        self.indexes.interval()
-    }
-
-    /// The unified index layer at the pinned generation.
-    pub fn index_set(&self) -> &IndexSet {
-        &self.indexes
-    }
-
-    /// Per-index statistics at the pinned generation (byte-identical no
-    /// matter how far the live store has moved on).
+    /// planner's cardinality estimates. On a handed-out snapshot they are
+    /// byte-identical no matter how far the live store has moved on.
     pub fn index_stats(&self) -> IndexStats {
         self.indexes.stats()
     }

@@ -32,10 +32,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::algebra::{
-    IndexCaps, PhysicalPlan, PlanNode, PlanStats, Planner, Pred, QueryEngine, QueryExpr,
+    IndexCaps, PhysicalPlan, PlanNode, PlanStats, Planner, QueryEngine, QueryExpr,
 };
 use crate::error::Result;
-use crate::query::{QueryOutcome, QuerySpec};
+use crate::query::QueryOutcome;
 
 /// Opaque handle for one registered subscription. Ids are never reused
 /// within a registry's lifetime, so a stale handle can't alias a newer
@@ -292,26 +292,13 @@ fn diff_sorted(prev: &[u64], next: &[u64]) -> Delta {
 }
 
 /// A sound upper bound on the plan's result-set size, or `None` when the
-/// statistics can't bound it. Only the three estimate kinds documented
-/// as upper bounds participate (shape, peak-interval, peak-count, read
-/// straight from the index statistics — observed-cardinality overrides
-/// are deliberately bypassed: they describe a *past* generation, and an
-/// unsound zero here would silently drop real matches).
+/// statistics can't bound it. Only the three leaf kinds whose estimates
+/// are upper bounds participate ([`PlanStats::index_upper_bound`]: shape,
+/// peak-interval, peak-count) — an unsound zero here would silently drop
+/// real matches.
 fn plan_upper_bound(node: &PlanNode, stats: &PlanStats) -> Option<u64> {
-    let index = stats.index.as_ref();
     match node {
-        PlanNode::Leaf { pred, .. } => match pred.pred() {
-            Pred::Feature(QuerySpec::Shape { .. }) => {
-                Some(index?.pattern.estimate_full_matches(pred.regex()?.ast()))
-            }
-            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
-                Some(index?.interval.estimate_matches(*interval, *epsilon))
-            }
-            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
-                Some(index?.estimate_peak_count(*count, *tolerance))
-            }
-            _ => None,
-        },
+        PlanNode::Leaf { pred, .. } => stats.index_upper_bound(pred),
         PlanNode::And { children, .. } => {
             children.iter().filter_map(|c| plan_upper_bound(c, stats)).min()
         }
@@ -409,7 +396,7 @@ mod tests {
         reg.pump(&engine, None, None).unwrap();
         assert_eq!(reg.current(id), Some(&[][..]));
 
-        let stats = PlanStats::from_store(&store);
+        let stats = PlanStats::from_snapshot(&store);
         let deltas = reg.pump(&engine, Some(&[1, 2, 3]), Some(&stats)).unwrap();
         assert!(deltas.is_empty());
         assert_eq!(reg.counters().skipped_index, 1);

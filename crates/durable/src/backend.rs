@@ -161,13 +161,11 @@ impl Backend for MemoryBackend {
 /// `put` is atomic on POSIX filesystems: the value is written to a
 /// `.tmp` sibling, flushed, then renamed over the destination, so a
 /// crash leaves either the old manifest or the new one. `append` opens
-/// in append mode, the OS's atomic-append guarantee for the WAL.
+/// in append mode, the OS's atomic-append guarantee for the WAL. Every
+/// `put`, `append` and shrinking `truncate` ends in `File::sync_all`.
 #[derive(Clone)]
 pub struct FileBackend {
     root: PathBuf,
-    /// When true (the default), `sync` calls `File::sync_all` on every
-    /// file. Benchmarks turn it off to measure CPU, not the disk.
-    durable_sync: bool,
 }
 
 impl FileBackend {
@@ -175,13 +173,7 @@ impl FileBackend {
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(FileBackend { root, durable_sync: true })
-    }
-
-    /// Disables fsync; writes still go through the OS page cache.
-    pub fn without_sync(mut self) -> Self {
-        self.durable_sync = false;
-        self
+        Ok(FileBackend { root })
     }
 
     /// The directory this backend stores files under.
@@ -209,9 +201,7 @@ impl Backend for FileBackend {
         let tmp = self.root.join(format!("{key}.tmp"));
         let mut file = fs::File::create(&tmp)?;
         file.write_all(value)?;
-        if self.durable_sync {
-            file.sync_all()?;
-        }
+        file.sync_all()?;
         drop(file);
         fs::rename(&tmp, &path)?;
         Ok(())
@@ -221,9 +211,7 @@ impl Backend for FileBackend {
         let path = self.path(key)?;
         let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
         file.write_all(bytes)?;
-        if self.durable_sync {
-            file.sync_all()?;
-        }
+        file.sync_all()?;
         Ok(file.stream_position()?)
     }
 
@@ -255,9 +243,7 @@ impl Backend for FileBackend {
             Ok(file) => {
                 if file.metadata()?.len() > len {
                     file.set_len(len)?;
-                    if self.durable_sync {
-                        file.sync_all()?;
-                    }
+                    file.sync_all()?;
                 }
                 Ok(())
             }
@@ -339,7 +325,7 @@ mod tests {
     #[test]
     fn file_backend_contract() {
         let root = temp_root("contract");
-        exercise(&FileBackend::open(&root).unwrap().without_sync());
+        exercise(&FileBackend::open(&root).unwrap());
         fs::remove_dir_all(&root).unwrap();
     }
 

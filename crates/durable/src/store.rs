@@ -49,9 +49,6 @@ pub const MANIFEST_KEY: &str = "manifest";
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SAQM";
 const MANIFEST_VERSION: u32 = 2;
-// Version 1 manifests lacked the docs breaker tag; decode defaults it
-// to 0 (the offline breaker), which is what every v1 writer used.
-const MANIFEST_VERSION_V1: u32 = 1;
 
 /// The entry-segment key for base generation `g`.
 pub fn segment_key(g: u64) -> String {
@@ -141,7 +138,7 @@ impl Manifest {
             return Err(Error::corrupt("manifest: bad magic"));
         }
         let version = c.get_u32()?;
-        if version != MANIFEST_VERSION && version != MANIFEST_VERSION_V1 {
+        if version != MANIFEST_VERSION {
             return Err(Error::corrupt(format!("manifest: unsupported version {version}")));
         }
         let instance = c.get_u64()?;
@@ -151,7 +148,7 @@ impl Manifest {
             let r = get_segment_ref(&mut c)?;
             let eps = c.get_u64()?;
             let theta = c.get_u64()?;
-            let breaker = if version >= MANIFEST_VERSION { c.get_u64()? } else { 0 };
+            let breaker = c.get_u64()?;
             Some((r, eps, theta, breaker))
         } else {
             None
@@ -517,6 +514,31 @@ mod tests {
         let mut torn = m.encode();
         torn.truncate(torn.len() - 3);
         assert!(Manifest::decode(&torn).is_err());
+    }
+
+    #[test]
+    fn a_version_1_manifest_is_refused() {
+        // Hand-built: v1 carried no breaker tag after the docs stamp.
+        let mut body = Vec::new();
+        body.extend_from_slice(MANIFEST_MAGIC);
+        codec::put_u32(&mut body, 1);
+        codec::put_u64(&mut body, 7); // instance
+        codec::put_u64(&mut body, 19); // base generation
+        body.push(0); // no entry segment
+        body.push(1);
+        let docs = SegmentRef {
+            key: docs_key(19),
+            meta: SegmentMeta { root_offset: 0, root_len: 33, entry_count: 5 },
+        };
+        put_segment_ref(&mut body, &docs);
+        codec::put_u64(&mut body, 0.05f64.to_bits());
+        codec::put_u64(&mut body, 1.0f64.to_bits());
+        match Manifest::decode(&codec::frame(&body)) {
+            Err(Error::Corrupt { context }) => {
+                assert!(context.contains("unsupported version 1"), "{context}");
+            }
+            other => panic!("expected a corrupt-manifest error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`ArchiveStore`]. The paper's architecture answers queries from local
 //! compact representations; this crate covers the complementary heavy-
 //! traffic workload: waves of [`QueryRequest`]s — SAQL text or whole
-//! [`QueryExpr`] trees — pushed down to a large archive whose
-//! per-sequence representations are computed on demand.
+//! [`saq_core::algebra::QueryExpr`] trees — pushed down to a large archive
+//! whose per-sequence representations are computed on demand.
 //!
 //! The execution model (every wave runs against one [`ArchiveSnapshot`] —
 //! the one handed to [`QueryEngine::run_requests`] or bound via
@@ -14,8 +14,13 @@
 //! so concurrent writers never tear a wave):
 //!
 //! 1. **Plan** — an expression is normalized and planned by the shared
-//!    [`saq_core::algebra::Planner`]; conjunctive id-range leaves prune
-//!    the candidate universe before any shard is formed.
+//!    [`saq_core::algebra::Planner`], once per request; conjunctive
+//!    id-range leaves prune the candidate universe before any shard is
+//!    formed. The wave's distinct leaf predicates (its *slots*) are
+//!    walked per id in the order the planner's own rule,
+//!    [`saq_core::algebra::conjunct_order`], gives them — and given again,
+//!    from per-slot observed counts, after an observation wave over the
+//!    first shards when the order can matter.
 //! 2. **Shard** — candidate ids (sorted) are split into contiguous,
 //!    near-equal shards ([`shard::plan`]).
 //! 3. **Execute** — a fixed pool of worker threads claims shards from a
@@ -82,8 +87,8 @@ use parking_lot::Mutex;
 use report::RunReport;
 use saq_archive::{ArchiveSnapshot, ArchiveStore};
 use saq_core::algebra::{
-    execute_plan, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet, MatchTier, PhysicalPlan,
-    PlanNode, PlanStats, Planner, PreparedPred, QueryExpr,
+    conjunct_order, execute_plan, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet,
+    MatchTier, PhysicalPlan, PlanNode, PlanStats, Planner, PreparedPred,
 };
 use saq_core::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use saq_core::store::{StoreConfig, StoredEntry};
@@ -402,13 +407,14 @@ impl QueryEngine {
     /// (index-path leaves, answered from index documents, contribute none,
     /// and evaluations skipped under a conjunctive guard are not counted).
     ///
-    /// When the wave's scan order can matter (`adapt.replan` is set), the
+    /// When the wave's scan order can matter (`adapt.reorderable`), the
     /// shards run as two barrier-separated waves: an **observation wave**
-    /// over a fraction of the shards, whose per-slot selectivities are
-    /// folded back into the planner statistics
-    /// ([`PlanStats::refine`]) to re-derive the scan order the
-    /// remaining shards run under. Ordering-only: which ids each slot
-    /// matches is unchanged, so outcomes are byte-identical.
+    /// over a fraction of the shards, whose per-slot hit rates —
+    /// extrapolated to the whole universe, and only when they diverge from
+    /// the estimates ([`diverges`]) — re-derive, by the planner's own
+    /// [`conjunct_order`], the scan order the remaining shards run under.
+    /// Ordering-only: which ids each slot matches is unchanged, so
+    /// outcomes are byte-identical.
     fn eval_leaves(
         &self,
         snapshot: &ArchiveSnapshot,
@@ -433,11 +439,12 @@ impl QueryEngine {
         // Observation wave size: enough shards to see real selectivities,
         // small enough that most of the batch still benefits from the
         // refined order.
-        let observe = match &adapt.replan {
-            Some(_) if shards.len() >= 2 => (shards.len() / 8).max(1),
-            _ => shards.len(),
+        let observe = if adapt.reorderable && shards.len() >= 2 {
+            (shards.len() / 8).max(1)
+        } else {
+            shards.len()
         };
-        let mut order = adapt.order.clone();
+        let mut order = slot_order(slots, adapt.estimates.iter().copied());
         let policy = ScanPolicy { order: &order, guards: &adapt.guards };
         let first = self.eval_wave(
             snapshot,
@@ -450,17 +457,25 @@ impl QueryEngine {
             &leaf_evals,
         )?;
         let rest = if observe < shards.len() {
-            if let Some(replan) = &adapt.replan {
-                let matched: Vec<u64> = (0..slots.len())
-                    .map(|slot| first.iter().map(|p| p[slot].len() as u64).sum())
-                    .collect();
-                let evaluated: Vec<u64> =
-                    leaf_evals.iter().map(|n| n.load(Ordering::Relaxed)).collect();
-                if let Some(refined) =
-                    replan.refined_order(ids.len() as u64, &matched, &evaluated, slots)
-                {
-                    order = refined;
-                }
+            // Each evaluated slot's hit rate, extrapolated to the whole
+            // universe (only scan slots count evaluations).
+            let universe = ids.len() as u64;
+            let observed: Vec<Option<u64>> = leaf_evals
+                .iter()
+                .enumerate()
+                .map(|(slot, evaluated)| {
+                    let evaluated = evaluated.load(Ordering::Relaxed);
+                    (evaluated > 0).then(|| {
+                        let matched: u64 = first.iter().map(|p| p[slot].len() as u64).sum();
+                        let rate = matched as f64 / evaluated as f64;
+                        (rate * universe as f64).round() as u64
+                    })
+                })
+                .collect();
+            if diverges(universe, &observed) {
+                let refined =
+                    observed.iter().zip(&adapt.estimates).map(|(seen, est)| seen.or(*est));
+                order = slot_order(slots, refined);
             }
             let policy = ScanPolicy { order: &order, guards: &adapt.guards };
             self.eval_wave(
@@ -717,70 +732,47 @@ struct ScanPolicy<'a> {
 /// The wave-level adaptive-execution context `run_requests` derives from
 /// the prepped plans before any shard runs.
 struct WaveAdaptivity {
-    /// Slot indices in initial evaluation order: id filters first, then
-    /// scans by estimated cardinality (the slot conjunction's
-    /// `exec_order`).
-    order: Vec<usize>,
+    /// Per slot: the cardinality estimate the initial scan order runs
+    /// under ([`slot_order`]). The sharded pass keeps no index statistics,
+    /// so only id-filter slots carry one — their share of the id span.
+    estimates: Vec<Option<u64>>,
     /// Per slot: the guard slots — id-filter or scan slots that are a direct
     /// conjunct sibling of this slot's root `And` in **every** request
     /// using it. An id a guard rejected is excluded from every outcome
     /// this slot can feed, so its evaluation may be skipped.
     guards: Vec<Vec<usize>>,
-    /// Present when between-wave re-planning could change the order:
-    /// two or more entry-scanned slots, at least one skippable under an
-    /// entry-scanned guard.
-    replan: Option<ReplanCtx>,
+    /// Whether re-ordering between waves could change the work done: at
+    /// least one entry-scanned slot is skippable under an entry-scanned
+    /// guard.
+    reorderable: bool,
 }
 
-/// Between-wave re-planning inputs: a conjunction over every slot
-/// predicate (leaf `ix` == slot index) planned under the wave's initial
-/// statistics, plus those statistics for [`PlanStats::refine`].
-struct ReplanCtx {
-    expr: QueryExpr,
-    plan: PhysicalPlan,
-    stats: PlanStats,
+/// The order the per-id loop walks a wave's slots in: the planner's own
+/// conjunct rule over each slot's access path and estimate — id filters
+/// first, then index-served slots, then scans, each class by estimated
+/// cardinality.
+fn slot_order(slots: &[WaveSlot], estimates: impl Iterator<Item = Option<u64>>) -> Vec<usize> {
+    conjunct_order(slots.iter().zip(estimates).map(|(slot, est)| (slot.path.cost_class(), est)))
 }
 
 /// Observation must exceed estimate (or vice versa) by this factor —
-/// after +1 smoothing on both sides — before a batch re-plans its scan
-/// order mid-wave.
+/// after +1 smoothing on both sides — before a batch re-orders its scan
+/// slots mid-wave.
 const DIVERGENCE_FACTOR: f64 = 2.0;
 
-impl ReplanCtx {
-    /// Extrapolates the observation wave's per-slot hit rates to the full
-    /// universe, and — when observation diverges from the estimates past
-    /// [`DIVERGENCE_FACTOR`] — folds them into the statistics via
-    /// [`PlanStats::refine`] and re-plans the slot conjunction. Returns
-    /// the refined slot order, or `None` to keep the current one.
-    fn refined_order(
-        &self,
-        universe: u64,
-        matched: &[u64],
-        evaluated: &[u64],
-        slots: &[WaveSlot],
-    ) -> Option<Vec<usize>> {
-        let mut exec =
-            ExecStats { universe, observed: vec![None; slots.len()], ..ExecStats::default() };
-        for (slot, leaf) in slots.iter().enumerate() {
-            if leaf.path != AccessPath::Scan || evaluated[slot] == 0 {
-                continue;
-            }
-            let rate = matched[slot] as f64 / evaluated[slot] as f64;
-            exec.record_observed(slot, (rate * universe as f64).round() as u64);
-        }
-        if !self.stats.diverged(&exec, &self.plan, DIVERGENCE_FACTOR) {
-            return None;
-        }
-        let mut stats = self.stats.clone();
-        stats.refine(&exec, &self.plan);
-        let plan = Planner::with_stats(IndexCaps::all(), stats).plan(&self.expr).ok()?;
-        match plan.root() {
-            PlanNode::And { exec_order, .. } if exec_order.len() == slots.len() => {
-                Some(exec_order.clone())
-            }
-            _ => None,
-        }
-    }
+/// Whether any evaluated slot's observed cardinality diverges from what
+/// the initial order assumed by more than [`DIVERGENCE_FACTOR`]. Only
+/// scan slots are observed and the sharded pass has no estimate for them,
+/// so the assumption is the pessimistic one — the whole universe: a scan
+/// slot that turns out highly selective is exactly the signal worth
+/// re-ordering on. Both sides are smoothed by +1, so zero observed
+/// against a handful of ids counts as divergence; a slot the observation
+/// wave never evaluated (`None`) is no signal.
+fn diverges(universe: u64, observed: &[Option<u64>]) -> bool {
+    observed.iter().flatten().any(|&seen| {
+        let (hi, lo) = (universe.max(seen) + 1, universe.min(seen) + 1);
+        hi as f64 > DIVERGENCE_FACTOR * lo as f64
+    })
 }
 
 /// Collects the slots that appear under a pipeline breaker
@@ -809,8 +801,8 @@ fn breaker_slots(
     }
 }
 
-/// Derives the wave's scan order, conjunctive guards, and (when the
-/// order can matter) the between-wave re-planning context.
+/// Derives the wave's slot estimates, conjunctive guards, and whether
+/// the scan order can matter.
 ///
 /// A guard is sound only if it holds in **every** request that shares
 /// the slot: the guard sets are the intersection, over each request
@@ -854,40 +846,16 @@ fn wave_adaptivity(
     let guards: Vec<Vec<usize>> =
         guards.into_iter().map(|g| g.unwrap_or_default().into_iter().collect()).collect();
 
-    let mut order: Vec<usize> = (0..slots.len()).collect();
-    let mut replan = None;
-    if slots.len() >= 2 {
-        let stats = PlanStats {
-            universe: union.len() as u64,
-            id_span: union.first().copied().zip(union.last().copied()),
-            index: None,
-            observed: Default::default(),
-        };
-        let expr =
-            QueryExpr::And(slots.iter().map(|s| QueryExpr::Leaf(s.pred.pred().clone())).collect());
-        if let Ok(plan) = Planner::with_stats(IndexCaps::all(), stats.clone()).plan(&expr) {
-            // The slot conjunction's plan is usable only if normalization
-            // kept it aligned: child i is exactly slot i's predicate.
-            let aligned = matches!(plan.root(), PlanNode::And { children, .. }
-            if children.len() == slots.len()
-                && children.iter().zip(slots).all(|(child, slot)| {
-                    matches!(child, PlanNode::Leaf { pred, .. } if pred.pred() == slot.pred.pred())
-                }));
-            if aligned {
-                if let PlanNode::And { exec_order, .. } = plan.root() {
-                    order = exec_order.clone();
-                }
-                let reorderable = guards.iter().enumerate().any(|(s, g)| {
-                    slots[s].path == AccessPath::Scan
-                        && g.iter().any(|&g| slots[g].path == AccessPath::Scan)
-                });
-                if reorderable {
-                    replan = Some(ReplanCtx { expr, plan, stats });
-                }
-            }
-        }
-    }
-    WaveAdaptivity { order, guards, replan }
+    let stats = PlanStats {
+        universe: union.len() as u64,
+        id_span: union.first().copied().zip(union.last().copied()),
+        index: None,
+    };
+    let estimates = slots.iter().map(|slot| stats.estimate_leaf(&slot.pred)).collect();
+    let reorderable = guards.iter().enumerate().any(|(s, g)| {
+        slots[s].path == AccessPath::Scan && g.iter().any(|&g| slots[g].path == AccessPath::Scan)
+    });
+    WaveAdaptivity { estimates, guards, reorderable }
 }
 
 /// A [`QueryEngine`] bound to one archive: the sharded implementation of
@@ -990,7 +958,7 @@ impl LeafSource for WaveSource<'_> {
 mod tests {
     use super::*;
     use saq_archive::{ArchiveScanEngine, Medium};
-    use saq_core::algebra::QueryEngine as _;
+    use saq_core::algebra::{QueryEngine as _, QueryExpr};
     use saq_core::query::QueryOutcome;
     use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
     use saq_sequence::Sequence;
@@ -1320,6 +1288,17 @@ mod tests {
         assert!(out.iter().all(|o| o.exact.is_empty() && o.approximate.is_empty()));
         let none = run(&engine, &mixed_archive(3), &[]);
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn divergence_compares_slot_counts_against_the_universe() {
+        // A scan slot carries no estimate, so the assumption is the whole
+        // universe (4).
+        assert!(diverges(4, &[Some(0)]), "0 of 4 diverges at 2x");
+        assert!(!diverges(4, &[Some(3)]), "3 of 4 is within 2x");
+        // A slot the observation wave never evaluated is no signal.
+        assert!(!diverges(4, &[None]));
+        assert!(diverges(4, &[None, Some(3), Some(1)]), "any one diverging slot re-orders");
     }
 
     #[test]

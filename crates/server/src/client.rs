@@ -39,6 +39,34 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Reads a `STATS` reply. Every counter must be present and numeric:
+    /// a malformed reply is an [`Error::Protocol`] naming the header,
+    /// never a silent zero.
+    fn from_reply(reply: &WireResponse) -> Result<ServerStats> {
+        if !reply.ok {
+            return Err(reply.to_error());
+        }
+        let count = |key: &str| -> Result<u64> {
+            let value = reply.header(key).ok_or_else(|| {
+                Error::Protocol(format!("STATS reply is missing the `{key}` header"))
+            })?;
+            value.parse().map_err(|_| {
+                Error::Protocol(format!("STATS reply header `{key}` is not a count: `{value}`"))
+            })
+        };
+        Ok(ServerStats {
+            connections: count("connections")?,
+            queries: count("queries")?,
+            waves: count("waves")?,
+            errors: count("errors")?,
+            max_wave: count("max-wave")?,
+            appends: count("appends")?,
+            deltas: count("deltas")?,
+            subscriptions: count("subscriptions")?,
+            snapshot: reply.header("snapshot").map(str::parse).transpose()?,
+        })
+    }
+
     /// Realized coalescing: queries per dispatch wave (1.0 = no
     /// amortization, N = perfect N-way waves).
     pub fn queries_per_wave(&self) -> f64 {
@@ -134,22 +162,7 @@ impl SaqClient {
 
     /// Fetches the server's counters.
     pub fn stats(&mut self) -> Result<ServerStats> {
-        let reply = self.round_trip(&WireRequest::new(Verb::Stats))?;
-        if !reply.ok {
-            return Err(reply.to_error());
-        }
-        let count = |key: &str| reply.header(key).and_then(|v| v.parse().ok()).unwrap_or(0);
-        Ok(ServerStats {
-            connections: count("connections"),
-            queries: count("queries"),
-            waves: count("waves"),
-            errors: count("errors"),
-            max_wave: count("max-wave"),
-            appends: count("appends"),
-            deltas: count("deltas"),
-            subscriptions: count("subscriptions"),
-            snapshot: reply.header("snapshot").map(str::parse).transpose()?,
-        })
+        ServerStats::from_reply(&self.round_trip(&WireRequest::new(Verb::Stats))?)
     }
 
     /// Asks the server to stop accepting connections and drain.
@@ -299,5 +312,44 @@ impl RemoteEngine {
 impl QueryEngine for RemoteEngine {
     fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
         self.client.lock().query(req)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A well-formed `STATS` reply with every counter at 3.
+    fn stats_reply() -> WireResponse {
+        [
+            "connections",
+            "queries",
+            "waves",
+            "errors",
+            "max-wave",
+            "appends",
+            "deltas",
+            "subscriptions",
+        ]
+        .iter()
+        .fold(WireResponse::ok(), |reply, key| reply.with(key, 3))
+    }
+
+    #[test]
+    fn a_malformed_stats_reply_is_a_protocol_error_not_a_zero() {
+        let stats = ServerStats::from_reply(&stats_reply()).unwrap();
+        assert_eq!((stats.waves, stats.max_wave, stats.snapshot), (3, 3, None));
+
+        let mut missing = stats_reply();
+        missing.headers.retain(|(key, _)| key != "waves");
+        let err = ServerStats::from_reply(&missing).unwrap_err();
+        assert_eq!(err.code(), 9);
+        assert!(err.to_string().contains("`waves`"), "{err}");
+
+        let mut garbled = stats_reply();
+        garbled.headers.iter_mut().find(|(key, _)| key == "deltas").unwrap().1 = "many".into();
+        let err = ServerStats::from_reply(&garbled).unwrap_err();
+        assert_eq!(err.code(), 9);
+        assert!(err.to_string().contains("`deltas`") && err.to_string().contains("many"), "{err}");
     }
 }

@@ -58,7 +58,7 @@ use parking_lot::Mutex;
 use protocol::{parse_points, read_frame, write_frame, Verb, WireRequest, WireResponse};
 use saq_archive::ArchiveStore;
 use saq_core::subscribe::{SubscriptionId, SubscriptionRegistry};
-use saq_core::{QueryRequest, QueryResponse, Result, SnapshotRef};
+use saq_core::{Error, QueryRequest, QueryResponse, Result, SnapshotRef};
 use saq_engine::{EngineConfig, QueryEngine};
 use saq_sequence::Point;
 use std::collections::HashMap;
@@ -470,7 +470,15 @@ impl Session {
                 Ok(request) => self.respond(&request, &writer),
                 Err(e) => WireResponse::err(e.code(), &e.to_string()),
             };
-            if write_frame(&mut *writer.lock(), &response.render()).is_err() {
+            let mut sent = write_frame(&mut *writer.lock(), &response.render());
+            if let Err(e @ Error::Protocol(_)) = &sent {
+                // An over-cap response is refused before a byte is written,
+                // so the stream is still in frame: say so and keep serving.
+                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                let refusal = WireResponse::err(e.code(), &e.to_string());
+                sent = write_frame(&mut *writer.lock(), &refusal.render());
+            }
+            if sent.is_err() {
                 break;
             }
         }

@@ -66,7 +66,7 @@ proptest! {
         let corpus: Vec<Sequence> =
             seeds.iter().map(|&(kind, seed)| mixed_sequence(kind, seed)).collect();
         let (store, _) = ingest(&corpus);
-        let stats_planner = Planner::with_stats(IndexCaps::all(), PlanStats::from_store(&store));
+        let stats_planner = Planner::with_stats(IndexCaps::all(), PlanStats::from_snapshot(&store));
         prop_assert_eq!(
             stats_planner.plan(&expr).unwrap().explain(),
             stats_planner.plan(&back).unwrap().explain(),

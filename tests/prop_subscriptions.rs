@@ -250,7 +250,7 @@ proptest! {
                 .into_iter()
                 .map(|id| (id, store_oracle_ids(&store, registry.expr(id).unwrap())))
                 .collect();
-            let stats = PlanStats::from_store(&store);
+            let stats = PlanStats::from_snapshot(&store);
             let prev = snapshot_current(&registry);
             let engine = StoreEngine::new(&store);
             let deltas = registry.pump(&engine, dirty.as_deref(), Some(&stats)).unwrap();

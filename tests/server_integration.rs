@@ -214,6 +214,32 @@ fn wire_errors_carry_stable_codes_and_caret_diagnostics() {
     server.shutdown();
 }
 
+/// A response over the frame cap is an `ERR`, not a dropped connection:
+/// the session — its pins and subscriptions — survives.
+#[test]
+fn an_over_cap_response_is_an_error_and_the_session_keeps_serving() {
+    use saq::server::protocol::MAX_FRAME;
+
+    let server = Saqd::spawn(corpus(), SaqdConfig::default()).unwrap();
+    let mut client = SaqClient::connect(server.addr()).unwrap();
+    let pinned = client.pin().unwrap();
+
+    // Identical leaves share one wave slot, so the query is cheap to run;
+    // its explain renders one line per leaf and outgrows the cap.
+    let saql = vec!["peaks = 2"; 20_000].join(" or ");
+    assert!(saql.len() < MAX_FRAME / 2, "the request itself fits a frame");
+    let err = client.query(&QueryRequest::saql(saql).with_explain()).unwrap_err();
+    // The server's own `ERR` frame, not the client noticing a dead socket.
+    assert!(matches!(err, saq::core::Error::Remote { code: 9, .. }), "{err:?}");
+    assert!(err.to_string().contains(&MAX_FRAME.to_string()), "names the cap: {err}");
+
+    // Same connection, same pin.
+    assert_eq!(client.ping().unwrap(), pinned);
+    let resp = client.query(&QueryRequest::saql("peaks = 2 tol 0")).unwrap();
+    assert_eq!(resp.snapshot, Some(pinned));
+    server.shutdown();
+}
+
 #[test]
 fn remote_engine_answers_like_local_engines_through_the_trait() {
     use saq::core::algebra::QueryExpr;
