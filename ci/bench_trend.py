@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Bench-trend gate: diff a freshly generated bench_harness snapshot
 against the checked-in previous one and fail on a >25% regression in
-WAL replay throughput (per corpus size), any kernel's measured
-speedup over its scalar baseline, or a streaming feed's splice/pump
-win over the batch re-run — and outright on any kernel slower than
-the scalar code it replaced (speedup < 1.0), whatever its previous
-value, on any difference in the planner row's entry-evaluation counts
-for a matching (sequences, shards), and on an adaptive count above the
-static one. Sections missing from the previous snapshot (older schema) are
+any kernel's measured speedup over its scalar baseline, or a streaming
+feed's splice/pump win over the batch re-run — and outright on any
+kernel slower than the scalar code it replaced (speedup < 1.0),
+whatever its previous value, on any difference in the planner row's
+entry-evaluation counts for a matching (sequences, shards), and on an
+adaptive count above the static one. Sections missing from the previous snapshot (older schema) are
 skipped, so the gate tightens as the trajectory grows. Set
 SAQ_BENCH_ALLOW_REGRESSION=1 to record a known slowdown instead of
 failing (e.g. a deliberate trade-off, or a noisy shared runner).
@@ -33,17 +32,6 @@ def main() -> int:
         now = json.load(f)
 
     failures = []
-
-    prev_recovery = {r["sequences"]: r for r in prev.get("recovery", [])}
-    for r in now.get("recovery", []):
-        p = prev_recovery.get(r["sequences"])
-        if p is None:
-            continue
-        old, new = p["replay_records_per_sec"], r["replay_records_per_sec"]
-        if new < old * (1 - TOLERANCE):
-            failures.append(
-                f"replay_records_per_sec (n={r['sequences']}): {old:.0f} -> {new:.0f} rec/s"
-            )
 
     prev_kernels = {k["name"]: k for k in prev.get("kernels", [])}
     for k in now.get("kernels", []):

@@ -7,11 +7,20 @@
 //! interest, we can store instead an approximate representation that is much
 //! more compact, thus can be stored locally."
 //!
-//! Nothing here sleeps: media are *cost models* and accesses accrue
-//! simulated seconds, so experiments measure the latency shape (local
-//! representation ≪ remote raw) deterministically. This substitutes for the
-//! remote tape archive the paper's scientists fought with (DESIGN.md,
-//! substitution 2).
+//! Media are *cost models*: every [`ArchiveSnapshot::fetch`] returns the
+//! simulated seek + transfer seconds it cost, and callers sum those costs,
+//! so experiments measure the latency shape (local representation ≪
+//! remote raw) deterministically. This stands in for the remote tape
+//! archive the paper's scientists fought with. Fetches sleep only when a
+//! test or experiment opts in with [`ArchiveStore::set_realtime_scale`],
+//! which turns simulated seconds into real blocking so a worker pool can
+//! overlap them.
+//!
+//! The paper's storage split is the archive plus a representation store
+//! kept locally: [`ArchiveStore`] holds raw samples (and, when durable,
+//! cold index documents), while `saq_core::SequenceStore` built with
+//! `keep_raw: false` or the engine's entry cache holds the compact
+//! function-series representations that answer feature queries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,4 +33,4 @@ mod store;
 pub use durability::{compute_doc, decode_sequence, encode_sequence, ColdDocs, DurabilityConfig};
 pub use engine::ArchiveScanEngine;
 pub use medium::{AccessCost, Medium};
-pub use store::{ArchiveSnapshot, ArchiveSnapshotProbe, ArchiveStore, TieredStore};
+pub use store::{ArchiveSnapshot, ArchiveSnapshotProbe, ArchiveStore};

@@ -1,4 +1,4 @@
-//! Archive and tiered stores with simulated access accounting.
+//! The raw-sequence archive with simulated access accounting.
 //!
 //! The archive is snapshot-isolated: its contents live in an immutable
 //! [`ArchiveState`] behind an `Arc` swap, writers install a new state
@@ -8,7 +8,7 @@
 use crate::durability::{self, ColdDocs, DurabilityConfig, DurableHandle};
 use crate::medium::{AccessCost, Medium};
 use parking_lot::{Mutex, RwLock};
-use saq_core::{QueryExpr, QueryOutcome, Result, SequenceStore, StoreConfig};
+use saq_core::Result;
 use saq_durable::{Backend, DurableConfig, DurableStore, WalOp, WalRecord};
 use saq_index::ShardedCowMap;
 use saq_sequence::{Point, Sequence};
@@ -19,23 +19,20 @@ use std::sync::{Arc, OnceLock, Weak};
 /// Bytes per raw sample: a timestamp and a value, both `f64`.
 const BYTES_PER_POINT: u64 = 16;
 
-/// Bytes per stored representation parameter.
-const BYTES_PER_PARAM: u64 = 8;
-
 /// How many mutations the dirty-id log retains. Older deltas are forgotten
 /// and [`ArchiveStore::changed_since`] answers `None` (callers fall back
 /// to full invalidation), so the log stays O(1) memory per archive.
 const MUTATION_LOG_CAP: usize = 4096;
 
-/// Raw sequences living on a (simulated) slow medium. Every fetch accrues
-/// simulated latency.
+/// Raw sequences living on a (simulated) slow medium. Every fetch returns
+/// its simulated [`AccessCost`].
 ///
 /// An `ArchiveStore` is a cheap *handle*: cloning it yields another handle
-/// to the same archive (same contents, same clocks and counters, same
-/// generation line), which is how a writer thread and reader threads share
-/// one archive without external locking. Mutators keep `&mut self`
-/// signatures to mark intent, but mutations are visible through every
-/// handle. Readers that need a stable view take an [`ArchiveSnapshot`].
+/// to the same archive (same contents, counters and generation line),
+/// which is how a writer thread and reader threads share one archive
+/// without external locking. Mutators keep `&mut self` signatures to mark
+/// intent, but mutations are visible through every handle. Readers that
+/// need a stable view take an [`ArchiveSnapshot`].
 ///
 /// Every mutator ends in one private `commit` (the "Commit protocol" of
 /// `docs/STORAGE.md`), so whichever one is called, a write the log
@@ -52,12 +49,10 @@ struct ArchiveShared {
     medium: Medium,
     /// Process-unique identity of this archive instance.
     instance: u64,
-    /// Simulated seconds accrued by fetches.
-    elapsed: Mutex<f64>,
     /// Real seconds slept per simulated second on each fetch, as `f64`
     /// bits (0 = never sleep). See [`ArchiveStore::set_realtime_scale`].
     realtime_scale_bits: AtomicU64,
-    /// Number of [`ArchiveStore::fetch`] calls that found their sequence.
+    /// Number of [`ArchiveSnapshot::fetch`] calls that found their sequence.
     fetches: AtomicU64,
     /// The current immutable contents. Writers install a new `Arc` under
     /// the write lock; readers briefly hold the read lock only to clone
@@ -153,12 +148,11 @@ impl MutationLog {
 }
 
 impl ArchiveShared {
-    /// Accounts one successful fetch of `points` raw samples against the
-    /// simulated clock (really sleeping when a realtime scale is set).
+    /// Counts one successful fetch of `points` raw samples and prices it
+    /// on the medium (really sleeping when a realtime scale is set).
     fn account_fetch(&self, points: u64) -> AccessCost {
         self.fetches.fetch_add(1, Ordering::Relaxed);
         let cost = self.medium.access(points * BYTES_PER_POINT);
-        *self.elapsed.lock() += cost.total();
         let scale = f64::from_bits(self.realtime_scale_bits.load(Ordering::Relaxed));
         if scale > 0.0 {
             std::thread::sleep(std::time::Duration::from_secs_f64(cost.total() * scale));
@@ -240,7 +234,6 @@ impl ArchiveStore {
             shared: Arc::new(ArchiveShared {
                 medium,
                 instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
-                elapsed: Mutex::new(0.0),
                 realtime_scale_bits: AtomicU64::new(0.0f64.to_bits()),
                 fetches: AtomicU64::new(0),
                 state: RwLock::new(Arc::new(ArchiveState {
@@ -303,7 +296,6 @@ impl ArchiveStore {
             shared: Arc::new(ArchiveShared {
                 medium,
                 instance: recovered.instance,
-                elapsed: Mutex::new(0.0),
                 realtime_scale_bits: AtomicU64::new(0.0f64.to_bits()),
                 fetches: AtomicU64::new(0),
                 state: RwLock::new(Arc::new(ArchiveState {
@@ -333,7 +325,7 @@ impl ArchiveStore {
 
     /// A counter bumped by every content mutation ([`ArchiveStore::put`],
     /// [`ArchiveStore::remove`], and conservatively
-    /// [`TieredStore::archive_mut`]). Equal generation ⇒ unchanged
+    /// [`ArchiveStore::mark_all_changed`]). Equal generation ⇒ unchanged
     /// content, so derived per-sequence state is still valid.
     pub fn generation(&self) -> u64 {
         self.shared.state.read().generation
@@ -638,39 +630,18 @@ impl ArchiveStore {
     /// Direct access to an archived sequence *without* touching the
     /// simulated medium — for tests and introspection only. Query paths
     /// (including the batch engine) must go through
-    /// [`ArchiveStore::fetch`] so access costs are accounted.
+    /// [`ArchiveSnapshot::fetch`] so access costs are accounted.
     pub fn get(&self, id: u64) -> Option<Arc<Sequence>> {
         self.shared.state.read().sequences.get_arc(id)
-    }
-
-    /// Fetches a raw sequence, accruing simulated seek + transfer time (and
-    /// really sleeping when a realtime scale is configured). Reads the
-    /// current generation; pinned readers fetch through
-    /// [`ArchiveSnapshot::fetch`] instead.
-    pub fn fetch(&self, id: u64) -> Option<(Arc<Sequence>, AccessCost)> {
-        let seq = self.get(id)?;
-        let cost = self.shared.account_fetch(seq.len() as u64);
-        Some((seq, cost))
-    }
-
-    /// Total simulated seconds accrued by fetches so far.
-    pub fn elapsed_seconds(&self) -> f64 {
-        *self.shared.elapsed.lock()
-    }
-
-    /// Resets the simulated clock.
-    pub fn reset_clock(&self) {
-        *self.shared.elapsed.lock() = 0.0;
     }
 }
 
 /// An immutable view of one archive generation, captured by
 /// [`ArchiveStore::snapshot`]. Contents ([`ArchiveSnapshot::ids`],
 /// [`ArchiveSnapshot::get`], [`ArchiveSnapshot::fetch`]) are pinned to the
-/// captured `(instance_id, generation)` forever; accounting (the
-/// simulated clock, the fetch counter) and the realtime scale stay shared
-/// with the live archive, since they model the physical medium rather
-/// than the contents.
+/// captured `(instance_id, generation)` forever; the fetch counter and
+/// the realtime scale stay shared with the live archive, since they model
+/// the physical medium rather than the contents.
 ///
 /// Cloning a snapshot is two `Arc` clones; dropping the last clone of a
 /// superseded generation frees whatever buckets later generations don't
@@ -719,10 +690,11 @@ impl ArchiveSnapshot {
         self.state.sequences.get(id)
     }
 
-    /// Fetches a sequence at the pinned generation, accruing simulated
-    /// cost on the *shared* clock (and really sleeping when a realtime
-    /// scale is configured) — the snapshot-pinned counterpart of
-    /// [`ArchiveStore::fetch`].
+    /// Fetches a sequence at the pinned generation and returns its
+    /// simulated seek + transfer cost on the archive's medium, counting
+    /// the fetch on the *shared* counter (and really sleeping when a
+    /// realtime scale is configured). The caller sums the costs it
+    /// cares about; the archive keeps no clock of its own.
     pub fn fetch(&self, id: u64) -> Option<(&Sequence, AccessCost)> {
         let seq = self.state.sequences.get(id)?;
         let cost = self.shared.account_fetch(seq.len() as u64);
@@ -767,188 +739,25 @@ impl ArchiveSnapshotProbe {
     }
 }
 
-/// The paper's recommended architecture: compact representations on fast
-/// local storage, raw data archived remotely. Queries run locally; only a
-/// drill-down to raw data pays the archival price.
-#[derive(Debug)]
-pub struct TieredStore {
-    local: SequenceStore,
-    local_medium: Medium,
-    archive: ArchiveStore,
-}
-
-impl TieredStore {
-    /// Builds a tiered store; representations live on `local_medium`, raw
-    /// data on `archive_medium`.
-    pub fn new(
-        config: StoreConfig,
-        local_medium: Medium,
-        archive_medium: Medium,
-    ) -> Result<TieredStore> {
-        // The local tier never needs the raw copies.
-        let local = SequenceStore::new(StoreConfig { keep_raw: false, ..config })?;
-        Ok(TieredStore { local, local_medium, archive: ArchiveStore::new(archive_medium) })
-    }
-
-    /// Ingests a sequence into both tiers.
-    pub fn insert(&mut self, seq: &Sequence) -> Result<u64> {
-        let id = self.local.insert(seq)?;
-        self.archive.put(id, seq.clone());
-        Ok(id)
-    }
-
-    /// The local representation store.
-    pub fn local(&self) -> &SequenceStore {
-        &self.local
-    }
-
-    /// The raw archive.
-    pub fn archive(&self) -> &ArchiveStore {
-        &self.archive
-    }
-
-    /// Mutable access to the raw archive (e.g. to configure realtime
-    /// latency emulation before a batch run). Conservatively records a
-    /// wildcard mutation — the borrow allows arbitrary changes, so
-    /// id-keyed caches must assume any content may have changed (their
-    /// incremental dirty-id path reports "unknown" across this point).
-    pub fn archive_mut(&mut self) -> &mut ArchiveStore {
-        self.archive.mark_all_changed();
-        &mut self.archive
-    }
-
-    /// Replaces the sequence stored under an existing id in *both* tiers —
-    /// the tracked-mutation alternative to going through
-    /// [`TieredStore::archive_mut`]: the mutation log records exactly
-    /// `id`, so id-keyed caches (the batch engine's LRU) re-fetch one
-    /// sequence instead of falling back to full invalidation. Fails
-    /// (leaving both tiers untouched) on unknown ids or unrepresentable
-    /// sequences.
-    pub fn with_archive_put(&mut self, id: u64, seq: &Sequence) -> Result<()> {
-        self.local.reinsert(id, seq)?;
-        self.archive.put(id, seq.clone());
-        Ok(())
-    }
-
-    /// Streams freshly arrived points into *both* tiers: the raw archive
-    /// appends the delta (a tracked mutation — the log records exactly
-    /// `id`), and the local representation tier splices its entry from
-    /// the archive's extended raw copy
-    /// ([`SequenceStore::append_extended`] — the local tier keeps no raw
-    /// of its own). Under the online breaker only the open suffix is
-    /// re-broken; the returned report says how much work that was.
-    /// Validation happens in the archive step, before either tier
-    /// changes.
-    pub fn append_points(&mut self, id: u64, points: &[Point]) -> Result<saq_core::SpliceReport> {
-        // Both tiers must know the id before either mutates: an archive
-        // append would *create* an unknown id, leaving the tiers torn.
-        self.local.get(id)?;
-        self.archive.try_append_points(id, points)?;
-        let extended = self.archive.get(id).ok_or(saq_core::Error::UnknownSequence { id })?;
-        self.local.append_extended(id, (*extended).clone())
-    }
-
-    /// Answers a generalized approximate query from local representations,
-    /// returning the outcome and the simulated local read cost (reading
-    /// every representation's parameters once).
-    pub fn query_local(&self, query: &QueryExpr) -> Result<(QueryOutcome, f64)> {
-        use saq_core::QueryEngine as _;
-        let outcome = saq_core::StoreEngine::new(&self.local).execute(query)?;
-        let report = self.local.total_compression();
-        let bytes = report.parameters as u64 * BYTES_PER_PARAM;
-        let cost = self.local_medium.access(bytes).total();
-        Ok((outcome, cost))
-    }
-
-    /// The pre-representation workflow of §1: fetch every raw sequence from
-    /// the archive (one access each) so an application program can scan
-    /// them. Returns the simulated cost.
-    pub fn full_archive_scan_cost(&self) -> f64 {
-        self.archive.reset_clock();
-        let ids: Vec<u64> = self.local.ids();
-        for id in ids {
-            let _ = self.archive.fetch(id);
-        }
-        self.archive.elapsed_seconds()
-    }
-
-    /// Drill-down: fetch the raw sequences behind `ids` (e.g. the query's
-    /// exact matches) for fine-resolution inspection; returns the cost.
-    pub fn drill_down_cost(&self, ids: &[u64]) -> f64 {
-        self.archive.reset_clock();
-        for &id in ids {
-            let _ = self.archive.fetch(id);
-        }
-        self.archive.elapsed_seconds()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saq_core::StoreConfig;
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
-
-    fn corpus() -> Vec<Sequence> {
-        let mut out = Vec::new();
-        for i in 0..10 {
-            if i % 2 == 0 {
-                out.push(goalpost(GoalpostSpec { seed: i, noise: 0.1, ..GoalpostSpec::default() }));
-            } else {
-                out.push(peaks(PeaksSpec {
-                    centers: vec![6.0, 12.0, 18.0],
-                    seed: i,
-                    noise: 0.1,
-                    ..PeaksSpec::default()
-                }));
-            }
-        }
-        out
-    }
 
     #[test]
     fn archive_accounts_latency() {
         let mut a = ArchiveStore::new(Medium::remote_tape());
         a.put(1, goalpost(GoalpostSpec::default()));
         assert_eq!(a.len(), 1);
-        assert_eq!(a.elapsed_seconds(), 0.0);
-        let (seq, cost) = a.fetch(1).unwrap();
+        let snap = a.snapshot();
+        let (seq, cost) = snap.fetch(1).unwrap();
         assert_eq!(seq.len(), 49);
-        assert!(cost.seek_seconds == 90.0);
-        assert!(a.elapsed_seconds() >= 90.0);
-        assert!(a.fetch(99).is_none());
-        a.reset_clock();
-        assert_eq!(a.elapsed_seconds(), 0.0);
-    }
-
-    #[test]
-    fn tiered_local_query_beats_archive_scan() {
-        let mut t =
-            TieredStore::new(StoreConfig::default(), Medium::memory(), Medium::remote_tape())
-                .unwrap();
-        for s in corpus() {
-            t.insert(&s).unwrap();
-        }
-        let (outcome, local_cost) = t.query_local(&QueryExpr::peak_count(2, 0)).unwrap();
-        assert_eq!(outcome.exact.len(), 5, "{outcome:?}");
-        let scan_cost = t.full_archive_scan_cost();
-        // The headline motivation: orders of magnitude apart.
-        assert!(scan_cost > 1000.0 * local_cost, "scan {scan_cost} local {local_cost}");
-    }
-
-    #[test]
-    fn drill_down_touches_only_matches() {
-        let mut t =
-            TieredStore::new(StoreConfig::default(), Medium::memory(), Medium::remote_tape())
-                .unwrap();
-        for s in corpus() {
-            t.insert(&s).unwrap();
-        }
-        let (outcome, _) = t.query_local(&QueryExpr::peak_count(2, 0)).unwrap();
-        let drill = t.drill_down_cost(&outcome.exact);
-        let full = t.full_archive_scan_cost();
-        assert!(drill < full, "drill {drill} full {full}");
-        // 5 of 10 sequences -> roughly half the cost.
-        assert!((drill / full - 0.5).abs() < 0.1, "ratio {}", drill / full);
+        assert_eq!(cost.seek_seconds, 90.0);
+        assert_eq!(cost, Medium::remote_tape().access(49 * BYTES_PER_POINT), "seek + raw bytes");
+        assert!(cost.total() >= 90.0);
+        assert!(snap.fetch(99).is_none());
+        assert_eq!(a.fetch_count(), 1, "a miss costs and counts nothing");
     }
 
     #[test]
@@ -960,7 +769,8 @@ mod tests {
         assert_eq!(a.ids(), vec![2, 5, 9]);
         assert!(a.get(5).is_some());
         assert!(a.get(1).is_none());
-        assert_eq!(a.elapsed_seconds(), 0.0, "get() must not touch the medium");
+        assert!(a.snapshot().get(5).is_some());
+        assert_eq!(a.fetch_count(), 0, "get() must not touch the medium");
     }
 
     #[test]
@@ -972,7 +782,7 @@ mod tests {
         // the sleep observable without slowing the suite.
         a.set_realtime_scale(2.0e5);
         let t = std::time::Instant::now();
-        a.fetch(1).unwrap();
+        a.snapshot().fetch(1).unwrap();
         assert!(t.elapsed().as_secs_f64() >= 0.015, "fetch must really block");
     }
 
@@ -993,16 +803,12 @@ mod tests {
         a.put(1, goalpost(GoalpostSpec::default()));
         assert_eq!(a.generation(), 2, "replacement counts as a mutation");
         // Reads don't bump.
-        let _ = a.fetch(1);
+        let _ = a.snapshot().fetch(1);
         let _ = a.get(1);
         let _ = a.ids();
         assert_eq!(a.generation(), 2);
-
-        let mut t =
-            TieredStore::new(StoreConfig::default(), Medium::memory(), Medium::memory()).unwrap();
-        let g = t.archive().generation();
-        let _ = t.archive_mut();
-        assert_eq!(t.archive().generation(), g + 1, "archive_mut is a conservative mutation");
+        a.mark_all_changed();
+        assert_eq!(a.generation(), 3, "a wildcard is a conservative mutation");
     }
 
     #[test]
@@ -1029,12 +835,9 @@ mod tests {
         a.put(2, goalpost(GoalpostSpec::default()));
         assert_eq!(a.changed_since(g), None, "a wildcard in the delta means unknown");
         assert_eq!(a.changed_since(a.generation()), Some(vec![]));
-
-        let mut t =
-            TieredStore::new(StoreConfig::default(), Medium::memory(), Medium::memory()).unwrap();
-        let g = t.archive().generation();
-        let _ = t.archive_mut();
-        assert_eq!(t.archive().changed_since(g), None, "archive_mut is a wildcard");
+        let g = a.generation();
+        a.mark_all_changed();
+        assert_eq!(a.changed_since(g), None, "a lone wildcard is unknown too");
     }
 
     #[test]
@@ -1076,7 +879,7 @@ mod tests {
         assert_eq!(b.instance_id(), a.instance_id());
         assert_eq!(b.generation(), 1, "mutations are visible through every handle");
         assert_eq!(b.ids(), vec![4]);
-        let _ = b.fetch(4);
+        let _ = b.snapshot().fetch(4);
         assert_eq!(a.fetch_count(), 1, "counters are shared too");
     }
 
@@ -1158,49 +961,11 @@ mod tests {
         let mut a = ArchiveStore::new(Medium::memory());
         a.put(1, goalpost(GoalpostSpec::default()));
         assert_eq!(a.fetch_count(), 0);
-        let _ = a.fetch(1);
-        let _ = a.fetch(1);
-        let _ = a.fetch(99);
+        let snap = a.snapshot();
+        let _ = snap.fetch(1);
+        let _ = snap.fetch(1);
+        let _ = snap.fetch(99);
         assert_eq!(a.fetch_count(), 2, "misses don't count");
-    }
-
-    #[test]
-    fn with_archive_put_tracks_the_exact_dirty_id() {
-        let mut t =
-            TieredStore::new(StoreConfig::default(), Medium::memory(), Medium::memory()).unwrap();
-        let a = t.insert(&goalpost(GoalpostSpec::default())).unwrap();
-        let b = t.insert(&goalpost(GoalpostSpec { seed: 7, ..GoalpostSpec::default() })).unwrap();
-        let g = t.archive().generation();
-        let three = peaks(PeaksSpec { centers: vec![4.0, 12.0, 20.0], ..PeaksSpec::default() });
-        t.with_archive_put(a, &three).unwrap();
-        assert_eq!(t.archive().changed_since(g), Some(vec![a]), "exact dirty id, not a wildcard");
-        assert_eq!(t.local().get(a).unwrap().peaks.len(), 3, "local tier re-represented too");
-        assert_eq!(t.archive().get(a).unwrap().len(), three.len());
-        assert!(t.with_archive_put(999, &three).is_err(), "unknown ids are rejected");
-        assert_eq!(t.archive().changed_since(g), Some(vec![a]), "failed call mutated nothing");
-        assert_eq!(t.local().get(b).unwrap().peaks.len(), 2, "other ids untouched");
-    }
-
-    #[test]
-    fn archive_mut_exposes_the_raw_tier() {
-        let mut t =
-            TieredStore::new(StoreConfig::default(), Medium::memory(), Medium::remote_tape())
-                .unwrap();
-        t.archive_mut().set_realtime_scale(0.0);
-        assert_eq!(t.archive().realtime_scale(), 0.0);
-    }
-
-    #[test]
-    fn local_tier_drops_raw() {
-        let mut t = TieredStore::new(
-            StoreConfig::default(),
-            Medium::local_disk(),
-            Medium::optical_jukebox(),
-        )
-        .unwrap();
-        let id = t.insert(&goalpost(GoalpostSpec::default())).unwrap();
-        assert!(t.local().get(id).unwrap().raw.is_none());
-        assert_eq!(t.archive().len(), 1);
     }
 
     #[test]
@@ -1507,41 +1272,6 @@ mod tests {
         a.append_points(1, &tail(&base, 2, 1));
         assert!(cold.doc(1).is_none(), "appended id refused — its doc is stale");
         assert!(cold.doc(2).is_some(), "untouched id still served");
-    }
-
-    #[test]
-    fn tiered_append_splices_local_and_archives_raw() {
-        use saq_core::BreakerKind;
-        let config = StoreConfig::streaming();
-        let mut t = TieredStore::new(config, Medium::memory(), Medium::memory()).unwrap();
-        assert_eq!(t.local().config().breaker, BreakerKind::Online);
-        let base = goalpost(GoalpostSpec::default());
-        let id = t.insert(&base).unwrap();
-        let g = t.archive().generation();
-
-        let wave = tail(&base, 6, 17);
-        let report = t.append_points(id, &wave).unwrap();
-        assert_eq!(report.total_points, base.len() + 6);
-        assert!(report.rebroken_points < report.total_points, "suffix splice, not a re-run");
-
-        // The archive holds the raw extension; the local tier's spliced
-        // representation is byte-identical to a from-scratch re-ingest.
-        let extended = t.archive().get(id).unwrap();
-        let mut expect = base.points().to_vec();
-        expect.extend_from_slice(&wave);
-        assert_eq!(extended.points(), expect.as_slice());
-        let oracle =
-            saq_core::StoredEntry::compute(&extended, &StoreConfig { keep_raw: false, ..config })
-                .unwrap();
-        let local = t.local().get(id).unwrap();
-        assert_eq!(local.series, oracle.series);
-        assert_eq!(local.symbols, oracle.symbols);
-        assert!(local.raw.is_none(), "local tier still keeps no raw");
-        assert_eq!(t.archive().changed_since(g), Some(vec![id]), "tracked, not wildcard");
-
-        // Unknown ids are rejected before either tier mutates.
-        assert!(t.append_points(999, &wave).is_err());
-        assert!(t.archive().get(999).is_none(), "archive did not invent the id");
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The versioned benchmark harness: runs every sibling `exp_*`/`fig*`/
-//! `table*` experiment binary, re-measures the recovery numbers
-//! in-process, and writes a dated `BENCH_<date>.json` so performance
-//! history is checked in next to the code it measures.
+//! `table*` experiment binary, re-measures the planner, kernel and
+//! streaming rows in-process, and writes a dated `BENCH_<date>.json` so
+//! performance history is checked in next to the code it measures.
+//! Storage recovery and ingest are measured per layer by `benchmark/`
+//! (`archive.*` and `durable.*`).
 //!
 //! Usage: `cargo run --release -p saq-bench --bin bench_harness [out.json]`
 //!
 //! Env: `SAQ_BENCH_SMOKE=1` skips re-spawning the experiment binaries
 //! (CI's experiments job already runs each one; the harness then only
-//! records the recovery measurements). `SAQ_BENCH_DATE=YYYY-MM-DD` pins
+//! records the in-process measurements). `SAQ_BENCH_DATE=YYYY-MM-DD` pins
 //! the file name and stamp for reproducible output.
 
 use saq_bench::kernels::measure_kernels;
 use saq_bench::planner::bench_row;
-use saq_bench::recovery::{bench_date, measure_recovery};
 use saq_bench::streaming::measure_streaming;
-use saq_bench::{env_usize, fnum};
+use saq_bench::{bench_date, env_usize, fnum};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -27,40 +28,6 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{date}.json")));
     let smoke = std::env::var("SAQ_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
     let rounds = env_usize("SAQ_EXP_ROUNDS", 3).max(1);
-
-    // The recovery numbers the storage engine is benchmarked on.
-    let sizes = [64usize, env_usize("SAQ_EXP_RECOVERY_SEQUENCES", 512)];
-    let mut recovery_json = Vec::new();
-    for &n in &sizes {
-        let r = measure_recovery(n, rounds);
-        println!(
-            "recovery n={n}: cold {} ms, warm {} ms, replay {} rec/s, {} lookup pages",
-            fnum(r.cold_open_seconds * 1e3),
-            fnum(r.warm_open_seconds * 1e3),
-            fnum(r.replay_records_per_sec),
-            r.point_lookup_pages
-        );
-        println!(
-            "  ingest n={n}: {} rec/s per-record, {} rec/s group-commit",
-            fnum(r.put_records_per_sec),
-            fnum(r.group_commit_records_per_sec)
-        );
-        recovery_json.push(format!(
-            "    {{\"sequences\": {}, \"wal_bytes\": {}, \"cold_open_seconds\": {:.6}, \
-             \"warm_open_seconds\": {:.6}, \"replay_records_per_sec\": {:.1}, \
-             \"replay_mib_per_sec\": {:.3}, \"point_lookup_pages\": {}, \
-             \"put_records_per_sec\": {:.1}, \"group_commit_records_per_sec\": {:.1}}}",
-            r.sequences,
-            r.wal_bytes,
-            r.cold_open_seconds,
-            r.warm_open_seconds,
-            r.replay_records_per_sec,
-            r.replay_mib_per_sec,
-            r.point_lookup_pages,
-            r.put_records_per_sec,
-            r.group_commit_records_per_sec
-        ));
-    }
 
     // Mid-batch re-planning: adaptive vs static full-sequence
     // evaluation counts on the misranked ward, at a fixed size whatever
@@ -169,9 +136,6 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"date\": \"{date}\",").unwrap();
     writeln!(json, "  \"version\": 1,").unwrap();
-    writeln!(json, "  \"recovery\": [").unwrap();
-    writeln!(json, "{}", recovery_json.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"planner\": [").unwrap();
     writeln!(json, "{planner_json}").unwrap();
     writeln!(json, "  ],").unwrap();

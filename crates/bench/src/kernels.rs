@@ -7,13 +7,33 @@
 //! `bench_harness` can record the before/after in the `kernels` section
 //! of `BENCH_<date>.json` and `bench_kernels` can track both under
 //! criterion.
+//!
+//! Each scalar baseline is `#[inline(never)]`: the kernel it is timed
+//! against is an out-of-line call into another crate, and a baseline the
+//! compiler may fold into the timing loop moves the ratio with code
+//! placement rather than with the kernels.
 
-use crate::recovery::best_of;
 use saq_baseline::dft::Complex;
 use saq_core::brk::{Breaker, DynamicProgrammingBreaker};
 use saq_curves::Line;
 use saq_sequence::{Point, Sequence};
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Times `f` over `rounds` runs and returns the best (the criterion
+/// stand-in discipline: minimum over repeats suppresses scheduler noise).
+pub fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    assert!(rounds > 0, "best_of needs at least one round");
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..rounds {
+        let t = Instant::now();
+        let value = f();
+        best = best.min(t.elapsed().as_secs_f64());
+        last = Some(value);
+    }
+    (best, last.expect("rounds > 0"))
+}
 
 /// One kernel's before/after measurement.
 #[derive(Debug, Clone)]
@@ -32,6 +52,7 @@ pub struct KernelReport {
 
 /// Sequential two-pass least-squares line — `Line::regression` before
 /// the chunked-sums rewrite. Returns `(slope, intercept)`.
+#[inline(never)]
 pub fn regression_scalar(points: &[Point]) -> Option<(f64, f64)> {
     let n = points.len();
     if n < 2 {
@@ -59,6 +80,7 @@ pub fn regression_scalar(points: &[Point]) -> Option<(f64, f64)> {
 
 /// Per-element-trig naive DFT — `naive_dft` before the twiddle table:
 /// every inner-loop step pays a `sin`/`cos` pair.
+#[inline(never)]
 pub fn naive_dft_scalar(x: &[f64]) -> Vec<Complex> {
     let n = x.len();
     let mut out = Vec::with_capacity(n);
@@ -76,6 +98,7 @@ pub fn naive_dft_scalar(x: &[f64]) -> Vec<Complex> {
 /// Fused-loop DP segmentation — the recurrence
 /// `DynamicProgrammingBreaker::break_ranges` ran before `fill_costs`
 /// split the cost sweep from the argmin.
+#[inline(never)]
 pub fn dp_break_scalar(
     seq: &Sequence,
     segment_cost: f64,

@@ -12,7 +12,6 @@
 
 pub mod kernels;
 pub mod planner;
-pub mod recovery;
 pub mod streaming;
 
 use saq_sequence::Sequence;
@@ -65,6 +64,36 @@ pub fn fnum(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// Today's date as `YYYY-MM-DD` (UTC), without a calendar dependency:
+/// the classic civil-from-days conversion. `SAQ_BENCH_DATE` overrides it
+/// for reproducible harness output.
+pub fn bench_date() -> String {
+    if let Ok(date) = std::env::var("SAQ_BENCH_DATE") {
+        return date;
+    }
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock after 1970")
+        .as_secs();
+    let days = (secs / 86_400) as i64;
+    let (y, m, d) = civil_from_days(days);
+    format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// Howard Hinnant's `civil_from_days`: days since 1970-01-01 → (y, m, d).
+fn civil_from_days(z: i64) -> (i64, u32, u32) {
+    let z = z + 719_468;
+    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
+    let doe = z - era * 146_097;
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let y = yoe + era * 400;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
+    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
+    (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
 /// The corpus used by the goal-post experiments: `(label, sequence,
@@ -124,6 +153,13 @@ mod tests {
         assert_eq!(fnum(123.4), "123");
         assert_eq!(fnum(3.14881), "3.15");
         assert_eq!(fnum(0.1234), "0.123");
+    }
+
+    #[test]
+    fn civil_from_days_hits_known_dates() {
+        assert_eq!(civil_from_days(0), (1970, 1, 1));
+        assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // leap year start
+        assert_eq!(civil_from_days(20_673), (2026, 8, 8));
     }
 
     #[test]

@@ -62,7 +62,6 @@ mod error;
 pub mod features;
 pub mod lang;
 pub mod multi;
-pub mod persist;
 pub mod query;
 pub mod repr;
 pub mod request;
@@ -81,7 +80,6 @@ pub use error::{Error, Result};
 pub use features::{Peak, PeakTable};
 pub use lang::saql::{parse as parse_saql, parse_and_plan, print as print_saql, SaqlError, Span};
 pub use multi::{Family, MultiSeries};
-pub use persist::{load_series, read_series, save_series, write_series};
 pub use query::{ApproximateMatch, QueryOutcome, QuerySpec, SequenceMatch};
 pub use repr::{CompressionReport, FunctionSeries, LinearSeries, Segment};
 pub use request::{QueryBody, QueryRequest, QueryResponse, SnapshotRef};

@@ -248,23 +248,6 @@ impl SequenceStore {
         Ok(report)
     }
 
-    /// As [`SequenceStore::append_points`], for stores built with
-    /// `keep_raw: false`: the caller supplies the whole extended
-    /// sequence (stored prefix + new points) from its own raw tier —
-    /// the [`crate::streaming::extend_entry`] contract. This is how a
-    /// tiered store's local representation tier rides the raw archive's
-    /// append without retaining raw copies of its own.
-    pub fn append_extended(
-        &mut self,
-        id: u64,
-        extended: Sequence,
-    ) -> Result<crate::streaming::SpliceReport> {
-        let (next, report) =
-            crate::streaming::extend_entry(self.get(id)?, extended, &self.state.config)?;
-        self.install(id, next);
-        Ok(report)
-    }
-
     /// Replaces the sequence stored under an existing id, re-running the
     /// ingestion pipeline and incrementally swapping its index postings.
     /// Fails (leaving the store untouched) on unknown ids — fresh data

@@ -1,12 +1,14 @@
 //! Per-worker accounting of one engine run: simulated clocks (makespan)
 //! and feature-cache counters.
 //!
-//! The archive's global clock ([`saq_archive::ArchiveStore::elapsed_seconds`])
-//! sums every fetch as if they happened serially. A worker pool overlaps
-//! those waits, so the *simulated* cost of a parallel batch is the slowest
-//! worker's clock — the makespan — not the sum. Tracking one clock per
-//! worker lets experiments report simulated speedup without relying on
-//! wall-clock emulation sleeps. The per-worker cache counters expose how
+//! Each archive fetch returns its simulated cost
+//! ([`saq_archive::ArchiveSnapshot::fetch`]), and each worker adds the
+//! costs of its own fetches to its clock. Summing the clocks prices the
+//! fetches as if they happened serially. A worker pool overlaps those
+//! waits, so the *simulated* cost of a parallel batch is the slowest
+//! worker's clock — the makespan — not the sum. One clock per worker lets
+//! experiments report simulated speedup without relying on wall-clock
+//! emulation sleeps. The per-worker cache counters expose how
 //! evenly the shared feature cache serves the pool (and, in incremental
 //! re-runs, that only dirty ids missed).
 

@@ -24,7 +24,10 @@ pub struct ServerStats {
     pub queries: u64,
     /// Dispatch waves run.
     pub waves: u64,
-    /// Queries that returned an error.
+    /// Failures counted one each: queries that returned an error
+    /// (malformed `QUERY` payloads included), refused `SUBSCRIBE` and
+    /// `APPEND` calls, failed subscription pumps, and replies refused for
+    /// exceeding the frame cap.
     pub errors: u64,
     /// Largest wave coalesced so far.
     pub max_wave: u64,
@@ -42,7 +45,7 @@ impl ServerStats {
     /// Reads a `STATS` reply. Every counter must be present and numeric:
     /// a malformed reply is an [`Error::Protocol`] naming the header,
     /// never a silent zero.
-    fn from_reply(reply: &WireResponse) -> Result<ServerStats> {
+    pub fn from_reply(reply: &WireResponse) -> Result<ServerStats> {
         if !reply.ok {
             return Err(reply.to_error());
         }

@@ -120,7 +120,10 @@ pub struct MetricsSnapshot {
     pub queries: u64,
     /// Dispatch waves run; `queries / waves` is the realized coalescing.
     pub waves: u64,
-    /// Queries that returned an error.
+    /// Failures counted one each: queries that returned an error
+    /// (malformed `QUERY` payloads included), refused `SUBSCRIBE` and
+    /// `APPEND` calls, failed subscription pumps, and replies refused for
+    /// exceeding the frame cap.
     pub errors: u64,
     /// Largest wave coalesced so far.
     pub max_wave: u64,

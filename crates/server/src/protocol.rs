@@ -308,14 +308,15 @@ impl WireResponse {
 
     /// Raises an `OK` payload back into a [`QueryResponse`]; an `ERR`
     /// payload becomes the [`Error`] it carries (via [`Self::to_error`]).
+    /// The `exact` and `approx` headers are required (the server sends
+    /// both, empty when the set is empty): a reply without them is an
+    /// [`Error::Protocol`], never an empty result.
     pub fn to_response(&self) -> Result<QueryResponse> {
         if !self.ok {
             return Err(self.to_error());
         }
-        let exact = parse_ids(self.header("exact").unwrap_or_default())?;
-        let approximate = self
-            .header("approx")
-            .unwrap_or_default()
+        let exact = parse_ids(required(&self.headers, "exact", "OK reply")?)?;
+        let approximate = required(&self.headers, "approx", "OK reply")?
             .split_whitespace()
             .map(|part| {
                 let (id, deviation) = part
@@ -379,20 +380,21 @@ impl DeltaFrame {
     }
 
     /// Raises a parsed `DELTA` frame back into the membership change.
+    /// Every header but `snapshot` is required, like a query reply's
+    /// result headers: a frame without `subscription`, `entered` or
+    /// `left` is an [`Error::Protocol`].
     pub fn from_wire(wire: &WireRequest) -> Result<DeltaFrame> {
         if wire.verb != Verb::Delta {
             return Err(Error::Protocol(format!("{} frame is not a DELTA", wire.verb.as_str())));
         }
-        let subscription = wire
-            .header("subscription")
-            .ok_or_else(|| Error::Protocol("DELTA frame is missing its subscription".into()))?
+        let subscription = required(&wire.headers, "subscription", "DELTA frame")?
             .parse()
             .map_err(|_| Error::Protocol("malformed subscription id".into()))?;
         Ok(DeltaFrame {
             subscription,
             delta: Delta {
-                entered: parse_ids(wire.header("entered").unwrap_or_default())?,
-                left: parse_ids(wire.header("left").unwrap_or_default())?,
+                entered: parse_ids(required(&wire.headers, "entered", "DELTA frame")?)?,
+                left: parse_ids(required(&wire.headers, "left", "DELTA frame")?)?,
             },
             snapshot: wire.header("snapshot").map(str::parse).transpose()?,
         })
@@ -426,6 +428,13 @@ pub fn parse_points(body: &str) -> Result<Vec<Point>> {
 
 fn header_of<'a>(headers: &'a [(String, String)], key: &str) -> Option<&'a str> {
     headers.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+/// The value of a header `what` must carry; its absence is a protocol
+/// error naming the header.
+fn required<'a>(headers: &'a [(String, String)], key: &str, what: &str) -> Result<&'a str> {
+    header_of(headers, key)
+        .ok_or_else(|| Error::Protocol(format!("{what} is missing its `{key}` header")))
 }
 
 fn render(status: &str, headers: &[(String, String)], body: &str) -> String {
@@ -586,6 +595,48 @@ mod tests {
         let parsed = WireResponse::parse(&wire.render()).unwrap();
         assert_eq!(parsed.wave(), 5);
         assert_eq!(parsed.to_response().unwrap(), resp);
+    }
+
+    #[test]
+    fn an_ok_reply_without_its_result_headers_is_an_error_not_no_matches() {
+        let empty = QueryResponse {
+            outcome: QueryOutcome::default(),
+            stats: None,
+            explain: None,
+            snapshot: None,
+        };
+        let wire = WireResponse::parse(&WireResponse::from_response(&empty, 1).render()).unwrap();
+        assert_eq!(wire.to_response().unwrap(), empty, "empty sets still round-trip");
+
+        for key in ["exact", "approx"] {
+            let mut truncated = wire.clone();
+            truncated.headers.retain(|(k, _)| k != key);
+            let err = truncated.to_response().unwrap_err();
+            assert_eq!(err.code(), 9, "{err}");
+            assert!(err.to_string().contains(&format!("`{key}`")), "{err}");
+        }
+
+        // A reply of another verb (here `STATS`-shaped) is not a result.
+        let stats = ["connections", "queries", "waves", "errors", "max-wave"]
+            .iter()
+            .fold(WireResponse::ok(), |reply, key| reply.with(key, 3));
+        assert_eq!(stats.to_response().unwrap_err().code(), 9);
+    }
+
+    #[test]
+    fn a_delta_missing_a_side_is_an_error() {
+        let frame = DeltaFrame {
+            subscription: 4,
+            delta: Delta { entered: vec![1], left: vec![2] },
+            snapshot: None,
+        };
+        for key in ["entered", "left"] {
+            let mut wire = frame.to_wire();
+            wire.headers.retain(|(k, _)| k != key);
+            let err = DeltaFrame::from_wire(&wire).unwrap_err();
+            assert_eq!(err.code(), 9, "{err}");
+            assert!(err.to_string().contains(&format!("`{key}`")), "{err}");
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! Run with `cargo run --example archive_latency`.
 
-use saq::archive::{ArchiveStore, Medium, TieredStore};
-use saq::core::algebra::QueryExpr;
-use saq::core::store::StoreConfig;
+use saq::archive::{ArchiveSnapshot, ArchiveStore, Medium};
+use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::store::{SequenceStore, StoreConfig};
 use saq::core::{QueryOutcome, QueryRequest};
 use saq::engine::{EngineConfig, QueryEngine};
 use saq::sequence::generators::{random_walk, seismic_burst};
@@ -26,6 +26,12 @@ fn station_data() -> Vec<Sequence> {
     traces
 }
 
+/// Simulated seconds to fetch the raw sequences behind `ids`, one archive
+/// access each.
+fn fetch_cost(snapshot: &ArchiveSnapshot, ids: &[u64]) -> f64 {
+    ids.iter().map(|&id| snapshot.fetch(id).expect("archived id").1.total()).sum()
+}
+
 /// Runs `batch` as one coalesced wave.
 fn run_wave(
     engine: &QueryEngine,
@@ -41,20 +47,21 @@ fn run_wave(
 }
 
 fn main() {
-    let mut tiered = TieredStore::new(
-        StoreConfig { epsilon: 0.8, ..StoreConfig::default() },
-        Medium::memory(),
-        Medium::remote_tape(),
-    )
-    .unwrap();
+    // Representations live locally without raw samples; the raw traces
+    // live on the remote tape, under the same ids.
+    let mut local =
+        SequenceStore::new(StoreConfig { epsilon: 0.8, keep_raw: false, ..StoreConfig::default() })
+            .unwrap();
+    let mut archive = ArchiveStore::new(Medium::remote_tape());
     for trace in station_data() {
-        tiered.insert(&trace).unwrap();
+        let id = local.insert(&trace).unwrap();
+        archive.put(id, trace);
     }
 
-    let report = tiered.local().total_compression();
+    let report = local.total_compression();
     println!(
         "archived {} traces ({} raw samples); local representation: {} parameters ({:.1}x smaller)",
-        tiered.archive().len(),
+        archive.len(),
         report.original_points,
         report.parameters,
         report.ratio()
@@ -62,7 +69,9 @@ fn main() {
 
     // "Sudden vigorous seismic activity": at least one steep peak.
     let query = QueryExpr::has_steep_peak(2.0, 0.0);
-    let (outcome, local_cost) = tiered.query_local(&query).unwrap();
+    let outcome = StoreEngine::new(&local).execute(&query).unwrap();
+    // The local query reads every parameter (one `f64` each) from memory once.
+    let local_cost = Medium::memory().access(report.parameters as u64 * 8).total();
     println!(
         "\nquery `any peak steeper than 2.0` answered locally in {:.6} simulated seconds",
         local_cost
@@ -70,7 +79,8 @@ fn main() {
     println!("matching stations: {:?}", outcome.exact);
 
     // The pre-representation workflow: fetch everything from tape and scan.
-    let scan_cost = tiered.full_archive_scan_cost();
+    let snapshot = archive.snapshot();
+    let scan_cost = fetch_cost(&snapshot, snapshot.ids());
     println!(
         "\nfetching all raw traces from the remote tape would take {:.0} simulated seconds (~{:.1} hours)",
         scan_cost,
@@ -78,7 +88,7 @@ fn main() {
     );
 
     // Drill down to raw data only for the matches.
-    let drill_cost = tiered.drill_down_cost(&outcome.exact);
+    let drill_cost = fetch_cost(&snapshot, &outcome.exact);
     println!(
         "drilling down to the {} matching traces costs {:.0} simulated seconds (~{:.1} minutes)",
         outcome.exact.len(),
@@ -101,15 +111,13 @@ fn main() {
     })
     .unwrap();
     let batch = [QueryRequest::expr(query), QueryRequest::saql("peaks = 1 tol 1")];
-    tiered.archive().reset_clock();
-    let outcomes = run_wave(&engine, tiered.archive(), &batch);
+    let outcomes = run_wave(&engine, &archive, &batch);
     assert_eq!(
         outcomes[0].exact, outcome.exact,
         "engine over raw archive agrees with the local representation query"
     );
-    let cold_cost = tiered.archive().elapsed_seconds();
-    tiered.archive().reset_clock();
-    let again = run_wave(&engine, tiered.archive(), &batch);
+    let cold_cost = engine.last_run_report().sim_total_seconds();
+    let again = run_wave(&engine, &archive, &batch);
     assert_eq!(again, outcomes);
     println!(
         "\nbatch engine over the raw archive: first batch pays {:.0} simulated seconds (one fetch per trace),",
@@ -117,7 +125,7 @@ fn main() {
     );
     println!(
         "repeat batch pays {:.0}: the feature cache ({} hits so far) answers without touching the archive.",
-        tiered.archive().elapsed_seconds(),
+        engine.last_run_report().sim_total_seconds(),
         engine.cache_stats().hits
     );
 }

@@ -1,12 +1,14 @@
 //! Keeps `docs/SERVER.md` honest: every fenced code block tagged `saqp`
 //! must parse through the real SAQP/1 implementation — request payloads
 //! through `WireRequest::parse` (with `QUERY` bodies parsing as SAQL),
-//! response payloads through `WireResponse::parse` and on into a
-//! `QueryResponse` or the error they carry. Run by the CI docs job (and
-//! plain `cargo test`).
+//! response payloads through `WireResponse::parse` and on into what the
+//! client reads from them: a `QueryResponse` for query results, a
+//! `ServerStats` for `STATS` counters, or the error they carry. Run by the
+//! CI docs job (and plain `cargo test`).
 
 use saq::core::lang::saql;
 use saq::server::protocol::{Verb, WireRequest, WireResponse};
+use saq::server::ServerStats;
 
 const DOC: &str = include_str!("../docs/SERVER.md");
 
@@ -46,13 +48,17 @@ fn every_saqp_block_in_the_docs_speaks_the_real_protocol() {
         if status.starts_with("OK") || status.starts_with("ERR") {
             let reply = WireResponse::parse(block)
                 .unwrap_or_else(|e| panic!("docs/SERVER.md reply failed to parse:\n{block}\n{e}"));
-            if reply.ok {
+            if reply.header("exact").is_some() {
                 reply.to_response().unwrap_or_else(|e| {
                     panic!(
                         "docs/SERVER.md OK reply does not lift to a QueryResponse:\n{block}\n{e}"
                     )
                 });
-            } else {
+            } else if reply.header("connections").is_some() {
+                ServerStats::from_reply(&reply).unwrap_or_else(|e| {
+                    panic!("docs/SERVER.md STATS reply is not what the client reads:\n{block}\n{e}")
+                });
+            } else if !reply.ok {
                 let err = reply.to_error();
                 assert!(err.code() > 0, "documented errors carry a stable code:\n{block}");
             }
