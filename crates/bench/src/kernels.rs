@@ -5,13 +5,14 @@
 //! module keeps the *scalar* formulations alive as baselines — checked
 //! against the optimized kernels for agreement, then timed, so
 //! `bench_harness` can record the before/after in the `kernels` section
-//! of `BENCH_<date>.json` and `bench_kernels` can track both under
-//! criterion.
+//! of `BENCH_<date>.json`, where the trend gate checks it.
 //!
-//! Each scalar baseline is `#[inline(never)]`: the kernel it is timed
-//! against is an out-of-line call into another crate, and a baseline the
-//! compiler may fold into the timing loop moves the ratio with code
-//! placement rather than with the kernels.
+//! Each scalar baseline is `#[inline(never)]` and `pub`: the kernel it is
+//! timed against is an exported, out-of-line call into another crate,
+//! and a baseline the compiler may fold into the timing loop, or
+//! specialize and place as a private function, moves the ratio with code
+//! placement rather than with the kernels (made private,
+//! `dp_break_scalar` got faster and sank the `dp_break` row below 1.0x).
 
 use saq_baseline::dft::Complex;
 use saq_core::brk::{Breaker, DynamicProgrammingBreaker};
@@ -20,9 +21,9 @@ use saq_sequence::{Point, Sequence};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Times `f` over `rounds` runs and returns the best (the criterion
-/// stand-in discipline: minimum over repeats suppresses scheduler noise).
-pub fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+/// Times `f` over `rounds` runs and returns the best (the minimum over
+/// repeats suppresses scheduler noise).
+fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     assert!(rounds > 0, "best_of needs at least one round");
     let mut best = f64::INFINITY;
     let mut last = None;
@@ -157,7 +158,7 @@ pub fn dp_break_scalar(
 }
 
 /// A deterministic wiggly test signal.
-pub fn kernel_signal(n: usize) -> Vec<f64> {
+fn kernel_signal(n: usize) -> Vec<f64> {
     (0..n).map(|i| (i as f64 * 0.17).sin() * 3.0 + (i as f64 * 0.031).cos()).collect()
 }
 

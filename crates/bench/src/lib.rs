@@ -1,8 +1,8 @@
 //! # saq-bench
 //!
-//! Experiment binaries and Criterion benches regenerating every figure and
-//! table of the paper (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured records).
+//! Experiment binaries regenerating every figure and table of the paper
+//! (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured records).
 //!
 //! Each binary prints a self-contained report; `cargo run -p saq-bench
 //! --bin <name>` regenerates one artifact. This library holds the shared

@@ -87,7 +87,7 @@ impl Run {
 
     fn pump_baseline(&mut self) {
         let engine = StoreEngine::new(&self.store);
-        self.registry.pump(&engine, None, None).expect("baseline pump");
+        self.registry.pump(&engine, None).expect("baseline pump");
         // Baseline evaluations are setup cost, not steady-state work.
         self.waves = 0;
     }
@@ -100,7 +100,7 @@ impl Run {
         self.rebroken += report.rebroken_points;
         self.batch += report.total_points;
         let engine = StoreEngine::new(&self.store);
-        self.registry.pump(&engine, Some(&[id]), None).expect("wave pump");
+        self.registry.pump(&engine, Some(&[id])).expect("wave pump");
         self.waves += 1;
     }
 

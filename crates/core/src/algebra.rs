@@ -708,28 +708,6 @@ impl PlanStats {
         }
     }
 
-    /// The index statistics' **upper bound** on the number of sequences
-    /// matching a shape, peak-interval or peak-count leaf; `None` for any
-    /// other predicate or without index statistics. These three are the
-    /// only *sound* estimates — the standing-query pump
-    /// ([`crate::subscribe`]) skips a subscription on a zero here — so
-    /// they are spelled once, for it and for [`PlanStats::estimate_leaf`].
-    pub(crate) fn index_upper_bound(&self, pred: &PreparedPred) -> Option<u64> {
-        let index = self.index.as_ref()?;
-        match pred.pred() {
-            Pred::Feature(QuerySpec::Shape { .. }) => {
-                Some(index.pattern.estimate_full_matches(pred.regex()?.ast()))
-            }
-            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
-                Some(index.interval.estimate_matches(*interval, *epsilon))
-            }
-            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
-                Some(index.estimate_peak_count(*count, *tolerance))
-            }
-            _ => None,
-        }
-    }
-
     /// Estimated number of matching sequences for one leaf, `None` when no
     /// statistic covers the predicate (steepness and value-band leaves).
     pub fn estimate_leaf(&self, pred: &PreparedPred) -> Option<u64> {
@@ -745,7 +723,16 @@ impl PlanStats {
                 let overlap = (ohi - olo) as u128 + 1;
                 Some(((self.universe as u128 * overlap / span) as u64).min(self.universe))
             }
-            _ => self.index_upper_bound(pred),
+            Pred::Feature(QuerySpec::Shape { .. }) => {
+                Some(self.index.as_ref()?.pattern.estimate_full_matches(pred.regex()?.ast()))
+            }
+            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
+                Some(self.index.as_ref()?.interval.estimate_matches(*interval, *epsilon))
+            }
+            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
+                Some(self.index.as_ref()?.estimate_peak_count(*count, *tolerance))
+            }
+            _ => None,
         }
     }
 }

@@ -83,7 +83,7 @@ pub use multi::{Family, MultiSeries};
 pub use query::{ApproximateMatch, QueryOutcome, QuerySpec, SequenceMatch};
 pub use repr::{CompressionReport, FunctionSeries, LinearSeries, Segment};
 pub use request::{QueryBody, QueryRequest, QueryResponse, SnapshotRef};
-pub use store::{BreakerKind, SequenceStore, SharedStore, StoreConfig, StoreSnapshot, StoredEntry};
+pub use store::{BreakerKind, SequenceStore, StoreConfig, StoreSnapshot, StoredEntry};
 pub use streaming::{append_entry, extend_entry, SpliceReport};
 pub use subscribe::{Delta, PumpCounters, SubscriptionId, SubscriptionRegistry};
 pub use transform::Transform;

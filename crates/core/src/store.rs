@@ -15,7 +15,6 @@ use crate::brk::{Breaker, LinearInterpolationBreaker, OnlineBreaker};
 use crate::error::{Error, Result};
 use crate::features::PeakTable;
 use crate::repr::LinearSeries;
-use parking_lot::RwLock;
 use saq_curves::{Line, RegressionFitter};
 use saq_index::{IndexDoc, IndexSet, IndexSetProbe, IndexStats, SequenceIndex as _, ShardedCowMap};
 use saq_sequence::Sequence;
@@ -383,47 +382,6 @@ impl StoreSnapshot {
     }
 }
 
-/// A thread-safe handle to a shared store (readers don't block each other;
-/// the paper's physician workload is read-heavy).
-#[derive(Debug, Clone, Default)]
-pub struct SharedStore {
-    inner: Arc<RwLock<SequenceStore>>,
-}
-
-impl SharedStore {
-    /// Wraps a store for shared use.
-    pub fn new(store: SequenceStore) -> SharedStore {
-        SharedStore { inner: Arc::new(RwLock::new(store)) }
-    }
-
-    /// Ingests a sequence under the write lock.
-    pub fn insert(&self, seq: &Sequence) -> Result<u64> {
-        self.inner.write().insert(seq)
-    }
-
-    /// Removes a sequence under the write lock.
-    pub fn remove(&self, id: u64) -> Result<StoredEntry> {
-        self.inner.write().remove(id)
-    }
-
-    /// Replaces a sequence under the write lock.
-    pub fn reinsert(&self, id: u64, seq: &Sequence) -> Result<()> {
-        self.inner.write().reinsert(id, seq)
-    }
-
-    /// Runs a closure with read access.
-    pub fn read<R>(&self, f: impl FnOnce(&SequenceStore) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Captures an immutable snapshot under a brief read lock; the
-    /// returned view needs no locking at all and is unaffected by writes
-    /// that land after it.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        self.inner.read().snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,21 +507,5 @@ mod tests {
         let r = s.total_compression();
         assert_eq!(r.original_points, 98);
         assert!(r.ratio() > 1.0);
-    }
-
-    #[test]
-    fn shared_store_concurrent_reads() {
-        let shared = SharedStore::new(store());
-        let log = goalpost(GoalpostSpec::default());
-        let id = shared.insert(&log).unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = shared.clone();
-                std::thread::spawn(move || s.read(|st| st.get(id).unwrap().peaks.len()))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 2);
-        }
     }
 }

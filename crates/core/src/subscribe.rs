@@ -10,30 +10,26 @@
 //!
 //! The point of keeping the plan around is *pruning*: most waves touch a
 //! handful of ids, and most subscriptions provably cannot change from
-//! them. `pump` skips a subscription when
+//! them. After its baseline evaluation, `pump` skips a subscription when
 //!
-//! 1. the wave's dirty-id set is empty (nothing changed),
+//! 1. the wave's dirty-id set is empty (nothing changed), or
 //! 2. no dirty id falls inside the plan's conjunctive
 //!    [`PhysicalPlan::id_bounds`] (changed sequences can't be members
-//!    either before or after), or
-//! 3. the index statistics prove the result set is empty — a whole-plan
-//!    upper bound folded from the *sound* per-leaf estimates only
-//!    (shape, peak-interval, and peak-count leaves read fresh
-//!    [`saq_index::IndexStats`] upper bounds; id-range and value-band
-//!    estimates are guesses and are never used to skip).
+//!    either before or after).
 //!
 //! A dirty set of `None` means *wildcard*: an id-less whole-store
 //! mutation (or a coalesced-away history) where anything may have
 //! changed. Wildcards force re-evaluation of **every** subscription —
 //! treating them as an empty delta is precisely the silent-staleness bug
 //! `tests/prop_subscriptions.rs` locks down.
+//!
+//! A pump commits all or nothing: when any evaluation fails, every
+//! result set stays as it was, so a retry still reports the whole change.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::algebra::{
-    IndexCaps, PhysicalPlan, PlanNode, PlanStats, Planner, QueryEngine, QueryExpr,
-};
+use crate::algebra::{IndexCaps, PhysicalPlan, Planner, QueryEngine, QueryExpr};
 use crate::error::Result;
 use crate::query::QueryOutcome;
 
@@ -92,9 +88,6 @@ pub struct PumpCounters {
     /// Subscriptions skipped because no dirty id intersected the plan's
     /// conjunctive id bounds.
     pub skipped_id_bounds: u64,
-    /// Subscriptions resolved to a provably empty result by index
-    /// statistics alone (no engine execution).
-    pub skipped_index: u64,
     /// Non-empty deltas handed back to callers.
     pub deltas_emitted: u64,
 }
@@ -189,60 +182,52 @@ impl SubscriptionRegistry {
     /// wildcard through as `None` — collapsing it to `Some(&[])` would
     /// silently freeze every subscription.
     ///
-    /// `stats` enables the index-statistics empty proof; it must be
-    /// fresh for the exact engine state being pumped (e.g.
-    /// [`PlanStats::from_snapshot`] of the same pinned snapshot), since
-    /// a stale upper bound of zero would skip real matches.
+    /// A pump is all or nothing: if any evaluation fails, no result set
+    /// and no counter moves, so retrying with the same `dirty` set
+    /// reports every delta the failed pump would have.
     pub fn pump<E: QueryEngine + ?Sized>(
         &mut self,
         engine: &E,
         dirty: Option<&[u64]>,
-        stats: Option<&PlanStats>,
     ) -> Result<Vec<(SubscriptionId, Delta)>> {
-        let mut out = Vec::new();
-        for (&id, sub) in self.subs.iter_mut() {
+        let mut counters = self.counters;
+        let mut fresh = Vec::new();
+        for (&id, sub) in &self.subs {
             if sub.current.is_some() {
                 match dirty {
                     // Wildcard: anything may have changed — evaluate.
                     None => {}
                     Some([]) => {
-                        self.counters.skipped_clean += 1;
+                        counters.skipped_clean += 1;
                         continue;
                     }
                     Some(ids) => {
                         if let Some((lo, hi)) = sub.plan.id_bounds() {
                             if !ids.iter().any(|d| (lo..=hi).contains(d)) {
-                                self.counters.skipped_id_bounds += 1;
-                                continue;
-                            }
-                        }
-                        if let Some(ps) = stats {
-                            if plan_upper_bound(sub.plan.root(), ps) == Some(0) {
-                                // Provably empty now: anything previously
-                                // in the set has left.
-                                self.counters.skipped_index += 1;
-                                let prev = sub.current.replace(Vec::new()).unwrap_or_default();
-                                if !prev.is_empty() {
-                                    out.push((
-                                        SubscriptionId(id),
-                                        Delta { entered: Vec::new(), left: prev },
-                                    ));
-                                }
+                                counters.skipped_id_bounds += 1;
                                 continue;
                             }
                         }
                     }
                 }
             }
-            self.counters.evaluated += 1;
+            counters.evaluated += 1;
             let next = outcome_ids(engine.execute(&sub.expr)?);
-            let prev = sub.current.replace(next.clone()).unwrap_or_default();
-            let delta = diff_sorted(&prev, &next);
+            let delta = diff_sorted(sub.current.as_deref().unwrap_or_default(), &next);
+            fresh.push((id, next, delta));
+        }
+        // Every evaluation succeeded: commit.
+        let mut out = Vec::new();
+        for (id, next, delta) in fresh {
+            if let Some(sub) = self.subs.get_mut(&id) {
+                sub.current = Some(next);
+            }
             if !delta.is_empty() {
                 out.push((SubscriptionId(id), delta));
             }
         }
-        self.counters.deltas_emitted += out.len() as u64;
+        counters.deltas_emitted += out.len() as u64;
+        self.counters = counters;
         Ok(out)
     }
 }
@@ -291,32 +276,12 @@ fn diff_sorted(prev: &[u64], next: &[u64]) -> Delta {
     delta
 }
 
-/// A sound upper bound on the plan's result-set size, or `None` when the
-/// statistics can't bound it. Only the three leaf kinds whose estimates
-/// are upper bounds participate ([`PlanStats::index_upper_bound`]: shape,
-/// peak-interval, peak-count) — an unsound zero here would silently drop
-/// real matches.
-fn plan_upper_bound(node: &PlanNode, stats: &PlanStats) -> Option<u64> {
-    match node {
-        PlanNode::Leaf { pred, .. } => stats.index_upper_bound(pred),
-        PlanNode::And { children, .. } => {
-            children.iter().filter_map(|c| plan_upper_bound(c, stats)).min()
-        }
-        PlanNode::Or(children) => children
-            .iter()
-            .map(|c| plan_upper_bound(c, stats))
-            .try_fold(0u64, |acc, b| Some(acc.saturating_add(b?))),
-        PlanNode::Not(_) => None,
-        PlanNode::Limit(child, n) | PlanNode::TopK(child, n) => {
-            Some(plan_upper_bound(child, stats).map_or(*n as u64, |b| b.min(*n as u64)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algebra::StoreEngine;
+    use crate::error::Error;
+    use crate::request::{QueryBody, QueryRequest, QueryResponse};
     use crate::store::SequenceStore;
     use saq_sequence::generators::{goalpost, GoalpostSpec};
 
@@ -334,11 +299,11 @@ mod tests {
         let mut reg = SubscriptionRegistry::new();
         let id = reg.register(QueryExpr::peak_count(2, 0)).unwrap();
         // Even a clean wave must evaluate a never-evaluated subscription.
-        let deltas = reg.pump(&StoreEngine::new(&store), Some(&[]), None).unwrap();
+        let deltas = reg.pump(&StoreEngine::new(&store), Some(&[])).unwrap();
         assert_eq!(deltas, vec![(id, Delta { entered: vec![1, 2, 3], left: vec![] })]);
         assert_eq!(reg.current(id), Some(&[1, 2, 3][..]));
         // A second clean wave is a no-op.
-        let deltas = reg.pump(&StoreEngine::new(&store), Some(&[]), None).unwrap();
+        let deltas = reg.pump(&StoreEngine::new(&store), Some(&[])).unwrap();
         assert!(deltas.is_empty());
         assert_eq!(reg.counters().skipped_clean, 1);
         assert_eq!(reg.counters().evaluated, 1);
@@ -349,7 +314,7 @@ mod tests {
         let mut store = store_with(2);
         let mut reg = SubscriptionRegistry::new();
         let id = reg.register(QueryExpr::peak_count(2, 0)).unwrap();
-        reg.pump(&StoreEngine::new(&store), None, None).unwrap();
+        reg.pump(&StoreEngine::new(&store), None).unwrap();
         assert_eq!(reg.current(id), Some(&[1, 2][..]));
 
         // The store changes out from under the registry with no id
@@ -358,11 +323,11 @@ mod tests {
 
         // Regression guard: a wildcard treated as "no ids changed" would
         // freeze the subscription forever.
-        let frozen = reg.pump(&StoreEngine::new(&store), Some(&[]), None).unwrap();
+        let frozen = reg.pump(&StoreEngine::new(&store), Some(&[])).unwrap();
         assert!(frozen.is_empty(), "empty dirty set must skip — that's its contract");
 
         // Passing the wildcard through as `None` re-evaluates.
-        let deltas = reg.pump(&StoreEngine::new(&store), None, None).unwrap();
+        let deltas = reg.pump(&StoreEngine::new(&store), None).unwrap();
         assert_eq!(deltas, vec![(id, Delta { entered: vec![], left: vec![1] })]);
     }
 
@@ -372,35 +337,52 @@ mod tests {
         let mut reg = SubscriptionRegistry::new();
         let id = reg.register(QueryExpr::peak_count(2, 0).and(QueryExpr::id_range(1, 2))).unwrap();
         let engine = StoreEngine::new(&store);
-        reg.pump(&engine, None, None).unwrap();
+        reg.pump(&engine, None).unwrap();
         assert_eq!(reg.current(id), Some(&[1, 2][..]));
 
         // Dirty ids outside [1, 2] cannot change membership.
-        let deltas = reg.pump(&engine, Some(&[3, 4]), None).unwrap();
+        let deltas = reg.pump(&engine, Some(&[3, 4])).unwrap();
         assert!(deltas.is_empty());
         assert_eq!(reg.counters().skipped_id_bounds, 1);
         assert_eq!(reg.counters().evaluated, 1);
 
         // A dirty id inside the bounds re-evaluates.
-        reg.pump(&engine, Some(&[2]), None).unwrap();
+        reg.pump(&engine, Some(&[2])).unwrap();
         assert_eq!(reg.counters().evaluated, 2);
     }
 
-    #[test]
-    fn index_statistics_prove_empty_without_executing() {
-        let store = store_with(3);
-        let mut reg = SubscriptionRegistry::new();
-        // Goalposts have two peaks; nothing has seven.
-        let id = reg.register(QueryExpr::peak_count(7, 0)).unwrap();
-        let engine = StoreEngine::new(&store);
-        reg.pump(&engine, None, None).unwrap();
-        assert_eq!(reg.current(id), Some(&[][..]));
+    /// Answers like its store, except that `poison` always fails.
+    struct FailsOn<'a> {
+        store: &'a SequenceStore,
+        poison: QueryExpr,
+    }
 
-        let stats = PlanStats::from_snapshot(&store);
-        let deltas = reg.pump(&engine, Some(&[1, 2, 3]), Some(&stats)).unwrap();
-        assert!(deltas.is_empty());
-        assert_eq!(reg.counters().skipped_index, 1);
-        assert_eq!(reg.counters().evaluated, 1, "the zero bound must not execute");
+    impl QueryEngine for FailsOn<'_> {
+        fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
+            if req.query == QueryBody::Expr(self.poison.clone()) {
+                return Err(Error::Protocol("injected failure".into()));
+            }
+            StoreEngine::new(self.store).request(req)
+        }
+    }
+
+    #[test]
+    fn a_failed_pump_commits_nothing_so_the_retry_reports_the_delta() {
+        let mut store = store_with(2);
+        let mut reg = SubscriptionRegistry::new();
+        let a = reg.register(QueryExpr::peak_count(2, 0)).unwrap();
+        let b = reg.register(QueryExpr::peak_count(7, 0)).unwrap();
+        reg.pump(&StoreEngine::new(&store), None).unwrap();
+        let before = reg.counters();
+
+        let new_id = store.insert(&goalpost(GoalpostSpec::default())).unwrap();
+        let failing = FailsOn { store: &store, poison: reg.expr(b).unwrap().clone() };
+        assert!(reg.pump(&failing, Some(&[new_id])).is_err());
+        assert_eq!(reg.current(a), Some(&[1, 2][..]), "A evaluated, but must not commit");
+        assert_eq!(reg.counters(), before);
+
+        let deltas = reg.pump(&StoreEngine::new(&store), Some(&[new_id])).unwrap();
+        assert_eq!(deltas, vec![(a, Delta { entered: vec![new_id], left: vec![] })]);
     }
 
     #[test]
@@ -412,7 +394,7 @@ mod tests {
         assert!(!reg.unregister(a));
         let b = reg.register_saql("peaks = 2").unwrap();
         assert_ne!(a, b);
-        let deltas = reg.pump(&StoreEngine::new(&store), None, None).unwrap();
+        let deltas = reg.pump(&StoreEngine::new(&store), None).unwrap();
         assert_eq!(deltas.len(), 1);
         assert_eq!(deltas[0].0, b);
     }

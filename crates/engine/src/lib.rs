@@ -348,7 +348,7 @@ impl QueryEngine {
     ) -> Result<Vec<(SubscriptionId, Delta)>> {
         let dirty = snapshot.changed_since(last_pumped);
         let bound = self.bind_snapshot(snapshot.clone());
-        registry.pump(&bound, dirty.as_deref(), None)
+        registry.pump(&bound, dirty.as_deref())
     }
 
     /// Re-stamps the cache for the run's pinned `(instance, generation)`

@@ -33,15 +33,6 @@ pub struct OwnedDoc {
 }
 
 impl OwnedDoc {
-    /// Captures a borrowed document.
-    pub fn from_doc(doc: &IndexDoc<'_>) -> OwnedDoc {
-        OwnedDoc {
-            symbols: doc.symbols.to_vec(),
-            interval_buckets: doc.interval_buckets.to_vec(),
-            peak_count: doc.peak_count,
-        }
-    }
-
     /// The borrowed view every [`crate::SequenceIndex`] consumes.
     pub fn as_doc(&self) -> IndexDoc<'_> {
         IndexDoc {

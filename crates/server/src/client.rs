@@ -6,79 +6,15 @@
 use crate::protocol::{
     read_frame, render_points, write_frame, DeltaFrame, Verb, WireRequest, WireResponse,
 };
+use crate::MetricsSnapshot;
 use parking_lot::Mutex;
 use saq_core::algebra::QueryEngine;
 use saq_core::{Error, QueryRequest, QueryResponse, Result, SnapshotRef};
 use saq_sequence::Point;
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Server counters as reported by the `STATS` verb.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerStats {
-    /// Connections accepted since startup.
-    pub connections: u64,
-    /// Queries executed (successfully or not).
-    pub queries: u64,
-    /// Dispatch waves run.
-    pub waves: u64,
-    /// Failures counted one each: queries that returned an error
-    /// (malformed `QUERY` payloads included), refused `SUBSCRIBE` and
-    /// `APPEND` calls, failed subscription pumps, and replies refused for
-    /// exceeding the frame cap.
-    pub errors: u64,
-    /// Largest wave coalesced so far.
-    pub max_wave: u64,
-    /// Append waves applied through the `APPEND` verb.
-    pub appends: u64,
-    /// `DELTA` frames pushed to subscribed sessions.
-    pub deltas: u64,
-    /// Currently live subscriptions (a gauge, not a counter).
-    pub subscriptions: u64,
-    /// The snapshot the server was at when it answered.
-    pub snapshot: Option<SnapshotRef>,
-}
-
-impl ServerStats {
-    /// Reads a `STATS` reply. Every counter must be present and numeric:
-    /// a malformed reply is an [`Error::Protocol`] naming the header,
-    /// never a silent zero.
-    pub fn from_reply(reply: &WireResponse) -> Result<ServerStats> {
-        if !reply.ok {
-            return Err(reply.to_error());
-        }
-        let count = |key: &str| -> Result<u64> {
-            let value = reply.header(key).ok_or_else(|| {
-                Error::Protocol(format!("STATS reply is missing the `{key}` header"))
-            })?;
-            value.parse().map_err(|_| {
-                Error::Protocol(format!("STATS reply header `{key}` is not a count: `{value}`"))
-            })
-        };
-        Ok(ServerStats {
-            connections: count("connections")?,
-            queries: count("queries")?,
-            waves: count("waves")?,
-            errors: count("errors")?,
-            max_wave: count("max-wave")?,
-            appends: count("appends")?,
-            deltas: count("deltas")?,
-            subscriptions: count("subscriptions")?,
-            snapshot: reply.header("snapshot").map(str::parse).transpose()?,
-        })
-    }
-
-    /// Realized coalescing: queries per dispatch wave (1.0 = no
-    /// amortization, N = perfect N-way waves).
-    pub fn queries_per_wave(&self) -> f64 {
-        if self.waves == 0 {
-            return 0.0;
-        }
-        self.queries as f64 / self.waves as f64
-    }
-}
 
 /// A blocking SAQP/1 client over one TCP connection (= one session).
 ///
@@ -164,8 +100,8 @@ impl SaqClient {
     }
 
     /// Fetches the server's counters.
-    pub fn stats(&mut self) -> Result<ServerStats> {
-        ServerStats::from_reply(&self.round_trip(&WireRequest::new(Verb::Stats))?)
+    pub fn stats(&mut self) -> Result<MetricsSnapshot> {
+        MetricsSnapshot::from_reply(&self.round_trip(&WireRequest::new(Verb::Stats))?)
     }
 
     /// Asks the server to stop accepting connections and drain.
@@ -241,21 +177,21 @@ impl SaqClient {
         })
     }
 
-    /// As [`SaqClient::next_delta`], giving up after `timeout` with
-    /// `Ok(None)` instead of blocking forever.
+    /// As [`SaqClient::next_delta`], giving up with `Ok(None)` when no
+    /// frame has begun to arrive within `timeout`. A frame that has begun
+    /// is read whole, however slowly the rest arrives, so the stream
+    /// stays in frame.
     pub fn next_delta_within(&mut self, timeout: Duration) -> Result<Option<DeltaFrame>> {
         if let Some(frame) = self.pending_deltas.pop_front() {
             return Ok(Some(frame));
         }
+        // `fill_buf` consumes nothing, so giving up here loses no bytes.
         self.reader.get_ref().set_read_timeout(Some(timeout))?;
-        let result = read_frame(&mut self.reader);
+        let waited = self.reader.fill_buf().map(|_| ());
         self.reader.get_ref().set_read_timeout(None)?;
-        match result {
-            Ok(Some(payload)) => parse_push(&payload)?.map(Some).ok_or_else(|| {
-                Error::Protocol("unexpected response frame while waiting for a delta".into())
-            }),
-            Ok(None) => Err(Error::Protocol("server closed the connection".into())),
-            Err(Error::Io(e))
+        match waited {
+            Ok(()) => self.next_delta().map(Some),
+            Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -263,7 +199,7 @@ impl SaqClient {
             {
                 Ok(None)
             }
-            Err(e) => Err(e),
+            Err(e) => Err(e.into()),
         }
     }
 }
@@ -321,38 +257,67 @@ impl QueryEngine for RemoteEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::STATS_HEADERS;
+    use saq_core::Delta;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::time::Instant;
 
     /// A well-formed `STATS` reply with every counter at 3.
     fn stats_reply() -> WireResponse {
-        [
-            "connections",
-            "queries",
-            "waves",
-            "errors",
-            "max-wave",
-            "appends",
-            "deltas",
-            "subscriptions",
-        ]
-        .iter()
-        .fold(WireResponse::ok(), |reply, key| reply.with(key, 3))
+        STATS_HEADERS.iter().fold(WireResponse::ok(), |reply, (key, _)| reply.with(key, 3))
     }
 
     #[test]
     fn a_malformed_stats_reply_is_a_protocol_error_not_a_zero() {
-        let stats = ServerStats::from_reply(&stats_reply()).unwrap();
-        assert_eq!((stats.waves, stats.max_wave, stats.snapshot), (3, 3, None));
+        let stats = MetricsSnapshot::from_reply(&stats_reply()).unwrap();
+        assert_eq!((stats.waves, stats.max_wave), (3, 3));
 
         let mut missing = stats_reply();
         missing.headers.retain(|(key, _)| key != "waves");
-        let err = ServerStats::from_reply(&missing).unwrap_err();
+        let err = MetricsSnapshot::from_reply(&missing).unwrap_err();
         assert_eq!(err.code(), 9);
         assert!(err.to_string().contains("`waves`"), "{err}");
 
         let mut garbled = stats_reply();
         garbled.headers.iter_mut().find(|(key, _)| key == "deltas").unwrap().1 = "many".into();
-        let err = ServerStats::from_reply(&garbled).unwrap_err();
+        let err = MetricsSnapshot::from_reply(&garbled).unwrap_err();
         assert_eq!(err.code(), 9);
         assert!(err.to_string().contains("`deltas`") && err.to_string().contains("many"), "{err}");
+    }
+
+    #[test]
+    fn a_delta_split_across_the_timeout_stays_in_frame() {
+        let frame = |subscription, id| DeltaFrame {
+            subscription,
+            delta: Delta { entered: vec![id], left: vec![] },
+            snapshot: None,
+        };
+        let (first, second) = (frame(1, 5), frame(2, 6));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = {
+            let (first, second) = (first.clone(), second.clone());
+            std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut bytes = Vec::new();
+                write_frame(&mut bytes, &first.to_wire().render()).unwrap();
+                // Half the length prefix, then the rest well past the
+                // client's 50 ms poll.
+                stream.write_all(&bytes[..2]).unwrap();
+                std::thread::sleep(Duration::from_millis(300));
+                stream.write_all(&bytes[2..]).unwrap();
+                write_frame(&mut stream, &second.to_wire().render()).unwrap();
+            })
+        };
+
+        let mut client = SaqClient::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut got = Vec::new();
+        while got.len() < 2 && Instant::now() < deadline {
+            got.extend(client.next_delta_within(Duration::from_millis(50)).unwrap());
+        }
+        assert_eq!(got, vec![first, second]);
+        peer.join().unwrap();
     }
 }

@@ -51,7 +51,7 @@
 pub mod client;
 pub mod protocol;
 
-pub use client::{RemoteEngine, SaqClient, ServerStats};
+pub use client::{RemoteEngine, SaqClient};
 pub use protocol::DeltaFrame;
 
 use parking_lot::Mutex;
@@ -111,7 +111,8 @@ struct Metrics {
     subscriptions: AtomicU64,
 }
 
-/// A point-in-time copy of a server's [`Saqd::metrics`] counters.
+/// A point-in-time copy of a server's [`Saqd::metrics`] counters, and
+/// what [`SaqClient::stats`] reads back from a `STATS` reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Connections accepted since startup.
@@ -133,6 +134,44 @@ pub struct MetricsSnapshot {
     pub deltas: u64,
     /// Currently live subscriptions (a gauge, not a counter).
     pub subscriptions: u64,
+}
+
+/// Selects one counter of a [`MetricsSnapshot`].
+type Counter = fn(&mut MetricsSnapshot) -> &mut u64;
+
+/// The `STATS` reply's counter headers in wire order, each with the
+/// [`MetricsSnapshot`] field it carries: the one list the server renders
+/// from and [`MetricsSnapshot::from_reply`] parses with.
+const STATS_HEADERS: [(&str, Counter); 8] = [
+    ("connections", |m| &mut m.connections),
+    ("queries", |m| &mut m.queries),
+    ("waves", |m| &mut m.waves),
+    ("errors", |m| &mut m.errors),
+    ("max-wave", |m| &mut m.max_wave),
+    ("appends", |m| &mut m.appends),
+    ("deltas", |m| &mut m.deltas),
+    ("subscriptions", |m| &mut m.subscriptions),
+];
+
+impl MetricsSnapshot {
+    /// Reads a `STATS` reply. Every counter must be present and numeric:
+    /// a malformed reply is an [`Error::Protocol`] naming the header,
+    /// never a silent zero.
+    pub fn from_reply(reply: &WireResponse) -> Result<MetricsSnapshot> {
+        if !reply.ok {
+            return Err(reply.to_error());
+        }
+        let mut snapshot = Metrics::default().snapshot();
+        for (key, field) in STATS_HEADERS {
+            let value = reply.header(key).ok_or_else(|| {
+                Error::Protocol(format!("STATS reply is missing the `{key}` header"))
+            })?;
+            *field(&mut snapshot) = value.parse().map_err(|_| {
+                Error::Protocol(format!("STATS reply header `{key}` is not a count: `{value}`"))
+            })?;
+        }
+        Ok(snapshot)
+    }
 }
 
 impl Metrics {
@@ -512,16 +551,10 @@ impl Session {
             },
             Verb::Ping => WireResponse::ok().with("snapshot", self.current()),
             Verb::Stats => {
-                let m = self.metrics.snapshot();
-                WireResponse::ok()
-                    .with("connections", m.connections)
-                    .with("queries", m.queries)
-                    .with("waves", m.waves)
-                    .with("errors", m.errors)
-                    .with("max-wave", m.max_wave)
-                    .with("appends", m.appends)
-                    .with("deltas", m.deltas)
-                    .with("subscriptions", m.subscriptions)
+                let mut m = self.metrics.snapshot();
+                STATS_HEADERS
+                    .iter()
+                    .fold(WireResponse::ok(), |reply, (key, field)| reply.with(key, *field(&mut m)))
                     .with("snapshot", self.current())
             }
             Verb::Subscribe => {

@@ -3,12 +3,12 @@
 //! through `WireRequest::parse` (with `QUERY` bodies parsing as SAQL),
 //! response payloads through `WireResponse::parse` and on into what the
 //! client reads from them: a `QueryResponse` for query results, a
-//! `ServerStats` for `STATS` counters, or the error they carry. Run by the
+//! `MetricsSnapshot` for `STATS` counters, or the error they carry. Run by the
 //! CI docs job (and plain `cargo test`).
 
 use saq::core::lang::saql;
 use saq::server::protocol::{Verb, WireRequest, WireResponse};
-use saq::server::ServerStats;
+use saq::server::MetricsSnapshot;
 
 const DOC: &str = include_str!("../docs/SERVER.md");
 
@@ -55,7 +55,7 @@ fn every_saqp_block_in_the_docs_speaks_the_real_protocol() {
                     )
                 });
             } else if reply.header("connections").is_some() {
-                ServerStats::from_reply(&reply).unwrap_or_else(|e| {
+                MetricsSnapshot::from_reply(&reply).unwrap_or_else(|e| {
                     panic!("docs/SERVER.md STATS reply is not what the client reads:\n{block}\n{e}")
                 });
             } else if !reply.ok {

@@ -18,12 +18,12 @@ use proptest::prelude::*;
 use saq::archive::{ArchiveScanEngine, ArchiveSnapshot, ArchiveStore, Medium};
 use saq::core::algebra::{Planner, QueryEngine as _, QueryExpr};
 use saq::core::query::QueryOutcome;
-use saq::core::store::{SequenceStore, SharedStore, StoreConfig, StoreSnapshot, StoredEntry};
+use saq::core::store::{SequenceStore, StoreConfig, StoreSnapshot, StoredEntry};
 use saq::core::QueryRequest;
 use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -167,8 +167,9 @@ proptest! {
     }
 
     /// The same property on the representation-store side: readers of a
-    /// [`SharedStore`] pin [`StoreSnapshot`]s (which are engines
-    /// themselves) while a writer inserts, rewrites, and removes.
+    /// store behind a `RwLock` pin [`StoreSnapshot`]s (which are engines
+    /// themselves) under a brief read lock while a writer inserts,
+    /// rewrites, and removes.
     #[test]
     fn concurrent_store_readers_match_their_pinned_generation(
         corpus in proptest::collection::vec((0u64..4, 0u64..1000), 6..12),
@@ -178,7 +179,7 @@ proptest! {
         for &(kind, seed) in &corpus {
             store.insert(&mixed_sequence(kind, seed)).unwrap();
         }
-        let shared = SharedStore::new(store);
+        let shared = RwLock::new(store);
         let exprs = small_exprs();
         let stop = AtomicBool::new(false);
 
@@ -189,16 +190,18 @@ proptest! {
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     for &(slot, kind, seed) in script {
-                        let ids = shared_ref.read(|s| s.ids());
+                        let ids = shared_ref.read().unwrap().ids();
                         match (kind % 3, ids.get(slot as usize % ids.len().max(1))) {
                             (0, _) | (_, None) => {
-                                shared_ref.insert(&mixed_sequence(kind, seed)).unwrap();
+                                let seq = mixed_sequence(kind, seed);
+                                shared_ref.write().unwrap().insert(&seq).unwrap();
                             }
                             (1, Some(&id)) => {
-                                shared_ref.reinsert(id, &mixed_sequence(kind + 1, seed)).unwrap();
+                                let seq = mixed_sequence(kind + 1, seed);
+                                shared_ref.write().unwrap().reinsert(id, &seq).unwrap();
                             }
                             (_, Some(&id)) => {
-                                let _ = shared_ref.remove(id);
+                                let _ = shared_ref.write().unwrap().remove(id);
                             }
                         }
                     }
@@ -211,7 +214,7 @@ proptest! {
                 let exprs = &exprs;
                 handles.push(scope.spawn(move || {
                     for _ in 0..3 {
-                        let snap = shared_ref.snapshot();
+                        let snap = shared_ref.read().unwrap().snapshot();
                         let stats = snap.index_stats();
                         for expr in exprs {
                             let expected = store_oracle(&snap, expr);
@@ -239,32 +242,27 @@ fn pinned_results_and_stats_are_byte_identical_across_writer_churn() {
     for i in 0..10u64 {
         store.insert(&mixed_sequence(i, i)).unwrap();
     }
-    let shared = SharedStore::new(store);
-    let snap = shared.snapshot();
+    let snap = store.snapshot();
     let exprs = small_exprs();
     let before: Vec<QueryOutcome> = exprs.iter().map(|e| snap.execute(e).unwrap()).collect();
     let stats_before = snap.index_stats();
 
     for g in 0..20u64 {
         match g % 3 {
-            0 => drop(shared.insert(&mixed_sequence(g, 100 + g)).unwrap()),
+            0 => drop(store.insert(&mixed_sequence(g, 100 + g)).unwrap()),
             1 => {
-                let id = shared.read(|s| s.ids()[g as usize % s.len()]);
-                shared.reinsert(id, &mixed_sequence(g + 1, 200 + g)).unwrap();
+                let id = store.ids()[g as usize % store.len()];
+                store.reinsert(id, &mixed_sequence(g + 1, 200 + g)).unwrap();
             }
-            _ => drop(shared.remove(shared.read(|s| s.ids()[0])).unwrap()),
+            _ => drop(store.remove(store.ids()[0]).unwrap()),
         }
     }
-    assert!(shared.read(|s| s.generation()) > snap.generation());
+    assert!(store.generation() > snap.generation());
 
     let after: Vec<QueryOutcome> = exprs.iter().map(|e| snap.execute(e).unwrap()).collect();
     assert_eq!(before, after, "pinned results must not move");
     assert_eq!(snap.index_stats(), stats_before, "pinned stats must not move");
-    assert_ne!(
-        shared.snapshot().index_stats(),
-        stats_before,
-        "a fresh pin sees the writer's churn"
-    );
+    assert_ne!(store.snapshot().index_stats(), stats_before, "a fresh pin sees the writer's churn");
 }
 
 /// Dropping the last reference to a superseded snapshot frees the index

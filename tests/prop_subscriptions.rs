@@ -7,8 +7,8 @@
 //! set was obtained. The suites here drive that invariant through all
 //! three engine families (the indexed `StoreEngine`, the pinned
 //! `ArchiveScanEngine`, and the sharded engine's snapshot binding),
-//! through the index-statistics empty proof, through the `changed_since`
-//! wildcard, and under a live writer thread racing the pumps.
+//! through the `changed_since` wildcard, and under a live writer thread
+//! racing the pumps.
 //!
 //! `SAQ_PROP_SUBSCRIPTION_CASES` raises the proptest case count (the CI
 //! stress job sets it).
@@ -18,7 +18,7 @@ mod common;
 use common::{mixed_sequence, naive_eval, to_outcome};
 use proptest::prelude::*;
 use saq::archive::{ArchiveScanEngine, ArchiveSnapshot, ArchiveStore, Medium};
-use saq::core::algebra::{PlanStats, Planner, QueryExpr, StoreEngine};
+use saq::core::algebra::{Planner, QueryExpr, StoreEngine};
 use saq::core::store::{SequenceStore, StoreConfig, StoredEntry};
 use saq::core::{Delta, SubscriptionId, SubscriptionRegistry};
 use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
@@ -176,7 +176,7 @@ proptest! {
 
             let scan = ArchiveScanEngine::pinned(snap.clone(), StoreConfig::default());
             let prev = snapshot_current(&scan_reg);
-            let scan_deltas = scan_reg.pump(&scan, dirty.as_deref(), None).unwrap();
+            let scan_deltas = scan_reg.pump(&scan, dirty.as_deref()).unwrap();
             assert_pump_invariant(&scan_reg, &prev, &scan_deltas, &expected, "scan");
 
             let prev = snapshot_current(&sharded_reg);
@@ -190,9 +190,9 @@ proptest! {
         }
     }
 
-    /// The indexed store engine, pumped with fresh `PlanStats` so the
-    /// index-statistics empty proof fires where it can: pruned or not,
-    /// membership equals the batch oracle after every wave.
+    /// The indexed store engine under removes, inserts and appends:
+    /// pruned or not, membership equals the batch oracle after every
+    /// wave.
     #[test]
     fn store_engine_subscriptions_match_under_stats_pruning(
         corpus in proptest::collection::vec((0u64..4, 0u64..1000), 3..7),
@@ -208,9 +208,8 @@ proptest! {
         for expr in standing_queries() {
             registry.register(expr).unwrap();
         }
-        // A query no corpus member can satisfy: the interval histogram
-        // proves it empty, so the stats ladder resolves it without the
-        // engine — and that shortcut must preserve the invariant too.
+        // A query no corpus member can satisfy: its set stays empty, and
+        // the invariant must hold for it too.
         registry.register(QueryExpr::peak_interval(4000, 0)).unwrap();
 
         for wave in 0..=script.len() {
@@ -250,15 +249,11 @@ proptest! {
                 .into_iter()
                 .map(|id| (id, store_oracle_ids(&store, registry.expr(id).unwrap())))
                 .collect();
-            let stats = PlanStats::from_snapshot(&store);
             let prev = snapshot_current(&registry);
             let engine = StoreEngine::new(&store);
-            let deltas = registry.pump(&engine, dirty.as_deref(), Some(&stats)).unwrap();
+            let deltas = registry.pump(&engine, dirty.as_deref()).unwrap();
             assert_pump_invariant(&registry, &prev, &deltas, &expected, "store");
         }
-        // The provably-empty subscription must have actually been pruned
-        // by statistics at least once (waves after its baseline).
-        prop_assert!(registry.counters().skipped_index >= 1);
     }
 }
 
@@ -281,7 +276,7 @@ fn changed_since_wildcard_reevaluates_every_subscription() {
 
     let baseline = archive.snapshot();
     let scan = ArchiveScanEngine::pinned(baseline.clone(), StoreConfig::default());
-    registry.pump(&scan, baseline.changed_since(0).as_deref(), None).unwrap();
+    registry.pump(&scan, baseline.changed_since(0).as_deref()).unwrap();
     let last_pumped = baseline.generation();
     let before = registry.counters().evaluated;
     let prev_watched = registry.current(watched).unwrap().to_vec();
@@ -296,7 +291,7 @@ fn changed_since_wildcard_reevaluates_every_subscription() {
     assert_eq!(dirty, None, "mark_all_changed makes the delta unknowable");
 
     let scan = ArchiveScanEngine::pinned(snap.clone(), StoreConfig::default());
-    let deltas = registry.pump(&scan, dirty.as_deref(), None).unwrap();
+    let deltas = registry.pump(&scan, dirty.as_deref()).unwrap();
     assert_eq!(
         registry.counters().evaluated - before,
         2,
