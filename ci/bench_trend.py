@@ -4,10 +4,10 @@ against the checked-in previous one and fail on a >25% regression in
 any kernel's measured speedup over its scalar baseline, or a streaming
 feed's splice/pump win over the batch re-run — and outright on any
 kernel slower than the scalar code it replaced (speedup < 1.0),
-whatever its previous value, on any difference in the planner row's
-entry-evaluation counts for a matching (sequences, shards), and on an
-adaptive count above the static one. Sections missing from the previous snapshot (older schema) are
-skipped, so the gate tightens as the trajectory grows. Set
+whatever its previous value, and on any kernel or streaming row of the
+previous snapshot that the fresh one no longer has. Sections missing
+from the previous snapshot (older schema) are skipped, so the gate
+tightens as the trajectory grows. Set
 SAQ_BENCH_ALLOW_REGRESSION=1 to record a known slowdown instead of
 failing (e.g. a deliberate trade-off, or a noisy shared runner).
 
@@ -47,24 +47,6 @@ def main() -> int:
                 f"kernel {k['name']}: speedup {p['speedup']:.2f}x -> {k['speedup']:.2f}x"
             )
 
-    # Entry-evaluation counts are exact for a seed on any machine, so a
-    # row of the same size must not differ at all from the checked-in
-    # one; and the adaptive pass must never cost more than the static.
-    prev_planner = {(p["sequences"], p["shards"]): p for p in prev.get("planner", [])}
-    for r in now.get("planner", []):
-        size = f"n={r['sequences']}, shards={r['shards']}"
-        if r["adaptive_entry_evals"] > r["static_entry_evals"]:
-            failures.append(
-                f"planner ({size}): adaptive {r['adaptive_entry_evals']} evals"
-                f" > static {r['static_entry_evals']}"
-            )
-        p = prev_planner.get((r["sequences"], r["shards"]))
-        if p is None:
-            continue
-        for metric in ("static_entry_evals", "adaptive_entry_evals"):
-            if r[metric] != p[metric]:
-                failures.append(f"planner ({size}): {metric} {p[metric]} -> {r[metric]}")
-
     prev_streaming = {s["name"]: s for s in prev.get("streaming", [])}
     for s in now.get("streaming", []):
         p = prev_streaming.get(s["name"])
@@ -76,10 +58,18 @@ def main() -> int:
                     f"streaming {s['name']}: {metric} {p[metric]:.2f}x -> {s[metric]:.2f}x"
                 )
 
+    # A row that vanished would otherwise pass unseen: the loops above
+    # only walk the fresh snapshot.
+    for section in ("kernels", "streaming"):
+        fresh = {row["name"] for row in now.get(section, [])}
+        for row in prev.get(section, []):
+            if row["name"] not in fresh:
+                failures.append(f"{section} row {row['name']} is missing from {now_path}")
+
     if failures:
         print(
             f"bench-trend failures (>{TOLERANCE:.0%} vs {prev_path}, a kernel below 1.0x,"
-            " or a changed planner count):"
+            " or a missing row):"
         )
         for f in failures:
             print(f"  {f}")

@@ -1,6 +1,6 @@
 //! The versioned benchmark harness: runs every sibling `exp_*`/`fig*`/
-//! `table*` experiment binary, re-measures the planner, kernel and
-//! streaming rows in-process, and writes a dated `BENCH_<date>.json` so
+//! `table*` experiment binary, re-measures the kernel and streaming rows
+//! in-process, and writes a dated `BENCH_<date>.json` so
 //! performance history is checked in next to the code it measures.
 //! Storage recovery and ingest are measured per layer by `benchmark/`
 //! (`archive.*` and `durable.*`).
@@ -13,7 +13,6 @@
 //! the file name and stamp for reproducible output.
 
 use saq_bench::kernels::measure_kernels;
-use saq_bench::planner::bench_row;
 use saq_bench::streaming::measure_streaming;
 use saq_bench::{bench_date, env_usize, fnum};
 use std::fmt::Write as _;
@@ -28,24 +27,6 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{date}.json")));
     let smoke = std::env::var("SAQ_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
     let rounds = env_usize("SAQ_EXP_ROUNDS", 3).max(1);
-
-    // Mid-batch re-planning: adaptive vs static full-sequence
-    // evaluation counts on the misranked ward, at a fixed size whatever
-    // the CI caps say, so the trend gate can compare them exactly.
-    let planner = bench_row();
-    println!(
-        "planner: static {} evals, adaptive {} evals ({:.2}x win)",
-        planner.static_entry_evals, planner.adaptive_entry_evals, planner.speedup
-    );
-    let planner_json = format!(
-        "    {{\"sequences\": {}, \"shards\": {}, \"static_entry_evals\": {}, \
-         \"adaptive_entry_evals\": {}, \"speedup\": {:.3}}}",
-        planner.sequences,
-        planner.shards,
-        planner.static_entry_evals,
-        planner.adaptive_entry_evals,
-        planner.speedup
-    );
 
     // Columnar kernels vs their scalar formulations.
     let mut kernels_json = Vec::new();
@@ -136,9 +117,6 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"date\": \"{date}\",").unwrap();
     writeln!(json, "  \"version\": 1,").unwrap();
-    writeln!(json, "  \"planner\": [").unwrap();
-    writeln!(json, "{planner_json}").unwrap();
-    writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"kernels\": [").unwrap();
     writeln!(json, "{}", kernels_json.join(",\n")).unwrap();
     writeln!(json, "  ],").unwrap();

@@ -56,7 +56,8 @@ fn main() {
     // --- Goal-post corpus: query accuracy per variant.
     println!("\ngoal-post query accuracy over the 7-member corpus:");
     let corpus = goalpost_corpus();
-    let dfa = goalpost_pattern().compile();
+    let goalpost = goalpost_pattern();
+    let dfa = goalpost.compile();
     for (name, opts) in variants() {
         let breaker = OfflineBreaker::with_options(EndpointInterpolator, 1.0, opts);
         let mut correct = 0;

@@ -20,7 +20,7 @@
 //!   runners with noisy neighbours set a safer bound)
 
 use saq_archive::{ArchiveStore, Medium};
-use saq_bench::{banner, env_f64, env_usize, fnum};
+use saq_bench::{banner, env_f64, env_usize, fnum, volatile};
 use saq_core::algebra::QueryExpr;
 use saq_core::{QueryOutcome, QueryRequest};
 use saq_engine::{EngineConfig, QueryEngine};
@@ -114,11 +114,11 @@ fn main() {
         cold_times.push(cold);
         println!(
             "{workers:>7} | {:>14} | {:>14} | {:>12} | {:>16} | {:>11} | {:>7.0}%",
-            format!("{cold:.3}"),
-            format!("{warm:.3}"),
-            format!("{:.2}x", cold_times[0] / cold.max(1e-12)),
-            format!("{:.3}", report.sim_makespan_seconds()),
-            format!("{:.2}x", report.sim_speedup()),
+            volatile(format_args!("{cold:.3}")),
+            volatile(format_args!("{warm:.3}")),
+            volatile(format_args!("{:.2}x", cold_times[0] / cold.max(1e-12))),
+            volatile(format_args!("{:.3}", report.sim_makespan_seconds())),
+            volatile(format_args!("{:.2}x", report.sim_speedup())),
             engine.cache_stats().hit_rate() * 100.0
         );
     }
@@ -135,14 +135,16 @@ fn main() {
     // CI runners can set SAQ_EXP_MIN_SPEEDUP to a safer bound.
     let min_speedup = env_f64("SAQ_EXP_MIN_SPEEDUP", 1.5);
     let mut speedup4 = cold_times[0] / cold_times[2].max(1e-12);
-    println!("4-worker speedup: {speedup4:.2}x");
+    println!("4-worker speedup: {}", volatile(format_args!("{speedup4:.2}x")));
     if realtime_scale > 0.0 && sequences >= 32 {
         if speedup4 <= min_speedup {
             // A shared runner can stretch one timing sample; re-measure the
             // two cold batches back to back before declaring a regression.
-            println!("(below threshold — re-measuring once)");
+            // The notice goes to stderr: stdout's lines never depend on
+            // timing.
+            eprintln!("(below threshold — re-measuring once)");
             speedup4 = measure_cold(&archive, &queries, 1) / measure_cold(&archive, &queries, 4);
-            println!("re-measured 4-worker speedup: {speedup4:.2}x");
+            eprintln!("re-measured 4-worker speedup: {speedup4:.2}x");
         }
         assert!(
             speedup4 > min_speedup,
@@ -157,7 +159,10 @@ fn main() {
             sim > min_speedup,
             "expected >{min_speedup}x simulated makespan speedup, measured {sim:.2}x"
         );
-        println!("PASS: {sim:.2}x simulated (makespan) speedup at 4 workers");
+        println!(
+            "PASS: {} simulated (makespan) speedup at 4 workers",
+            volatile(format_args!("{sim:.2}x"))
+        );
     } else {
         println!("(speedup assertion skipped: latency emulation off or corpus too small)");
     }

@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore as _, SeedableRng as _};
-use saq_bench::{banner, env_usize, fnum};
+use saq_bench::{banner, env_usize, fnum, volatile};
 use saq_core::algebra::{PlanStats, Planner, QueryEngine as _, QueryExpr, StoreEngine};
 use saq_core::lang::saql;
 use saq_core::store::{SequenceStore, StoreConfig};
@@ -77,8 +77,9 @@ fn main() {
     println!("  avg query length     {} chars", total_chars / n_queries.max(1));
     println!("  round-trips          {n_queries}/{n_queries} identical (tree + plan)");
     println!("  result equivalence   {sample}/{sample} sampled queries identical");
-    println!("  parse throughput     {} q/s", fnum(n_queries as f64 / parse_secs.max(1e-9)));
-    println!("  parse+plan           {} q/s", fnum(n_queries as f64 / parse_plan_secs.max(1e-9)));
+    let per_second = |secs: f64| volatile(fnum(n_queries as f64 / secs.max(1e-9)));
+    println!("  parse throughput     {} q/s", per_second(parse_secs));
+    println!("  parse+plan           {} q/s", per_second(parse_plan_secs));
 }
 
 /// A mixed corpus for the planner's statistics snapshot.

@@ -66,7 +66,8 @@ fn main() {
         }
         println!();
         // Consistency: all three carry the two-peak u+d+ ... u+d+ structure.
-        let dfa = saq_core::alphabet::goalpost_pattern().compile();
+        let goalpost = saq_core::alphabet::goalpost_pattern();
+        let dfa = goalpost.compile();
         let ids: Vec<u8> = symbols
             .chars()
             .map(|c| saq_core::alphabet::slope_alphabet().id_of(c).unwrap())

@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 
 pub mod kernels;
-pub mod planner;
 pub mod streaming;
 
 use saq_sequence::Sequence;
@@ -64,6 +63,14 @@ pub fn fnum(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// Marks a table cell whose value depends on wall-clock time or thread
+/// scheduling: it prints as `≈<value>`. The golden-output test masks
+/// every `≈` cell, so such a value may change from run to run while the
+/// rest of the report stays pinned.
+pub fn volatile(value: impl std::fmt::Display) -> String {
+    format!("≈{value}")
 }
 
 /// Today's date as `YYYY-MM-DD` (UTC), without a calendar dependency:
@@ -153,6 +160,7 @@ mod tests {
         assert_eq!(fnum(123.4), "123");
         assert_eq!(fnum(3.14881), "3.15");
         assert_eq!(fnum(0.1234), "0.123");
+        assert_eq!(volatile(fnum(3.14881)), "≈3.15");
     }
 
     #[test]

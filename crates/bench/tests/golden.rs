@@ -1,7 +1,9 @@
 //! Golden outputs for the paper reproduction: every deterministic
 //! experiment binary, run under the CI caps, prints exactly the
 //! checked-in `tests/golden/<bin>.txt`. The paper's figures, Table 1 and
-//! the `exp_*` reports cannot drift without a diff here.
+//! the `exp_*` reports cannot drift without a diff here. A cell a binary
+//! prints through `saq_bench::volatile` (`≈<value>`: wall-clock time or
+//! thread scheduling) is masked on both sides before the comparison.
 //!
 //! An intended change regenerates the file in the same commit:
 //!
@@ -27,9 +29,24 @@ const CI_CAPS: [(&str, &str); 8] = [
     ("SAQ_BENCH_SMOKE", "1"),
 ];
 
-/// Binaries without a golden file. The three experiments print
-/// wall-clock columns; the harness writes a timing JSON.
-const UNPINNED: [&str; 4] = ["exp_engine_scaling", "exp_saql", "exp_server_load", "bench_harness"];
+/// Binaries without a golden file. `exp_server_load` prints wall-clock
+/// columns it does not yet mark volatile; the harness writes a timing
+/// JSON.
+const UNPINNED: [&str; 2] = ["exp_server_load", "bench_harness"];
+
+/// Masks every `≈` cell of a line: each such cell reads as a bare `≈`, and
+/// the line's runs of spaces collapse, since a cell's padding depends on
+/// its width. Lines without one are compared byte for byte.
+fn mask(line: &str) -> String {
+    if !line.contains('≈') {
+        return line.to_owned();
+    }
+    let cells: Vec<&str> = line
+        .split_whitespace()
+        .map(|cell| if cell.starts_with('≈') { "≈" } else { cell })
+        .collect();
+    cells.join(" ")
+}
 
 /// Runs `exe` under exactly the CI caps (no other `SAQ_*` knob leaks in
 /// from the caller) and compares its stdout with the golden file.
@@ -50,13 +67,16 @@ fn check(bin: &str, exe: &str) {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{bin}.txt"));
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden file {} unreadable: {e}", path.display()));
+    let expected: Vec<String> = expected.lines().map(mask).collect();
+    let actual: Vec<String> = actual.lines().map(mask).collect();
     if actual == expected {
         return;
     }
+    let end = "<end of output>".to_owned();
     let (line, (want, got)) = expected
-        .lines()
-        .chain(std::iter::repeat("<end of output>"))
-        .zip(actual.lines().chain(std::iter::repeat("<end of output>")))
+        .iter()
+        .chain(std::iter::repeat(&end))
+        .zip(actual.iter().chain(std::iter::repeat(&end)))
         .enumerate()
         .find(|(_, (want, got))| want != got)
         .expect("outputs differ, so some line does");
@@ -92,15 +112,16 @@ golden!(
     fig10_inverted_rr_query,
     table1_peaks,
     exp_ablation,
-    exp_adaptive,
     exp_archive_latency,
     exp_breaking_properties,
     exp_compression,
     exp_dft_vs_features,
+    exp_engine_scaling,
     exp_goalpost_query,
     exp_multi_repr,
     exp_planner_pushdown,
     exp_rr_sequences,
+    exp_saql,
     exp_selectivity,
     exp_streaming,
     exp_wavelet_features,

@@ -18,8 +18,7 @@
 //!   most selective first within each access-path cost class — and serves
 //!   `Or`s of index-grade operands as index unions.
 //! * [`conjunct_order`] — that ordering rule, the only one: the planner
-//!   applies it to `And` children, the sharded engine to its wave slots
-//!   (before the wave from estimates, mid-wave from observed counts).
+//!   applies it to `And` children, the sharded engine to its wave slots.
 //! * [`execute_plan`] — the one executor shared by every engine; data
 //!   access is abstracted behind [`LeafSource`], so the sequential store
 //!   engine, the sequential archive engine, and the sharded batch engine
@@ -127,10 +126,10 @@ pub enum Pred {
 #[derive(Debug, Clone)]
 pub struct PreparedPred {
     pred: Pred,
-    /// Shape leaves only: the pattern parsed once, compiled once. The
-    /// regex drives the pattern index's pruned full scan, the DFA both
+    /// Shape leaves only: the pattern parsed and compiled once. The
+    /// regex drives the pattern index's pruned full scan, its DFA both
     /// the index's candidate-restricted path and the scan path.
-    shape: Option<(saq_pattern::Regex, saq_pattern::Dfa)>,
+    shape: Option<saq_pattern::Regex>,
 }
 
 impl PreparedPred {
@@ -140,9 +139,7 @@ impl PreparedPred {
     pub fn new(pred: &Pred) -> Result<PreparedPred> {
         let shape = match pred {
             Pred::Feature(QuerySpec::Shape { pattern }) => {
-                let regex = crate::alphabet::parse_slope_pattern(pattern)?;
-                let dfa = regex.compile();
-                Some((regex, dfa))
+                Some(crate::alphabet::parse_slope_pattern(pattern)?)
             }
             Pred::Feature(_) => None,
             Pred::ValueBand { query, delta, slack } => {
@@ -233,8 +230,8 @@ impl PreparedPred {
     pub fn matches_doc(&self, doc: &IndexDoc<'_>) -> Option<SequenceMatch> {
         match &self.pred {
             Pred::Feature(QuerySpec::Shape { .. }) => {
-                let (_, dfa) = self.shape.as_ref().expect("prepared shape leaf holds a DFA");
-                dfa.is_match(doc.symbols).then_some(SequenceMatch::Exact)
+                let regex = self.shape.as_ref().expect("prepared shape leaf holds its regex");
+                regex.compile().is_match(doc.symbols).then_some(SequenceMatch::Exact)
             }
             Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
                 let dev = doc.peak_count.abs_diff(*count);
@@ -251,11 +248,14 @@ impl PreparedPred {
                 // position order, an id is exact if *any* in-band
                 // interval hits the target dead-on, and otherwise its
                 // deviation is the first in-band interval's.
+                // Deviations compare as unsigned: `|bucket − interval|`
+                // can exceed `i64::MAX`, and a negative ε admits nothing.
+                let Ok(epsilon) = u64::try_from(*epsilon) else { return None };
                 let mut first_in_band = None;
                 let mut exact = false;
                 for bucket in doc.interval_buckets {
-                    let dev = (bucket - interval).abs();
-                    if dev <= *epsilon {
+                    let dev = bucket.abs_diff(*interval);
+                    if dev <= epsilon {
                         exact |= dev == 0;
                         first_in_band.get_or_insert(dev);
                     }
@@ -274,12 +274,12 @@ impl PreparedPred {
     /// that keep a pattern index (the store engine) drive pruned index
     /// scans with it.
     pub fn regex(&self) -> Option<&saq_pattern::Regex> {
-        self.shape.as_ref().map(|(regex, _)| regex)
+        self.shape.as_ref()
     }
 
     /// The compiled DFA of a shape leaf, if any.
     pub fn dfa(&self) -> Option<&saq_pattern::Dfa> {
-        self.shape.as_ref().map(|(_, dfa)| dfa)
+        self.shape.as_ref().map(saq_pattern::Regex::compile)
     }
 }
 
@@ -1520,9 +1520,9 @@ fn interval_index_match_set(
     epsilon: i64,
 ) -> MatchSet {
     let mut set = MatchSet::new();
-    let mut current: Option<(u64, i64, bool)> = None;
+    let mut current: Option<(u64, u64, bool)> = None;
     for (key, posting) in index.range_with_keys(interval, epsilon) {
-        let dev = (key - interval).abs();
+        let dev = key.abs_diff(interval);
         match &mut current {
             Some((id, _, exact)) if *id == posting.sequence => {
                 *exact |= dev == 0;
@@ -1543,7 +1543,7 @@ fn interval_index_match_set(
 
 /// Tier of one sequence's interval-index result: `(id, first in-band
 /// deviation, any exact hit)`.
-fn interval_tier((_, first_dev, exact): (u64, i64, bool)) -> MatchTier {
+fn interval_tier((_, first_dev, exact): (u64, u64, bool)) -> MatchTier {
     if exact {
         MatchTier::exact()
     } else {

@@ -159,8 +159,7 @@ mod tests {
         let series = FunctionSeries::build(&log, &ranges, &RegressionFitter).unwrap();
         let symbols = series_symbols(&series, DEFAULT_THETA);
         let ids = symbol_ids(&symbols);
-        let dfa = goalpost_pattern().compile();
-        assert!(dfa.is_match(&ids), "symbols {}", symbols_to_string(&symbols));
+        assert!(goalpost_pattern().compile().is_match(&ids), "{}", symbols_to_string(&symbols));
     }
 
     #[test]

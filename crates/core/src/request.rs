@@ -269,4 +269,28 @@ mod tests {
         let err = pinned.verify_pin(SnapshotRef::new(1, 2)).unwrap_err();
         assert!(matches!(err, Error::SnapshotMismatch { .. }), "{err}");
     }
+
+    #[test]
+    fn a_dfa_blowup_pattern_is_refused_within_a_second() {
+        use crate::algebra::{QueryEngine as _, StoreEngine};
+        use crate::store::{SequenceStore, StoreConfig};
+        use crate::subscribe::SubscriptionRegistry;
+        use std::time::{Duration, Instant};
+        // Subset construction would need 3·2^16 + 1 states for this one.
+        let text = format!("shape \"(u|d|f)* u{}\"", " (u|d|f)".repeat(16));
+        let store = SequenceStore::new(StoreConfig::default()).unwrap();
+        let started = Instant::now();
+        let err = StoreEngine::new(&store).request(&QueryRequest::saql(&text)).unwrap_err();
+        assert!(matches!(err, Error::Pattern(saq_pattern::Error::TooManyStates { .. })), "{err}");
+        assert_eq!(err.code(), 3);
+        assert!(started.elapsed() < Duration::from_secs(1), "query took {:?}", started.elapsed());
+        let started = Instant::now();
+        let err = SubscriptionRegistry::new().register_saql(&text).unwrap_err();
+        assert_eq!(err.code(), 3, "{err}");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "register took {:?}",
+            started.elapsed()
+        );
+    }
 }

@@ -103,7 +103,7 @@ pub fn extend_entry(
     let boundary = extended.points()[stored - 1];
     if boundary.t != last.t {
         return Err(Error::BadConfig(format!(
-            "extended sequence diverges from the stored prefix at point {} (t {} vs {})",
+            "extended sequence departs from the stored prefix at point {} (t {} vs {})",
             stored - 1,
             boundary.t,
             last.t

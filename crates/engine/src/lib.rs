@@ -17,10 +17,9 @@
 //!    [`saq_core::algebra::Planner`], once per request; conjunctive
 //!    id-range leaves prune the candidate universe before any shard is
 //!    formed. The wave's distinct leaf predicates (its *slots*) are
-//!    walked per id in the order the planner's own rule,
-//!    [`saq_core::algebra::conjunct_order`], gives them — and given again,
-//!    from per-slot observed counts, after an observation wave over the
-//!    first shards when the order can matter.
+//!    walked per id in one fixed order, the planner's own rule
+//!    [`saq_core::algebra::conjunct_order`] over each slot's access-path
+//!    cost class: id filters, then index-served slots, then scans.
 //! 2. **Shard** — candidate ids (sorted) are split into contiguous,
 //!    near-equal shards ([`shard::plan`]).
 //! 3. **Execute** — a fixed pool of worker threads claims shards from a
@@ -88,14 +87,14 @@ use report::RunReport;
 use saq_archive::{ArchiveSnapshot, ArchiveStore};
 use saq_core::algebra::{
     conjunct_order, execute_plan, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet,
-    MatchTier, PhysicalPlan, PlanNode, PlanStats, Planner, PreparedPred,
+    MatchTier, PhysicalPlan, PlanNode, Planner, PreparedPred,
 };
 use saq_core::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use saq_core::store::{StoreConfig, StoredEntry};
 use saq_core::subscribe::{Delta, SubscriptionId, SubscriptionRegistry};
 use saq_core::{Error, Result};
 use saq_index::DocPager as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning of the batch executor.
@@ -299,9 +298,9 @@ impl QueryEngine {
             };
 
         let stamp = self.ensure_fresh(snapshot);
-        let adapt = wave_adaptivity(&slots, &prepped, &union);
+        let guards = wave_guards(&slots, &prepped);
         let (sets, report, leaf_evals) =
-            self.eval_leaves(snapshot, &union, &slots, stamp, &adapt)?;
+            self.eval_leaves(snapshot, &union, &slots, stamp, &guards)?;
         *self.last_run.lock() = report;
 
         Ok(requests
@@ -407,21 +406,18 @@ impl QueryEngine {
     /// (index-path leaves, answered from index documents, contribute none,
     /// and evaluations skipped under a conjunctive guard are not counted).
     ///
-    /// When the wave's scan order can matter (`adapt.reorderable`), the
-    /// shards run as two barrier-separated waves: an **observation wave**
-    /// over a fraction of the shards, whose per-slot hit rates —
-    /// extrapolated to the whole universe, and only when they diverge from
-    /// the estimates ([`diverges`]) — re-derive, by the planner's own
-    /// [`conjunct_order`], the scan order the remaining shards run under.
-    /// Ordering-only: which ids each slot matches is unchanged, so
-    /// outcomes are byte-identical.
+    /// Every shard walks the slots in one fixed order, [`slot_order`], and
+    /// skips a slot's evaluation for an id one of its `guards` already
+    /// rejected. One pass of the pool covers every shard: each worker
+    /// claims shards from a shared counter and hands back its own clock,
+    /// cache counters and evaluation counts when the shards run out.
     fn eval_leaves(
         &self,
         snapshot: &ArchiveSnapshot,
         ids: &[u64],
         slots: &[WaveSlot],
         stamp: (u64, u64),
-        adapt: &WaveAdaptivity,
+        guards: &[Vec<usize>],
     ) -> Result<(Vec<MatchSet>, RunReport, Vec<u64>)> {
         let shards = shard::plan(ids.len(), self.config.shards);
         if shards.is_empty() || slots.is_empty() {
@@ -431,145 +427,71 @@ impl QueryEngine {
                 vec![0; slots.len()],
             ));
         }
+        let order = slot_order(slots);
+        let policy = ScanPolicy { order: &order, guards };
+        let next_shard = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
         let workers = self.config.workers.min(shards.len());
-        let logs: Vec<Mutex<(f64, CacheStats)>> =
-            (0..workers).map(|_| Mutex::new((0.0, CacheStats::default()))).collect();
-        let leaf_evals: Vec<AtomicU64> = slots.iter().map(|_| AtomicU64::new(0)).collect();
 
-        // Observation wave size: enough shards to see real selectivities,
-        // small enough that most of the batch still benefits from the
-        // refined order.
-        let observe = if adapt.reorderable && shards.len() >= 2 {
-            (shards.len() / 8).max(1)
-        } else {
-            shards.len()
-        };
-        let mut order = slot_order(slots, adapt.estimates.iter().copied());
-        let policy = ScanPolicy { order: &order, guards: &adapt.guards };
-        let first = self.eval_wave(
-            snapshot,
-            ids,
-            &shards[..observe],
-            slots,
-            stamp,
-            policy,
-            &logs,
-            &leaf_evals,
-        )?;
-        let rest = if observe < shards.len() {
-            // Each evaluated slot's hit rate, extrapolated to the whole
-            // universe (only scan slots count evaluations).
-            let universe = ids.len() as u64;
-            let observed: Vec<Option<u64>> = leaf_evals
-                .iter()
-                .enumerate()
-                .map(|(slot, evaluated)| {
-                    let evaluated = evaluated.load(Ordering::Relaxed);
-                    (evaluated > 0).then(|| {
-                        let matched: u64 = first.iter().map(|p| p[slot].len() as u64).sum();
-                        let rate = matched as f64 / evaluated as f64;
-                        (rate * universe as f64).round() as u64
+        let tallies = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut tally = WorkerTally {
+                            hits: vec![Vec::new(); slots.len()],
+                            sim_seconds: 0.0,
+                            cache: CacheStats::default(),
+                            leaf_evals: vec![0; slots.len()],
+                        };
+                        loop {
+                            let s = next_shard.fetch_add(1, Ordering::Relaxed);
+                            if s >= shards.len() || abort.load(Ordering::Relaxed) {
+                                return Ok(tally);
+                            }
+                            let shard = &ids[shards[s].clone()];
+                            if let Err(e) =
+                                self.eval_shard(snapshot, shard, slots, stamp, policy, &mut tally)
+                            {
+                                abort.store(true, Ordering::Relaxed);
+                                return Err(e);
+                            }
+                        }
                     })
                 })
                 .collect();
-            if diverges(universe, &observed) {
-                let refined =
-                    observed.iter().zip(&adapt.estimates).map(|(seen, est)| seen.or(*est));
-                order = slot_order(slots, refined);
-            }
-            let policy = ScanPolicy { order: &order, guards: &adapt.guards };
-            self.eval_wave(
-                snapshot,
-                ids,
-                &shards[observe..],
-                slots,
-                stamp,
-                policy,
-                &logs,
-                &leaf_evals,
-            )?
-        } else {
-            Vec::new()
-        };
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect::<Result<Vec<WorkerTally>>>()
+        })?;
 
         let mut sets = vec![MatchSet::new(); slots.len()];
-        for partials in first.into_iter().chain(rest) {
-            debug_assert_eq!(partials.len(), slots.len());
-            for (set, partial) in sets.iter_mut().zip(partials) {
-                for (id, tier) in partial {
+        let mut leaf_evals = vec![0; slots.len()];
+        let mut report = RunReport::default();
+        for tally in tallies {
+            for (set, hits) in sets.iter_mut().zip(tally.hits) {
+                for (id, tier) in hits {
                     set.insert(id, tier);
                 }
             }
-        }
-        let (per_worker_sim_seconds, per_worker_cache) =
-            logs.into_iter().map(Mutex::into_inner).unzip();
-        let report = RunReport { per_worker_sim_seconds, per_worker_cache };
-        Ok((sets, report, leaf_evals.into_iter().map(AtomicU64::into_inner).collect()))
-    }
-
-    /// Runs one wave of shards through the worker pool under one scan
-    /// policy, returning the per-shard partials in shard order. Worker
-    /// clocks, cache counters, and per-leaf evaluation totals accumulate
-    /// into the caller's `logs`/`leaf_evals` across waves, so the run
-    /// report spans the whole batch.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_wave(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        ids: &[u64],
-        shards: &[std::ops::Range<usize>],
-        slots: &[WaveSlot],
-        stamp: (u64, u64),
-        policy: ScanPolicy<'_>,
-        logs: &[Mutex<(f64, CacheStats)>],
-        leaf_evals: &[AtomicU64],
-    ) -> Result<Vec<ShardPartials>> {
-        let done: Vec<Mutex<Option<ShardPartials>>> =
-            shards.iter().map(|_| Mutex::new(None)).collect();
-        let next_shard = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let first_error: Mutex<Option<Error>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for log in logs {
-                scope.spawn(|| loop {
-                    let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                    if s >= shards.len() || abort.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    match self.eval_shard(snapshot, &ids[shards[s].clone()], slots, stamp, policy) {
-                        Ok(eval) => {
-                            *done[s].lock() = Some(eval.partials);
-                            let mut log = log.lock();
-                            log.0 += eval.sim_seconds;
-                            log.1.merge(eval.cache);
-                            for (total, n) in leaf_evals.iter().zip(&eval.leaf_evals) {
-                                total.fetch_add(*n, Ordering::Relaxed);
-                            }
-                        }
-                        Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
-                            first_error.lock().get_or_insert(e);
-                        }
-                    }
-                });
+            for (total, n) in leaf_evals.iter_mut().zip(tally.leaf_evals) {
+                *total += n;
             }
-        });
-
-        if let Some(e) = first_error.into_inner() {
-            return Err(e);
+            report.per_worker_sim_seconds.push(tally.sim_seconds);
+            report.per_worker_cache.push(tally.cache);
         }
-        Ok(done.into_iter().map(|slot| slot.into_inner().expect("every shard completed")).collect())
+        Ok((sets, report, leaf_evals))
     }
 
     /// Evaluates every leaf against every id of one shard, in one per-id
-    /// loop, through the feature cache.
+    /// loop, through the feature cache, adding the hits to the worker's
+    /// `tally`.
     ///
     /// Index-path leaves (shape, peak interval) are answered from the
     /// sequence's index document and never count as entry scans; only
     /// scan-path leaves (peak count, steepness, value bands) pay a
     /// per-entry evaluation, counted per leaf in
-    /// [`ShardEval::leaf_evals`].
+    /// [`WorkerTally::leaf_evals`].
     ///
     /// When no leaf scans entries, the document is the archive's **cold
     /// document** ([`ArchiveSnapshot::cold_docs`]) where available —
@@ -593,7 +515,8 @@ impl QueryEngine {
         slots: &[WaveSlot],
         stamp: (u64, u64),
         policy: ScanPolicy<'_>,
-    ) -> Result<ShardEval> {
+        tally: &mut WorkerTally,
+    ) -> Result<()> {
         let needs_scan = slots.iter().any(|s| s.path == AccessPath::Scan);
         let has_index = slots
             .iter()
@@ -603,12 +526,6 @@ impl QueryEngine {
         } else {
             None
         };
-        let mut eval = ShardEval {
-            partials: vec![Vec::new(); slots.len()],
-            sim_seconds: 0.0,
-            cache: CacheStats::default(),
-            leaf_evals: vec![0; slots.len()],
-        };
         // Per-id verdicts for this shard's scan loop: NotEvaluated also
         // covers skipped slots, so a skipped slot never guards another.
         let mut verdicts = vec![Verdict::NotEvaluated; slots.len()];
@@ -616,8 +533,8 @@ impl QueryEngine {
             let doc = cold.as_ref().and_then(|c| c.doc(id));
             let entry = if needs_scan || (has_index && doc.is_none()) {
                 let (entry, cost, cache) = self.entry_for(snapshot, id, stamp)?;
-                eval.sim_seconds += cost;
-                eval.cache.merge(cache);
+                tally.sim_seconds += cost;
+                tally.cache.merge(cache);
                 Some(entry)
             } else {
                 None
@@ -631,7 +548,7 @@ impl QueryEngine {
                         if policy.guards[ix].iter().any(|&g| verdicts[g] == Verdict::Rejected) {
                             continue;
                         }
-                        eval.leaf_evals[ix] += 1;
+                        tally.leaf_evals[ix] += 1;
                         pred.matches(id, entry.as_deref())
                     }
                     AccessPath::PatternIndex | AccessPath::IntervalIndex => match &doc {
@@ -641,14 +558,14 @@ impl QueryEngine {
                 };
                 verdicts[ix] = match hit {
                     Some(m) => {
-                        eval.partials[ix].push((id, MatchTier::from_match(m)));
+                        tally.hits[ix].push((id, MatchTier::from_match(m)));
                         Verdict::Matched
                     }
                     None => Verdict::Rejected,
                 };
             }
         }
-        Ok(eval)
+        Ok(())
     }
 
     /// The cached fetch → break → represent pipeline for one sequence;
@@ -689,15 +606,13 @@ impl QueryEngine {
     }
 }
 
-/// Per-leaf hit lists of one shard (id order within the shard).
-type ShardPartials = Vec<Vec<(u64, MatchTier)>>;
-
-/// Everything one shard's evaluation produced.
-struct ShardEval {
-    partials: ShardPartials,
-    /// Simulated archive seconds this shard's fetches cost.
+/// What one worker accrued over the shards it claimed.
+struct WorkerTally {
+    /// Per-leaf hit lists.
+    hits: Vec<Vec<(u64, MatchTier)>>,
+    /// Simulated archive seconds this worker's fetches cost.
     sim_seconds: f64,
-    /// Cache counters observed while materializing this shard's entries.
+    /// Cache counters observed while materializing this worker's entries.
     cache: CacheStats,
     /// Per-entry predicate evaluations, per leaf (scan-path leaves
     /// only; index-path leaves stay 0).
@@ -721,7 +636,7 @@ enum Verdict {
     Matched,
 }
 
-/// The scan policy one wave runs under: the order the per-id loop walks
+/// The scan policy a wave runs under: the order the per-id loop walks
 /// the slots in, and each slot's conjunctive guards.
 #[derive(Clone, Copy)]
 struct ScanPolicy<'a> {
@@ -729,50 +644,12 @@ struct ScanPolicy<'a> {
     guards: &'a [Vec<usize>],
 }
 
-/// The wave-level adaptive-execution context `run_requests` derives from
-/// the prepped plans before any shard runs.
-struct WaveAdaptivity {
-    /// Per slot: the cardinality estimate the initial scan order runs
-    /// under ([`slot_order`]). The sharded pass keeps no index statistics,
-    /// so only id-filter slots carry one — their share of the id span.
-    estimates: Vec<Option<u64>>,
-    /// Per slot: the guard slots — id-filter or scan slots that are a direct
-    /// conjunct sibling of this slot's root `And` in **every** request
-    /// using it. An id a guard rejected is excluded from every outcome
-    /// this slot can feed, so its evaluation may be skipped.
-    guards: Vec<Vec<usize>>,
-    /// Whether re-ordering between waves could change the work done: at
-    /// least one entry-scanned slot is skippable under an entry-scanned
-    /// guard.
-    reorderable: bool,
-}
-
 /// The order the per-id loop walks a wave's slots in: the planner's own
-/// conjunct rule over each slot's access path and estimate — id filters
-/// first, then index-served slots, then scans, each class by estimated
-/// cardinality.
-fn slot_order(slots: &[WaveSlot], estimates: impl Iterator<Item = Option<u64>>) -> Vec<usize> {
-    conjunct_order(slots.iter().zip(estimates).map(|(slot, est)| (slot.path.cost_class(), est)))
-}
-
-/// Observation must exceed estimate (or vice versa) by this factor —
-/// after +1 smoothing on both sides — before a batch re-orders its scan
-/// slots mid-wave.
-const DIVERGENCE_FACTOR: f64 = 2.0;
-
-/// Whether any evaluated slot's observed cardinality diverges from what
-/// the initial order assumed by more than [`DIVERGENCE_FACTOR`]. Only
-/// scan slots are observed and the sharded pass has no estimate for them,
-/// so the assumption is the pessimistic one — the whole universe: a scan
-/// slot that turns out highly selective is exactly the signal worth
-/// re-ordering on. Both sides are smoothed by +1, so zero observed
-/// against a handful of ids counts as divergence; a slot the observation
-/// wave never evaluated (`None`) is no signal.
-fn diverges(universe: u64, observed: &[Option<u64>]) -> bool {
-    observed.iter().flatten().any(|&seen| {
-        let (hi, lo) = (universe.max(seen) + 1, universe.min(seen) + 1);
-        hi as f64 > DIVERGENCE_FACTOR * lo as f64
-    })
+/// conjunct rule over each slot's access-path cost class — id filters
+/// first, then index-served slots, then scans, each class in declaration
+/// order.
+fn slot_order(slots: &[WaveSlot]) -> Vec<usize> {
+    conjunct_order(slots.iter().map(|slot| (slot.path.cost_class(), None)))
 }
 
 /// Collects the slots that appear under a pipeline breaker
@@ -801,8 +678,10 @@ fn breaker_slots(
     }
 }
 
-/// Derives the wave's slot estimates, conjunctive guards, and whether
-/// the scan order can matter.
+/// Derives each wave slot's conjunctive guards: the id-filter or scan
+/// slots that are a direct conjunct sibling of the slot's root `And` in
+/// **every** request using it. An id a guard rejected is excluded from
+/// every outcome the slot can feed, so its evaluation may be skipped.
 ///
 /// A guard is sound only if it holds in **every** request that shares
 /// the slot: the guard sets are the intersection, over each request
@@ -812,11 +691,7 @@ fn breaker_slots(
 /// contributes the empty set. Skipping an id the guard rejected is then
 /// outcome-preserving: the final conjunction intersects with the guard's
 /// match set, which excludes that id, in every consuming request.
-fn wave_adaptivity(
-    slots: &[WaveSlot],
-    prepped: &[Result<PreppedRequest>],
-    union: &[u64],
-) -> WaveAdaptivity {
+fn wave_guards(slots: &[WaveSlot], prepped: &[Result<PreppedRequest>]) -> Vec<Vec<usize>> {
     use std::collections::BTreeSet;
     let mut guards: Vec<Option<BTreeSet<usize>>> = vec![None; slots.len()];
     for prep in prepped.iter().flatten() {
@@ -843,19 +718,7 @@ fn wave_adaptivity(
             }
         }
     }
-    let guards: Vec<Vec<usize>> =
-        guards.into_iter().map(|g| g.unwrap_or_default().into_iter().collect()).collect();
-
-    let stats = PlanStats {
-        universe: union.len() as u64,
-        id_span: union.first().copied().zip(union.last().copied()),
-        index: None,
-    };
-    let estimates = slots.iter().map(|slot| stats.estimate_leaf(&slot.pred)).collect();
-    let reorderable = guards.iter().enumerate().any(|(s, g)| {
-        slots[s].path == AccessPath::Scan && g.iter().any(|&g| slots[g].path == AccessPath::Scan)
-    });
-    WaveAdaptivity { estimates, guards, reorderable }
+    guards.into_iter().map(|g| g.unwrap_or_default().into_iter().collect()).collect()
 }
 
 /// A [`QueryEngine`] bound to one archive: the sharded implementation of
@@ -1256,17 +1119,6 @@ mod tests {
         assert!(out.iter().all(|o| o.exact.is_empty() && o.approximate.is_empty()));
         let none = run(&engine, &mixed_archive(3), &[]);
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn divergence_compares_slot_counts_against_the_universe() {
-        // A scan slot carries no estimate, so the assumption is the whole
-        // universe (4).
-        assert!(diverges(4, &[Some(0)]), "0 of 4 diverges at 2x");
-        assert!(!diverges(4, &[Some(3)]), "3 of 4 is within 2x");
-        // A slot the observation wave never evaluated is no signal.
-        assert!(!diverges(4, &[None]));
-        assert!(diverges(4, &[None, Some(3), Some(1)]), "any one diverging slot re-orders");
     }
 
     #[test]

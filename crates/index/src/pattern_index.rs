@@ -277,11 +277,11 @@ mod tests {
         let idx = index_with(&[(1, "uudd"), (2, "uuddfuudd"), (3, "udfudfud"), (5, "fuddfudf")]);
         let re = Regex::parse("f* u+ d+ f* u+ d+ f*", &ab()).unwrap();
         let dfa = re.compile();
-        assert_eq!(idx.full_matches_among(&dfa, &[1, 2, 3]), vec![2]);
-        assert_eq!(idx.full_matches_among(&dfa, &[5, 2]), vec![5, 2], "keeps candidate order");
-        assert_eq!(idx.full_matches_among(&dfa, &[42]), Vec::<u64>::new(), "unknown ids skipped");
+        assert_eq!(idx.full_matches_among(dfa, &[1, 2, 3]), vec![2]);
+        assert_eq!(idx.full_matches_among(dfa, &[5, 2]), vec![5, 2], "keeps candidate order");
+        assert_eq!(idx.full_matches_among(dfa, &[42]), Vec::<u64>::new(), "unknown ids skipped");
         // Restricted and unrestricted paths agree on the full id set.
-        let mut all = idx.full_matches_among(&dfa, &[1, 2, 3, 5]);
+        let mut all = idx.full_matches_among(dfa, &[1, 2, 3, 5]);
         all.sort_unstable();
         let mut full = idx.full_matches(&re);
         full.sort_unstable();
@@ -375,7 +375,7 @@ mod tests {
         let idx = index_with(&[(1, "ududud"), (2, "ffff"), (3, "uddu")]);
         let re = Regex::parse("u d", &ab()).unwrap();
         let pruned = idx.scan(&re);
-        let unpruned = idx.scan_unpruned(&re.compile());
+        let unpruned = idx.scan_unpruned(re.compile());
         assert_eq!(pruned, unpruned);
     }
 }

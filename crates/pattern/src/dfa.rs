@@ -4,8 +4,16 @@
 //! sequences that match the pattern" — [`Dfa::find_matches`] provides that
 //! scan over a symbol string.
 
+use crate::error::{Error, Result};
 use crate::nfa::Nfa;
 use std::collections::HashMap;
+
+/// The most states a pattern's DFA may have. Subset construction can
+/// blow up exponentially — `(u|d|f)* u` followed by `k` more `(u|d|f)`
+/// groups needs `3·2^k + 1` states — so a cap bounds what one pattern
+/// can cost its caller. Every shipped pattern needs a few dozen states
+/// at most; the goal-post pattern needs 8.
+pub const MAX_DFA_STATES: usize = 4096;
 
 /// A match occurrence inside a symbol string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +37,7 @@ impl Match {
 }
 
 /// A dense-table DFA over alphabet ids `0..alphabet_size`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dfa {
     /// `transitions[state * alphabet_size + symbol]`, `usize::MAX` = dead.
     transitions: Vec<usize>,
@@ -41,8 +49,10 @@ pub struct Dfa {
 const DEAD: usize = usize::MAX;
 
 impl Dfa {
-    /// Subset construction from a Thompson NFA.
-    pub fn from_nfa(nfa: &Nfa, alphabet_size: usize) -> Dfa {
+    /// Subset construction from a Thompson NFA; refuses, with
+    /// [`Error::TooManyStates`], a pattern whose DFA would exceed
+    /// [`MAX_DFA_STATES`].
+    pub fn from_nfa(nfa: &Nfa, alphabet_size: usize) -> Result<Dfa> {
         let start_set = nfa.epsilon_closure(&[nfa.start]);
         let mut ids: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut sets: Vec<Vec<usize>> = Vec::new();
@@ -72,15 +82,22 @@ impl Dfa {
                     continue;
                 }
                 let closure = nfa.epsilon_closure(&moved);
-                let id = *ids.entry(closure.clone()).or_insert_with(|| {
-                    sets.push(closure);
-                    sets.len() - 1
-                });
+                let id = match ids.get(&closure) {
+                    Some(&id) => id,
+                    None if sets.len() == MAX_DFA_STATES => {
+                        return Err(Error::TooManyStates { limit: MAX_DFA_STATES });
+                    }
+                    None => {
+                        ids.insert(closure.clone(), sets.len());
+                        sets.push(closure);
+                        sets.len() - 1
+                    }
+                };
                 transitions[base + sym] = id;
             }
         }
 
-        Dfa { transitions, accepting, alphabet_size, start: 0 }
+        Ok(Dfa { transitions, accepting, alphabet_size, start: 0 })
     }
 
     /// Number of DFA states.
@@ -158,7 +175,7 @@ mod tests {
 
     fn dfa(pattern: &str) -> Dfa {
         let ab = Alphabet::new(&['u', 'd', 'f']).unwrap();
-        Regex::parse(pattern, &ab).unwrap().compile()
+        Regex::parse(pattern, &ab).unwrap().compile().clone()
     }
 
     fn enc(text: &str) -> Vec<u8> {
@@ -243,5 +260,34 @@ mod tests {
     #[test]
     fn dfa_is_small_for_simple_patterns() {
         assert!(dfa("u+d+").state_count() <= 8);
+    }
+
+    /// `(u|d|f)* u` followed by `groups` more `(u|d|f)`: `3·2^groups + 1`
+    /// DFA states.
+    fn blowup(groups: usize) -> String {
+        format!("(u|d|f)* u{}", " (u|d|f)".repeat(groups))
+    }
+
+    #[test]
+    fn shipped_patterns_fit_under_the_state_cap() {
+        // The six shape templates the benchmark generator draws from
+        // (`benchmark/src/gen.rs`); the first is the goal-post query.
+        for pattern in [
+            "f* u+ d+ f* u+ d+ f*",
+            "f* u+ d+ f*",
+            "u+ d+ f* u+ d+ f* u+ d+",
+            "f+",
+            "f* (u|d) f*",
+            "f* u+ d+ (u|d|f)*",
+        ] {
+            assert!(dfa(pattern).state_count() < MAX_DFA_STATES / 100, "{pattern}");
+        }
+        assert_eq!(dfa("f* u+ d+ f* u+ d+ f*").state_count(), 8);
+        // The largest blowup under the cap still compiles; one more group
+        // is refused.
+        assert_eq!(dfa(&blowup(10)).state_count(), 3 * (1 << 10) + 1);
+        let ab = Alphabet::new(&['u', 'd', 'f']).unwrap();
+        let refused = Regex::parse(&blowup(11), &ab).unwrap_err();
+        assert_eq!(refused, Error::TooManyStates { limit: MAX_DFA_STATES });
     }
 }

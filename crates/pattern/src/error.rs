@@ -17,6 +17,12 @@ pub enum Error {
         /// Description.
         message: String,
     },
+    /// The pattern's DFA would need more than `limit` states
+    /// ([`crate::MAX_DFA_STATES`]).
+    TooManyStates {
+        /// The state cap.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -26,6 +32,9 @@ impl fmt::Display for Error {
             Error::UnknownSymbol { ch } => write!(f, "unknown symbol `{ch}`"),
             Error::Syntax { position, message } => {
                 write!(f, "pattern syntax error at {position}: {message}")
+            }
+            Error::TooManyStates { limit } => {
+                write!(f, "pattern needs more than {limit} DFA states")
             }
         }
     }
@@ -45,5 +54,6 @@ mod tests {
         assert!(Error::BadAlphabet("dup".into()).to_string().contains("dup"));
         assert!(Error::UnknownSymbol { ch: 'z' }.to_string().contains('z'));
         assert!(Error::Syntax { position: 3, message: "eh".into() }.to_string().contains('3'));
+        assert!(Error::TooManyStates { limit: 7 }.to_string().contains('7'));
     }
 }

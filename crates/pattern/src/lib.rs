@@ -4,8 +4,8 @@
 //! side of §4.4. The paper poses the goal-post fever query as the regular
 //! expression `0* 1+ (-1)+ 0* 1+ (-1)+ 0*` over the slope-sign alphabet
 //! `{+1, 0, -1}`; this crate supplies the pattern language and matching
-//! machinery (Thompson NFA → subset-construction DFA) that `saq-core` and
-//! `saq-index` build on.
+//! machinery (Thompson NFA → subset-construction DFA, capped at
+//! [`MAX_DFA_STATES`]) that `saq-core` and `saq-index` build on.
 //!
 //! The engine is deliberately generic over any alphabet of up to 255
 //! single-`char` symbols; `saq-core::alphabet` instantiates it for slope
@@ -35,7 +35,7 @@ mod parser;
 
 pub use alphabet::Alphabet;
 pub use ast::Ast;
-pub use dfa::{Dfa, Match};
+pub use dfa::{Dfa, Match, MAX_DFA_STATES};
 pub use error::{Error, Result};
 pub use nfa::Nfa;
 pub use parser::Regex;

@@ -20,21 +20,23 @@ use crate::dfa::Dfa;
 use crate::error::{Error, Result};
 use crate::nfa::Nfa;
 
-/// A parsed pattern, ready to compile into a [`Dfa`].
+/// A parsed pattern together with its [`Dfa`], built once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Regex {
     ast: Ast,
-    alphabet_size: usize,
+    dfa: Dfa,
 }
 
 impl Regex {
-    /// Parses `pattern` over `alphabet`.
+    /// Parses `pattern` over `alphabet` and builds its DFA; a pattern whose
+    /// DFA would exceed [`crate::MAX_DFA_STATES`] is refused with
+    /// [`Error::TooManyStates`].
     pub fn parse(pattern: &str, alphabet: &Alphabet) -> Result<Regex> {
         let chars: Vec<char> = pattern.chars().collect();
         let mut p = Parser { chars: &chars, pos: 0, alphabet };
         p.skip_ws();
         if p.at_end() {
-            return Ok(Regex { ast: Ast::Epsilon, alphabet_size: alphabet.len() });
+            return Regex::from_ast(Ast::Epsilon, alphabet.len());
         }
         let ast = p.parse_alt()?;
         p.skip_ws();
@@ -44,12 +46,14 @@ impl Regex {
                 message: format!("unexpected `{}`", p.chars[p.pos]),
             });
         }
-        Ok(Regex { ast, alphabet_size: alphabet.len() })
+        Regex::from_ast(ast, alphabet.len())
     }
 
-    /// Builds a regex directly from an AST.
-    pub fn from_ast(ast: Ast, alphabet_size: usize) -> Regex {
-        Regex { ast, alphabet_size }
+    /// Builds a regex and its DFA directly from an AST, under the same
+    /// state cap as [`Regex::parse`].
+    pub fn from_ast(ast: Ast, alphabet_size: usize) -> Result<Regex> {
+        let dfa = Dfa::from_nfa(&Nfa::from_ast(&ast), alphabet_size)?;
+        Ok(Regex { ast, dfa })
     }
 
     /// The underlying AST.
@@ -62,9 +66,10 @@ impl Regex {
         Nfa::from_ast(&self.ast)
     }
 
-    /// Compiles to a DFA via subset construction.
-    pub fn compile(&self) -> Dfa {
-        Dfa::from_nfa(&self.to_nfa(), self.alphabet_size)
+    /// The pattern's DFA, built by subset construction when the regex
+    /// was made.
+    pub fn compile(&self) -> &Dfa {
+        &self.dfa
     }
 }
 

@@ -28,7 +28,7 @@ proptest! {
         ast in arb_ast(3),
         inputs in prop::collection::vec(prop::collection::vec(0u8..3, 0..12), 1..8),
     ) {
-        let regex = Regex::from_ast(ast, 3);
+        let regex = Regex::from_ast(ast, 3).unwrap();
         let nfa = regex.to_nfa();
         let dfa = regex.compile();
         for input in &inputs {
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn nullable_ast_accepts_empty(ast in arb_ast(3)) {
         let nullable = ast.nullable();
-        let regex = Regex::from_ast(ast, 3);
+        let regex = Regex::from_ast(ast, 3).unwrap();
         prop_assert_eq!(regex.compile().is_match(&[]), nullable);
     }
 
@@ -48,7 +48,8 @@ proptest! {
         ast in arb_ast(3),
         input in prop::collection::vec(0u8..3, 0..20),
     ) {
-        let dfa = Regex::from_ast(ast, 3).compile();
+        let regex = Regex::from_ast(ast, 3).unwrap();
+        let dfa = regex.compile();
         for start in dfa.match_starts(&input) {
             let m = dfa.longest_match_at(&input, start);
             prop_assert!(m.is_some_and(|m| !m.is_empty()));

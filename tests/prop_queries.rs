@@ -57,10 +57,10 @@ proptest! {
         }
         let pattern = "0* 1+ (-1)+ 0* 1+ (-1)+ 0*";
         let out = StoreEngine::new(&store).execute(&QueryExpr::shape(pattern)).unwrap();
-        let dfa = saq::core::alphabet::parse_slope_pattern(pattern).unwrap().compile();
+        let regex = saq::core::alphabet::parse_slope_pattern(pattern).unwrap();
         for id in ids {
             let symbols = store.get(id).unwrap().symbols.clone();
-            prop_assert_eq!(out.exact.contains(&id), dfa.is_match(&symbols));
+            prop_assert_eq!(out.exact.contains(&id), regex.compile().is_match(&symbols));
         }
     }
 
