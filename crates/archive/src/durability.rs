@@ -131,9 +131,10 @@ pub(crate) fn merge_append(prior: Option<&[u8]>, delta: &[u8]) -> saq_durable::R
 }
 
 /// Runs the ingestion pipeline for one sequence and captures the index
-/// document the engine would derive from it.
+/// document the engine would derive from it. The document never reads
+/// the raw samples, so none are retained (`keep_raw` is ignored).
 pub fn compute_doc(seq: &Sequence, config: &StoreConfig) -> Result<OwnedDoc> {
-    let entry = StoredEntry::compute(seq, config)?;
+    let entry = StoredEntry::compute(seq, &StoreConfig { keep_raw: false, ..*config })?;
     Ok(OwnedDoc {
         interval_buckets: entry.peaks.interval_buckets(),
         peak_count: entry.peaks.len(),

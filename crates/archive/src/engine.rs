@@ -108,7 +108,7 @@ impl ScanSource<'_> {
             return Ok(entry.clone());
         }
         let (seq, _cost) = self.snap.fetch(id).ok_or(Error::UnknownSequence { id })?;
-        let entry = Rc::new(StoredEntry::compute(seq, &self.config)?);
+        let entry = Rc::new(StoredEntry::compute_shared(&seq, &self.config)?);
         self.entries.insert(id, entry.clone());
         Ok(entry)
     }

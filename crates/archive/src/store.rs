@@ -694,9 +694,11 @@ impl ArchiveSnapshot {
     /// simulated seek + transfer cost on the archive's medium, counting
     /// the fetch on the *shared* counter (and really sleeping when a
     /// realtime scale is configured). The caller sums the costs it
-    /// cares about; the archive keeps no clock of its own.
-    pub fn fetch(&self, id: u64) -> Option<(&Sequence, AccessCost)> {
-        let seq = self.state.sequences.get(id)?;
+    /// cares about; the archive keeps no clock of its own. The sequence
+    /// comes back as the archive's own `Arc`, so a caller that keeps it
+    /// shares the stored copy instead of duplicating it.
+    pub fn fetch(&self, id: u64) -> Option<(Arc<Sequence>, AccessCost)> {
+        let seq = self.state.sequences.get_arc(id)?;
         let cost = self.shared.account_fetch(seq.len() as u64);
         Some((seq, cost))
     }

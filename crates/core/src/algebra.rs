@@ -1310,8 +1310,9 @@ fn exec_node<S: LeafSource>(
 /// for the same data, with one precondition: [`Pred::ValueBand`] leaves
 /// need raw samples, and a [`SequenceStore`] built with `keep_raw: false`
 /// retains none — its band leaves match nothing, while the archive-backed
-/// engines (which always keep raw copies) still match. Keep raw retention
-/// on (the default) wherever band leaves must agree across engines.
+/// engines (whose entries always share the archive's raw samples) still
+/// match. Keep raw retention on (the default) wherever band leaves must
+/// agree across engines.
 pub trait QueryEngine {
     /// Answers one [`QueryRequest`] — SAQL text or a built expression,
     /// optionally pinned to a snapshot, with stats and explain on demand.

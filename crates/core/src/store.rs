@@ -98,8 +98,10 @@ pub struct StoredEntry {
     pub symbols: Vec<u8>,
     /// The peaks table (Table 1).
     pub peaks: PeakTable<Line>,
-    /// The raw sequence, if retained.
-    pub raw: Option<Sequence>,
+    /// The raw sequence, if retained. Shared, not copied: an entry built
+    /// by [`StoredEntry::compute_shared`] points at its source's
+    /// allocation (the archive's own copy, for the batch engine's cache).
+    pub raw: Option<Arc<Sequence>>,
 }
 
 impl StoredEntry {
@@ -108,7 +110,24 @@ impl StoredEntry {
     /// single source of truth shared by [`SequenceStore::insert`] and the
     /// batch engine's on-demand feature computation, so a sequence always
     /// yields the same representation regardless of which path touched it.
+    /// A retained raw sequence is a copy of `seq`.
     pub fn compute(seq: &Sequence, config: &StoreConfig) -> Result<StoredEntry> {
+        StoredEntry::build(seq, config, || Arc::new(seq.clone()))
+    }
+
+    /// As [`StoredEntry::compute`], but a retained raw sequence shares
+    /// `seq`'s allocation instead of copying it.
+    pub fn compute_shared(seq: &Arc<Sequence>, config: &StoreConfig) -> Result<StoredEntry> {
+        StoredEntry::build(seq, config, || Arc::clone(seq))
+    }
+
+    /// The pipeline both constructors run; `raw` is called only when
+    /// `config.keep_raw` asks for the raw sequence.
+    fn build(
+        seq: &Sequence,
+        config: &StoreConfig,
+        raw: impl FnOnce() -> Arc<Sequence>,
+    ) -> Result<StoredEntry> {
         if seq.is_empty() {
             return Err(Error::EmptyInput);
         }
@@ -120,7 +139,7 @@ impl StoredEntry {
         };
         let series = LinearSeries::build(seq, &ranges, &RegressionFitter)?;
         let (symbols, peaks) = derive_features(&series, config.theta);
-        Ok(StoredEntry { series, symbols, peaks, raw: config.keep_raw.then(|| seq.clone()) })
+        Ok(StoredEntry { series, symbols, peaks, raw: config.keep_raw.then(raw) })
     }
 }
 

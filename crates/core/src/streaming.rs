@@ -26,6 +26,7 @@ use crate::store::{derive_features, BreakerKind, StoreConfig, StoredEntry};
 use crate::{brk::OnlineBreaker, Breaker};
 use saq_curves::RegressionFitter;
 use saq_sequence::{Point, Sequence};
+use std::sync::Arc;
 
 /// How much work one [`append_entry`] splice actually did — the counters
 /// the streaming experiments assert stay asymptotically below a batch
@@ -112,8 +113,9 @@ pub fn extend_entry(
 
     if config.breaker != BreakerKind::Online {
         // No stable suffix to splice at: recompute the whole sequence.
-        let next = StoredEntry::compute(&extended, config)?;
-        return Ok((next, SpliceReport::full(extended.len())));
+        let total = extended.len();
+        let next = StoredEntry::compute_shared(&Arc::new(extended), config)?;
+        return Ok((next, SpliceReport::full(total)));
     }
 
     // The open segment starts the re-broken suffix; everything before it
@@ -146,7 +148,8 @@ pub fn extend_entry(
         rebroken_points: suffix.len(),
         total_points: extended.len(),
     };
-    let next = StoredEntry { series, symbols, peaks, raw: config.keep_raw.then_some(extended) };
+    let next =
+        StoredEntry { series, symbols, peaks, raw: config.keep_raw.then(|| Arc::new(extended)) };
     Ok((next, report))
 }
 

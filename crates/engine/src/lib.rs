@@ -109,8 +109,9 @@ pub struct EngineConfig {
     /// Capacity (entries) of the per-sequence feature LRU cache.
     pub cache_capacity: usize,
     /// Ingestion parameters (ε, θ) used when representing an archived
-    /// sequence. Raw copies are always retained in cached entries — band
-    /// queries need them — regardless of `store.keep_raw`.
+    /// sequence. Cached entries always carry the raw sequence — band
+    /// queries need it — regardless of `store.keep_raw`: the archive's
+    /// sequence is shared, never copied.
     pub store: StoreConfig,
 }
 
@@ -590,7 +591,7 @@ impl QueryEngine {
             }
         }
         let (seq, cost) = snapshot.fetch(id).ok_or(Error::UnknownSequence { id })?;
-        let entry = Arc::new(StoredEntry::compute(seq, &self.ingest_config())?);
+        let entry = Arc::new(StoredEntry::compute_shared(&seq, &self.ingest_config())?);
         let mut delta = CacheStats { misses: 1, ..CacheStats::default() };
         let mut cache = self.cache.lock();
         if cache.stamp == Some(stamp) && cache.lru.insert(id, entry.clone()) {
@@ -600,7 +601,7 @@ impl QueryEngine {
     }
 
     /// The store config with raw retention forced on (band queries need the
-    /// raw samples).
+    /// raw samples; the entry shares the archive's sequence).
     fn ingest_config(&self) -> StoreConfig {
         StoreConfig { keep_raw: true, ..self.config.store }
     }
@@ -824,7 +825,7 @@ mod tests {
     use saq_core::algebra::{QueryEngine as _, QueryExpr};
     use saq_core::query::QueryOutcome;
     use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
-    use saq_sequence::Sequence;
+    use saq_sequence::{Point, Sequence};
 
     fn mixed_archive(n: u64) -> ArchiveStore {
         let mut archive = ArchiveStore::new(Medium::memory());
@@ -944,7 +945,7 @@ mod tests {
         let mut archive = ArchiveStore::open_backend(backend, Medium::memory(), config).unwrap();
         let template = mixed_archive(12);
         for &id in template.ids().iter() {
-            archive.put(id, template.snapshot().fetch(id).unwrap().0.clone());
+            archive.put(id, template.snapshot().get(id).unwrap().clone());
         }
         archive.compact().unwrap();
         let index_batch = vec![
@@ -1003,6 +1004,37 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 3, "two cold misses + the one dirty id");
         assert_eq!(stats.hits, 1, "the clean entry survived the re-stamp");
+    }
+
+    #[test]
+    fn cached_entries_share_the_archive_sequence_and_stay_exact() {
+        let mut archive = mixed_archive(6);
+        let engine = QueryEngine::new(EngineConfig::default()).unwrap();
+        let cached = |id: u64| engine.cache.lock().lru.get(id).unwrap().raw.clone().unwrap();
+        let stored = |archive: &ArchiveStore, id: u64| archive.snapshot().fetch(id).unwrap().0;
+        run(&engine, &archive, &batch());
+        for id in 0..6 {
+            assert!(Arc::ptr_eq(&cached(id), &stored(&archive, id)), "id {id}: shared, not copied");
+        }
+
+        // Appending to id 4 replaces its archived sequence: the next wave
+        // drops exactly that entry and shares the new allocation.
+        let clean = [0, 1, 2, 3, 5].map(|id| (id, cached(id)));
+        let (old, len, t) = {
+            let raw = cached(4);
+            (Arc::downgrade(&raw), raw.len(), raw.points().last().unwrap().t)
+        };
+        archive.append_points(4, &[Point::new(t + 1.0, 0.0), Point::new(t + 2.0, 3.0)]);
+        let misses = engine.cache_stats().misses;
+        assert_eq!(run(&engine, &archive, &batch()), sequential(&archive, &batch()));
+        assert_eq!(engine.cache_stats().misses - misses, 1, "only the appended id is refetched");
+        let fresh = cached(4);
+        assert!(Arc::ptr_eq(&fresh, &stored(&archive, 4)), "the new allocation is shared");
+        assert_eq!(fresh.len(), len + 2);
+        for (id, raw) in clean {
+            assert!(Arc::ptr_eq(&raw, &cached(id)), "id {id}: clean entry kept");
+        }
+        assert!(old.upgrade().is_none(), "the superseded sequence is freed, cache included");
     }
 
     #[test]

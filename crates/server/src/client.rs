@@ -33,6 +33,7 @@ impl SaqClient {
     /// Connects to a running `saqd`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<SaqClient> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(SaqClient { reader, writer, last_wave: 0, pending_deltas: VecDeque::new() })
     }

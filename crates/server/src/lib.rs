@@ -23,6 +23,11 @@
 //! typo, a stale pin) come back to their own client; the rest of the
 //! wave is unaffected.
 //!
+//! Standing subscriptions are pumped against that same snapshot
+//! *before* the wave's queries run, so a `DELTA` never waits behind the
+//! wave's scan; since both read one snapshot, the order changes neither
+//! the deltas nor the answers.
+//!
 //! ## Sessions and pins
 //!
 //! A connection is a session. `PIN` records the current snapshot ref and
@@ -317,11 +322,14 @@ impl Saqd {
 }
 
 /// The wave loop: take one job, hold the wave open for the configured
-/// window (or until full), run the accumulated queries against **one**
-/// archive snapshot, then pump the subscription registry and push the
-/// resulting `DELTA` frames. Control jobs (subscriptions, appends) are
-/// applied in arrival order while the wave collects, so one iteration's
-/// appends are visible to its queries and to its pump.
+/// window (or until full), capture **one** archive snapshot, pump the
+/// subscription registry against it and push the resulting `DELTA`
+/// frames, then run the accumulated queries against the same snapshot.
+/// Pumping first keeps deltas from waiting behind the wave's scan; both
+/// read one snapshot, so neither the deltas nor the answers depend on the
+/// order. Control jobs (subscriptions, appends) are applied in arrival
+/// order while the wave collects, so one iteration's appends are visible
+/// to its pump and to its queries.
 fn dispatch_loop(
     engine: &QueryEngine,
     archive: &ArchiveStore,
@@ -371,38 +379,8 @@ fn dispatch_loop(
         }
 
         let snapshot = archive.snapshot();
-        if !wave.is_empty() {
-            let size = wave.len() as u64;
-            metrics.waves.fetch_add(1, Ordering::Relaxed);
-            metrics.queries.fetch_add(size, Ordering::Relaxed);
-            metrics.max_wave.fetch_max(size, Ordering::Relaxed);
-
-            let requests: Vec<QueryRequest> = wave.iter().map(|(req, _)| req.clone()).collect();
-            match engine.run_requests(&snapshot, &requests) {
-                Ok(results) => {
-                    for ((_, reply), result) in wave.into_iter().zip(results) {
-                        let result = result.map(|resp| (resp, size)).map_err(|e| {
-                            metrics.errors.fetch_add(1, Ordering::Relaxed);
-                            (e.code(), e.to_string())
-                        });
-                        let _ = reply.send(result);
-                    }
-                }
-                Err(e) => {
-                    // A wave-level failure (not attributable to one request)
-                    // fans out to every member with the same code + message.
-                    let code = e.code();
-                    let message = e.to_string();
-                    metrics.errors.fetch_add(size, Ordering::Relaxed);
-                    for (_, reply) in wave {
-                        let _ = reply.send(Err((code, message.clone())));
-                    }
-                }
-            }
-        }
-
         if !registry.is_empty() {
-            // Pump against the same snapshot the wave answered from. The
+            // Pump against the same snapshot the wave answers from. The
             // dirty set comes from `changed_since(last_pumped)` inside
             // the engine — a wildcard (`None`) re-evaluates everything.
             match engine.pump_subscriptions(&snapshot, &mut registry, last_pumped) {
@@ -431,6 +409,36 @@ fn dispatch_loop(
                 }
                 Err(_) => {
                     metrics.errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+
+        if !wave.is_empty() {
+            let size = wave.len() as u64;
+            metrics.waves.fetch_add(1, Ordering::Relaxed);
+            metrics.queries.fetch_add(size, Ordering::Relaxed);
+            metrics.max_wave.fetch_max(size, Ordering::Relaxed);
+
+            let requests: Vec<QueryRequest> = wave.iter().map(|(req, _)| req.clone()).collect();
+            match engine.run_requests(&snapshot, &requests) {
+                Ok(results) => {
+                    for ((_, reply), result) in wave.into_iter().zip(results) {
+                        let result = result.map(|resp| (resp, size)).map_err(|e| {
+                            metrics.errors.fetch_add(1, Ordering::Relaxed);
+                            (e.code(), e.to_string())
+                        });
+                        let _ = reply.send(result);
+                    }
+                }
+                Err(e) => {
+                    // A wave-level failure (not attributable to one request)
+                    // fans out to every member with the same code + message.
+                    let code = e.code();
+                    let message = e.to_string();
+                    metrics.errors.fetch_add(size, Ordering::Relaxed);
+                    for (_, reply) in wave {
+                        let _ = reply.send(Err((code, message.clone())));
+                    }
                 }
             }
         }
@@ -501,6 +509,9 @@ struct Session {
 
 impl Session {
     fn serve(mut self, stream: TcpStream) {
+        // Every frame is one write, so Nagle has nothing to coalesce and
+        // would only hold replies back until the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let Ok(read_half) = stream.try_clone() else { return };
         let mut reader = BufReader::new(read_half);
         // The write half is shared with the dispatcher, which pushes

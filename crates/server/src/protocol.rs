@@ -38,7 +38,9 @@ pub const PROTOCOL: &str = "SAQP/1";
 /// not buy a garbage-sized buffer.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single `write_all` of
+/// `[len be32][payload]`. Written in two parts, the payload would wait
+/// behind the prefix for the peer's delayed ACK.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
@@ -47,8 +49,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<()> {
             bytes.len()
         )));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -528,6 +532,39 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF between frames");
+    }
+
+    /// A `Write` that records every call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_length_then_payload() {
+        for payload in ["PING SAQP/1\n\n", "", "héllo"] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!((w.writes, w.flushes), (1, 1), "{payload:?}: one write, one flush");
+            let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+            expected.extend_from_slice(payload.as_bytes());
+            assert_eq!(w.bytes, expected, "{payload:?}: [len be32][payload]");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use saq::server::{SaqClient, Saqd, SaqdConfig};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A mixed 24-sequence archive: goalposts, spike trains, random walks.
 fn corpus() -> ArchiveStore {
@@ -240,6 +240,26 @@ fn an_over_cap_response_is_an_error_and_the_session_keeps_serving() {
     server.shutdown();
 }
 
+/// A round trip must not wait on a delayed-ACK timer (40–200 ms on common
+/// stacks): each frame leaves in one write and both ends set
+/// `TCP_NODELAY`, so a loopback `PING` costs well under a millisecond.
+#[test]
+fn loopback_round_trips_do_not_wait_on_delayed_acks() {
+    let server = Saqd::spawn(corpus(), SaqdConfig::default()).unwrap();
+    let mut client = SaqClient::connect(server.addr()).unwrap();
+    let mut rtts: Vec<Duration> = (0..30)
+        .map(|_| {
+            let start = Instant::now();
+            client.ping().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(median < Duration::from_millis(5), "median PING round trip {median:?}");
+    server.shutdown();
+}
+
 #[test]
 fn remote_engine_answers_like_local_engines_through_the_trait() {
     use saq::core::algebra::QueryExpr;
@@ -292,7 +312,7 @@ fn restarted_server_serves_byte_identical_results_from_its_data_dir() {
     let snap = template.snapshot();
     let mut archive = open();
     for &id in template.ids().iter() {
-        archive.put(id, snap.fetch(id).unwrap().0.clone());
+        archive.put(id, snap.get(id).unwrap().clone());
     }
     archive.compact().unwrap();
     archive.put(2, random_walk(49, 0.0, 0.25, 99));
