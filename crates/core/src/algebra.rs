@@ -1128,7 +1128,9 @@ fn has_wide_and(expr: &QueryExpr) -> bool {
     }
 }
 
-fn contains_pipeline_breaker(expr: &QueryExpr) -> bool {
+/// Whether `expr` holds a `Limit` or `TopK`: the only operators whose
+/// answer for one id depends on the other ids.
+pub(crate) fn contains_pipeline_breaker(expr: &QueryExpr) -> bool {
     match expr {
         QueryExpr::Leaf(_) => false,
         QueryExpr::And(cs) | QueryExpr::Or(cs) => cs.iter().any(contains_pipeline_breaker),

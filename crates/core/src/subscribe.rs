@@ -17,6 +17,13 @@
 //!    [`PhysicalPlan::id_bounds`] (changed sequences can't be members
 //!    either before or after).
 //!
+//! A subscription that survives both rungs is maintained **per id** when
+//! it holds no `Limit`/`TopK`: every other operator decides an id's
+//! membership from that id's sequence alone, so only the dirty ids
+//! inside its bounds (`D`) can enter or leave, and
+//! `next = (current − D) ∪ eval(expr and id in [d..d] for each d in D)`.
+//! A subscription with a pipeline breaker re-runs whole.
+//!
 //! A dirty set of `None` means *wildcard*: an id-less whole-store
 //! mutation (or a coalesced-away history) where anything may have
 //! changed. Wildcards force re-evaluation of **every** subscription —
@@ -29,7 +36,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::algebra::{IndexCaps, PhysicalPlan, Planner, QueryEngine, QueryExpr};
+use crate::algebra::{
+    contains_pipeline_breaker, IndexCaps, PhysicalPlan, Planner, QueryEngine, QueryExpr,
+};
 use crate::error::Result;
 use crate::query::QueryOutcome;
 
@@ -95,6 +104,8 @@ pub struct PumpCounters {
 struct Subscription {
     expr: QueryExpr,
     plan: PhysicalPlan,
+    /// No `Limit`/`TopK`: a pump may re-decide just the dirty ids.
+    per_id: bool,
     /// Sorted result-set ids at the last evaluation; `None` until the
     /// baseline evaluation, which pruning must never skip.
     current: Option<Vec<u64>>,
@@ -124,7 +135,8 @@ impl SubscriptionRegistry {
         let plan = Planner::new(IndexCaps::all()).plan(&expr)?;
         let id = self.next;
         self.next += 1;
-        self.subs.insert(id, Subscription { expr, plan, current: None });
+        let per_id = !contains_pipeline_breaker(&expr);
+        self.subs.insert(id, Subscription { expr, plan, per_id, current: None });
         Ok(SubscriptionId(id))
     }
 
@@ -193,26 +205,37 @@ impl SubscriptionRegistry {
         let mut counters = self.counters;
         let mut fresh = Vec::new();
         for (&id, sub) in &self.subs {
-            if sub.current.is_some() {
-                match dirty {
-                    // Wildcard: anything may have changed — evaluate.
-                    None => {}
-                    Some([]) => {
-                        counters.skipped_clean += 1;
+            let next = match (sub.current.as_deref(), dirty) {
+                // The baseline, or a wildcard: anything may have changed.
+                (None, _) | (Some(_), None) => {
+                    counters.evaluated += 1;
+                    outcome_ids(engine.execute(&sub.expr)?)
+                }
+                (Some(_), Some([])) => {
+                    counters.skipped_clean += 1;
+                    continue;
+                }
+                (Some(current), Some(ids)) => {
+                    let mut touched: Vec<u64> = match sub.plan.id_bounds() {
+                        Some((lo, hi)) => {
+                            ids.iter().copied().filter(|d| (lo..=hi).contains(d)).collect()
+                        }
+                        None => ids.to_vec(),
+                    };
+                    if touched.is_empty() {
+                        counters.skipped_id_bounds += 1;
                         continue;
                     }
-                    Some(ids) => {
-                        if let Some((lo, hi)) = sub.plan.id_bounds() {
-                            if !ids.iter().any(|d| (lo..=hi).contains(d)) {
-                                counters.skipped_id_bounds += 1;
-                                continue;
-                            }
-                        }
+                    counters.evaluated += 1;
+                    if sub.per_id {
+                        touched.sort_unstable();
+                        touched.dedup();
+                        maintain(engine, &sub.expr, current, &touched)?
+                    } else {
+                        outcome_ids(engine.execute(&sub.expr)?)
                     }
                 }
-            }
-            counters.evaluated += 1;
-            let next = outcome_ids(engine.execute(&sub.expr)?);
+            };
             let delta = diff_sorted(sub.current.as_deref().unwrap_or_default(), &next);
             fresh.push((id, next, delta));
         }
@@ -230,6 +253,26 @@ impl SubscriptionRegistry {
         self.counters = counters;
         Ok(out)
     }
+}
+
+/// The next result set of a subscription free of `Limit`/`TopK` after
+/// the ids in `touched` (sorted) changed: every other id keeps its
+/// membership, and each touched id is decided by evaluating `expr` over
+/// that id alone.
+fn maintain<E: QueryEngine + ?Sized>(
+    engine: &E,
+    expr: &QueryExpr,
+    current: &[u64],
+    touched: &[u64],
+) -> Result<Vec<u64>> {
+    let mut next: Vec<u64> =
+        current.iter().copied().filter(|id| touched.binary_search(id).is_err()).collect();
+    for &d in touched {
+        next.extend(outcome_ids(engine.execute(&expr.clone().and(QueryExpr::id_range(d, d)))?));
+    }
+    next.sort_unstable();
+    next.dedup();
+    Ok(next)
 }
 
 /// The sorted, deduplicated id membership of an outcome — exact and
@@ -351,7 +394,8 @@ mod tests {
         assert_eq!(reg.counters().evaluated, 2);
     }
 
-    /// Answers like its store, except that `poison` always fails.
+    /// Answers like its store, except that `poison` always fails, alone
+    /// or as a conjunct (the shape of a per-id re-check).
     struct FailsOn<'a> {
         store: &'a SequenceStore,
         poison: QueryExpr,
@@ -359,7 +403,12 @@ mod tests {
 
     impl QueryEngine for FailsOn<'_> {
         fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
-            if req.query == QueryBody::Expr(self.poison.clone()) {
+            let poisoned = match &req.query {
+                QueryBody::Expr(QueryExpr::And(conjuncts)) => conjuncts.contains(&self.poison),
+                QueryBody::Expr(expr) => *expr == self.poison,
+                _ => false,
+            };
+            if poisoned {
                 return Err(Error::Protocol("injected failure".into()));
             }
             StoreEngine::new(self.store).request(req)

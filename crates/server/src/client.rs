@@ -148,8 +148,8 @@ impl SaqClient {
 
     /// Appends points to the archived sequence `id` (creating it if
     /// absent) and returns its total length afterwards. The server
-    /// applies the wave, pumps the standing queries, and pushes `DELTA`
-    /// frames to every affected subscriber.
+    /// commits the append, then its pump re-evaluates the standing
+    /// queries and pushes `DELTA` frames to every affected subscriber.
     pub fn append(&mut self, id: u64, points: &[Point]) -> Result<usize> {
         let mut request = WireRequest::new(Verb::Append);
         request.headers.push(("id".into(), id.to_string()));

@@ -23,10 +23,13 @@
 //! typo, a stale pin) come back to their own client; the rest of the
 //! wave is unaffected.
 //!
-//! Standing subscriptions are pumped against that same snapshot
-//! *before* the wave's queries run, so a `DELTA` never waits behind the
-//! wave's scan; since both read one snapshot, the order changes neither
-//! the deltas nor the answers.
+//! Writes and standing queries stay off the dispatcher, so neither waits
+//! behind a wave's scan. A session commits its own `APPEND` (sessions
+//! share one writer lock, so each reply names its own generation) and
+//! wakes the **pump**: one thread that owns the subscription registry,
+//! re-evaluates it against a fresh snapshot and pushes the `DELTA`
+//! frames. Appends that land while a pump runs are covered by the next
+//! one.
 //!
 //! ## Sessions and pins
 //!
@@ -195,29 +198,35 @@ impl Metrics {
 }
 
 /// The write half of one session's socket, shared between its reader
-/// thread (responses) and the dispatcher (pushed `DELTA` frames).
+/// thread (responses) and the pump (pushed `DELTA` frames).
 type Sink = Arc<Mutex<TcpStream>>;
+
+/// The archive handle every session appends through. Holding its lock
+/// across the commit and the generation read makes each reply's
+/// generation that append's own.
+type Writer = Arc<Mutex<ArchiveStore>>;
 
 /// One unit of dispatcher work.
 enum Job {
     /// A query from some connection; the answer, tagged with the size of
     /// the wave that served it, goes back through `reply`.
     Query { req: QueryRequest, reply: SyncSender<WireResult<(QueryResponse, u64)>> },
-    /// Applied and answered in place while the wave collects.
-    Control(Control),
     /// Stop the dispatch loop.
     Shutdown,
 }
 
-/// The jobs that never wait on a wave — see [`apply`].
-enum Control {
+/// One unit of pump work. The subscription registry lives on the pump
+/// thread, so registering, dropping and re-evaluating standing queries
+/// all go through here, in arrival order.
+enum PumpJob {
     /// Register a standing SAQL query; membership changes push to `sink`.
     Subscribe { saql: String, sink: Sink, reply: SyncSender<WireResult<u64>> },
     /// Drop a subscription; answers whether it was live.
     Unsubscribe { id: u64, reply: SyncSender<WireResult<bool>> },
-    /// Append points to one archived sequence (creating it if absent);
-    /// answers `(generation, total points)` after the wave is applied.
-    Append { id: u64, points: Vec<Point>, reply: SyncSender<WireResult<(u64, usize)>> },
+    /// The archive has moved on: pump against a fresh snapshot.
+    Moved,
+    /// Stop the pump loop.
+    Shutdown,
 }
 
 /// A result whose error half is already wire-shaped `(code, message)`:
@@ -226,42 +235,51 @@ enum Control {
 type WireResult<T> = std::result::Result<T, (u16, String)>;
 
 /// A running `saqd` server: an acceptor, one reader thread per
-/// connection, and the single coalescing dispatcher. Dropping the handle
-/// without calling [`Saqd::shutdown`] leaves the threads serving until
-/// process exit.
+/// connection, the single coalescing dispatcher, and the subscription
+/// pump. Dropping the handle without calling [`Saqd::shutdown`] leaves
+/// the threads serving until process exit.
 #[derive(Debug)]
 pub struct Saqd {
     addr: SocketAddr,
     jobs: Sender<Job>,
+    pumps: Sender<PumpJob>,
+    writer: Writer,
     stopping: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     acceptor: JoinHandle<()>,
     dispatcher: JoinHandle<()>,
+    pumper: JoinHandle<()>,
 }
 
 impl Saqd {
-    /// Binds, spawns the acceptor and dispatcher, and returns once the
-    /// server is reachable. The server reads through its own handle onto
-    /// the shared `archive`; keep another handle to keep writing.
+    /// Binds, spawns the acceptor, dispatcher and pump, and returns once
+    /// the server is reachable. The server reads through its own handle
+    /// onto the shared `archive`; keep another handle to keep writing.
     pub fn spawn(archive: ArchiveStore, config: SaqdConfig) -> Result<Saqd> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let engine = QueryEngine::new(config.engine)?;
+        let engine = Arc::new(QueryEngine::new(config.engine)?);
         let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
+        let (pumps_tx, pumps_rx) = mpsc::channel::<PumpJob>();
+        let writer: Writer = Arc::new(Mutex::new(archive.clone()));
         let stopping = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Metrics::default());
 
         let dispatcher = {
-            let archive = archive.clone();
-            let metrics = metrics.clone();
-            let config = config.clone();
+            let (engine, archive, metrics) = (engine.clone(), archive.clone(), metrics.clone());
+            let (config, pumps) = (config.clone(), pumps_tx.clone());
             std::thread::spawn(move || {
-                dispatch_loop(&engine, &archive, &config, &jobs_rx, &metrics)
+                dispatch_loop(&engine, &archive, &config, &jobs_rx, &pumps, &metrics)
             })
         };
 
+        let pumper = {
+            let (archive, metrics) = (archive.clone(), metrics.clone());
+            std::thread::spawn(move || pump_loop(&engine, &archive, &pumps_rx, &metrics))
+        };
+
         let acceptor = {
-            let jobs = jobs_tx.clone();
+            let (jobs, pumps, writer) = (jobs_tx.clone(), pumps_tx.clone(), writer.clone());
             let stopping = stopping.clone();
             let metrics = metrics.clone();
             std::thread::spawn(move || {
@@ -273,6 +291,8 @@ impl Saqd {
                     metrics.connections.fetch_add(1, Ordering::Relaxed);
                     let session = Session {
                         jobs: jobs.clone(),
+                        pumps: pumps.clone(),
+                        writer: writer.clone(),
                         stopping: stopping.clone(),
                         metrics: metrics.clone(),
                         archive: archive.clone(),
@@ -284,7 +304,17 @@ impl Saqd {
             })
         };
 
-        Ok(Saqd { addr, jobs: jobs_tx, stopping, metrics, acceptor, dispatcher })
+        Ok(Saqd {
+            addr,
+            jobs: jobs_tx,
+            pumps: pumps_tx,
+            writer,
+            stopping,
+            metrics,
+            acceptor,
+            dispatcher,
+            pumper,
+        })
     }
 
     /// The address the server is listening on (with the real port when
@@ -302,50 +332,58 @@ impl Saqd {
     /// then joins the threads — the `saqd` binary's serve-forever loop.
     pub fn shutdown_when_asked(self) {
         let _ = self.dispatcher.join();
-        self.stopping.store(true, Ordering::SeqCst);
+        stop_writes(&self.stopping, &self.writer);
+        let _ = self.pumps.send(PumpJob::Shutdown);
         let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
+        let _ = self.pumper.join();
     }
 
-    /// Stops accepting, drains the dispatcher, and joins both threads.
-    /// Open sessions see a "server is stopping" error on their next
-    /// query and are left to disconnect on their own.
+    /// Stops accepting and appending, drains the dispatcher and the pump,
+    /// and joins their threads. Open sessions see a "server is stopping"
+    /// error on their next query or append and are left to disconnect on
+    /// their own.
     pub fn shutdown(self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        stop_writes(&self.stopping, &self.writer);
         let _ = self.jobs.send(Job::Shutdown);
+        let _ = self.pumps.send(PumpJob::Shutdown);
         // The acceptor is parked in accept(); a throwaway connection
         // unblocks it so it can observe the flag.
         let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
         let _ = self.dispatcher.join();
+        let _ = self.pumper.join();
     }
 }
 
-/// The wave loop: take one job, hold the wave open for the configured
-/// window (or until full), capture **one** archive snapshot, pump the
-/// subscription registry against it and push the resulting `DELTA`
-/// frames, then run the accumulated queries against the same snapshot.
-/// Pumping first keeps deltas from waiting behind the wave's scan; both
-/// read one snapshot, so neither the deltas nor the answers depend on the
-/// order. Control jobs (subscriptions, appends) are applied in arrival
-/// order while the wave collects, so one iteration's appends are visible
-/// to its pump and to its queries.
+/// Raises the stopping flag, then waits out any append in flight:
+/// sessions check the flag under the writer lock, so no append commits
+/// once this returns.
+fn stop_writes(stopping: &AtomicBool, writer: &Writer) {
+    stopping.store(true, Ordering::SeqCst);
+    drop(writer.lock());
+}
+
+/// The wave loop: take one query, hold the wave open for the configured
+/// window (or until full), then run the accumulated queries against
+/// **one** archive snapshot. Appends and subscriptions never pass
+/// through here, so they never wait behind a wave's scan. A wave that
+/// finds the archive moved on wakes the pump, which is how a write made
+/// through another handle reaches the subscribers.
 fn dispatch_loop(
     engine: &QueryEngine,
     archive: &ArchiveStore,
     config: &SaqdConfig,
     jobs: &Receiver<Job>,
+    pumps: &Sender<PumpJob>,
     metrics: &Metrics,
 ) {
-    let mut archive = archive.clone();
-    let mut registry = SubscriptionRegistry::new();
-    let mut sinks: HashMap<u64, Sink> = HashMap::new();
-    let mut last_pumped = archive.generation();
+    let mut seen = archive.generation();
     loop {
         let mut wave = Vec::new();
         let mut stop_after = false;
-        // Unset until the job that opens the wave has been taken (and, if
-        // a control job, applied): the window counts from there.
+        // Unset until the query that opens the wave has been taken: the
+        // window counts from there.
         let mut deadline: Option<Instant> = None;
         while !stop_after && wave.len() < config.max_wave.max(1) {
             let job = match deadline {
@@ -370,50 +408,17 @@ fn dispatch_loop(
             };
             match job {
                 Job::Query { req, reply } => wave.push((req, reply)),
-                Job::Control(control) => {
-                    apply(control, &mut archive, &mut registry, &mut sinks, metrics)
-                }
                 Job::Shutdown => stop_after = true,
             }
             deadline.get_or_insert_with(|| Instant::now() + config.wave_window);
         }
 
-        let snapshot = archive.snapshot();
-        if !registry.is_empty() {
-            // Pump against the same snapshot the wave answers from. The
-            // dirty set comes from `changed_since(last_pumped)` inside
-            // the engine — a wildcard (`None`) re-evaluates everything.
-            match engine.pump_subscriptions(&snapshot, &mut registry, last_pumped) {
-                Ok(deltas) => {
-                    last_pumped = snapshot.generation();
-                    let current = SnapshotRef::new(snapshot.instance_id(), snapshot.generation());
-                    let mut dead = Vec::new();
-                    for (id, delta) in deltas {
-                        let Some(sink) = sinks.get(&id.raw()) else { continue };
-                        let frame =
-                            DeltaFrame { subscription: id.raw(), delta, snapshot: Some(current) };
-                        if write_frame(&mut *sink.lock(), &frame.to_wire().render()).is_ok() {
-                            metrics.deltas.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            dead.push(id);
-                        }
-                    }
-                    // A sink that refuses writes is a gone session; its
-                    // subscriptions die with it.
-                    for id in dead {
-                        if registry.unregister(id) {
-                            metrics.subscriptions.fetch_sub(1, Ordering::Relaxed);
-                        }
-                        sinks.remove(&id.raw());
-                    }
-                }
-                Err(_) => {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
         if !wave.is_empty() {
+            let snapshot = archive.snapshot();
+            if snapshot.generation() != seen {
+                seen = snapshot.generation();
+                let _ = pumps.send(PumpJob::Moved);
+            }
             let size = wave.len() as u64;
             metrics.waves.fetch_add(1, Ordering::Relaxed);
             metrics.queries.fetch_add(size, Ordering::Relaxed);
@@ -448,50 +453,82 @@ fn dispatch_loop(
     }
 }
 
-/// Applies one control job, answering immediately so control round trips
-/// never wait on a wave.
-fn apply(
-    job: Control,
-    archive: &mut ArchiveStore,
-    registry: &mut SubscriptionRegistry,
-    sinks: &mut HashMap<u64, Sink>,
+/// The pump loop: take one job and every job already queued behind it,
+/// apply them in order, then pump the subscription registry against one
+/// fresh snapshot and push the resulting `DELTA` frames. A burst of
+/// appends that lands while a pump runs costs one more pump, not one
+/// each.
+fn pump_loop(
+    engine: &QueryEngine,
+    archive: &ArchiveStore,
+    jobs: &Receiver<PumpJob>,
     metrics: &Metrics,
 ) {
-    match job {
-        Control::Subscribe { saql, sink, reply } => {
-            let result = registry
-                .register_saql(&saql)
-                .map(|id| {
-                    sinks.insert(id.raw(), sink);
-                    metrics.subscriptions.fetch_add(1, Ordering::Relaxed);
-                    id.raw()
-                })
-                .map_err(|e| {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    (e.code(), e.to_string())
-                });
-            let _ = reply.send(result);
-        }
-        Control::Unsubscribe { id, reply } => {
-            let live = registry.unregister(SubscriptionId::from_raw(id));
-            sinks.remove(&id);
-            if live {
-                metrics.subscriptions.fetch_sub(1, Ordering::Relaxed);
+    let mut registry = SubscriptionRegistry::new();
+    let mut sinks: HashMap<u64, Sink> = HashMap::new();
+    let mut last_pumped = archive.generation();
+    while let Ok(first) = jobs.recv() {
+        for job in std::iter::once(first).chain(jobs.try_iter()) {
+            match job {
+                PumpJob::Subscribe { saql, sink, reply } => {
+                    let result = registry
+                        .register_saql(&saql)
+                        .map(|id| {
+                            sinks.insert(id.raw(), sink);
+                            metrics.subscriptions.fetch_add(1, Ordering::Relaxed);
+                            id.raw()
+                        })
+                        .map_err(|e| {
+                            metrics.errors.fetch_add(1, Ordering::Relaxed);
+                            (e.code(), e.to_string())
+                        });
+                    let _ = reply.send(result);
+                }
+                PumpJob::Unsubscribe { id, reply } => {
+                    let live = registry.unregister(SubscriptionId::from_raw(id));
+                    sinks.remove(&id);
+                    if live {
+                        metrics.subscriptions.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    let _ = reply.send(Ok(live));
+                }
+                PumpJob::Moved => {}
+                PumpJob::Shutdown => return,
             }
-            let _ = reply.send(Ok(live));
         }
-        Control::Append { id, points, reply } => {
-            let result = archive
-                .try_append_points(id, &points)
-                .map(|total| {
-                    metrics.appends.fetch_add(1, Ordering::Relaxed);
-                    (archive.generation(), total)
-                })
-                .map_err(|e| {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    (e.code(), e.to_string())
-                });
-            let _ = reply.send(result);
+        if registry.is_empty() {
+            continue;
+        }
+        // The dirty set comes from `changed_since(last_pumped)` inside
+        // the engine — a wildcard (`None`) re-evaluates everything.
+        let snapshot = archive.snapshot();
+        match engine.pump_subscriptions(&snapshot, &mut registry, last_pumped) {
+            Ok(deltas) => {
+                last_pumped = snapshot.generation();
+                let current = SnapshotRef::new(snapshot.instance_id(), snapshot.generation());
+                let mut dead = Vec::new();
+                for (id, delta) in deltas {
+                    let Some(sink) = sinks.get(&id.raw()) else { continue };
+                    let frame =
+                        DeltaFrame { subscription: id.raw(), delta, snapshot: Some(current) };
+                    if write_frame(&mut *sink.lock(), &frame.to_wire().render()).is_ok() {
+                        metrics.deltas.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        dead.push(id);
+                    }
+                }
+                // A sink that refuses writes is a gone session; its
+                // subscriptions die with it.
+                for id in dead {
+                    if registry.unregister(id) {
+                        metrics.subscriptions.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    sinks.remove(&id.raw());
+                }
+            }
+            Err(_) => {
+                metrics.errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -499,6 +536,8 @@ fn apply(
 /// Per-connection state: the reader thread's view of one session.
 struct Session {
     jobs: Sender<Job>,
+    pumps: Sender<PumpJob>,
+    writer: Writer,
     stopping: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     archive: ArchiveStore,
@@ -514,7 +553,7 @@ impl Session {
         let _ = stream.set_nodelay(true);
         let Ok(read_half) = stream.try_clone() else { return };
         let mut reader = BufReader::new(read_half);
-        // The write half is shared with the dispatcher, which pushes
+        // The write half is shared with the pump, which pushes
         // `DELTA` frames between (or interleaved with) responses; the
         // mutex keeps whole frames atomic on the wire.
         let writer: Sink = Arc::new(Mutex::new(stream));
@@ -536,10 +575,10 @@ impl Session {
             }
         }
         // The socket is closing: drop this session's subscriptions so the
-        // dispatcher stops evaluating (and pushing) for a gone peer.
+        // pump stops evaluating (and pushing) for a gone peer.
         for id in std::mem::take(&mut self.subs) {
             let (reply, _) = mpsc::sync_channel(1);
-            let _ = self.jobs.send(Job::Control(Control::Unsubscribe { id, reply }));
+            let _ = self.pumps.send(PumpJob::Unsubscribe { id, reply });
         }
     }
 
@@ -551,7 +590,8 @@ impl Session {
     fn respond(&mut self, request: &WireRequest, writer: &Sink) -> WireResponse {
         match request.verb {
             Verb::Query => match request.to_request(self.pin) {
-                Ok(req) => match self.ask(|reply| Job::Query { req, reply }) {
+                Ok(req) => match ask(&self.jobs, &self.stopping, |reply| Job::Query { req, reply })
+                {
                     Ok((resp, wave)) => WireResponse::from_response(&resp, wave),
                     Err(e) => wire_err(e),
                 },
@@ -570,7 +610,11 @@ impl Session {
             }
             Verb::Subscribe => {
                 let (saql, sink) = (request.body.trim().to_string(), writer.clone());
-                match self.ask(|reply| Job::Control(Control::Subscribe { saql, sink, reply })) {
+                match ask(&self.pumps, &self.stopping, |reply| PumpJob::Subscribe {
+                    saql,
+                    sink,
+                    reply,
+                }) {
                     Ok(id) => {
                         self.subs.push(id);
                         WireResponse::ok().with("subscription", id)
@@ -593,7 +637,7 @@ impl Session {
                 if !self.subs.contains(&id) {
                     return WireResponse::ok().with("known", false);
                 }
-                match self.ask(|reply| Job::Control(Control::Unsubscribe { id, reply })) {
+                match ask(&self.pumps, &self.stopping, |reply| PumpJob::Unsubscribe { id, reply }) {
                     Ok(live) => {
                         self.subs.retain(|&s| s != id);
                         WireResponse::ok().with("known", live)
@@ -615,7 +659,7 @@ impl Session {
                     Ok(points) => points,
                     Err(e) => return WireResponse::err(e.code(), &e.to_string()),
                 };
-                match self.ask(|reply| Job::Control(Control::Append { id, points, reply })) {
+                match self.append(id, &points) {
                     Ok((generation, total)) => WireResponse::ok()
                         .with("total", total)
                         .with("snapshot", SnapshotRef::new(self.archive.instance_id(), generation)),
@@ -646,17 +690,49 @@ impl Session {
         }
     }
 
-    /// One dispatcher round trip: refuse while stopping, send the job
-    /// `build` makes around the reply sender, wait for its answer. A
-    /// dispatcher that is gone answers like a stopping one.
-    fn ask<T>(&self, build: impl FnOnce(SyncSender<WireResult<T>>) -> Job) -> WireResult<T> {
-        let stopping = || (9, "protocol error: server is stopping".to_string());
-        let (reply, answer) = mpsc::sync_channel(1);
-        if self.stopping.load(Ordering::SeqCst) || self.jobs.send(build(reply)).is_err() {
-            return Err(stopping());
+    /// Commits an append on this reader thread, so it never waits
+    /// behind a wave, then wakes the pump. The shared writer lock is held
+    /// across the commit and the generation read, and the stopping flag
+    /// is checked under it (see [`Saqd::shutdown`]).
+    fn append(&self, id: u64, points: &[Point]) -> WireResult<(u64, usize)> {
+        let committed = {
+            let mut archive = self.writer.lock();
+            if self.stopping.load(Ordering::SeqCst) {
+                return Err(stopping_err());
+            }
+            archive.try_append_points(id, points).map(|total| (archive.generation(), total))
+        };
+        match committed {
+            Ok(done) => {
+                self.metrics.appends.fetch_add(1, Ordering::Relaxed);
+                let _ = self.pumps.send(PumpJob::Moved);
+                Ok(done)
+            }
+            Err(e) => {
+                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                Err((e.code(), e.to_string()))
+            }
         }
-        answer.recv().map_err(|_| stopping())?
     }
+}
+
+/// One round trip to the dispatcher or the pump: refuse while stopping,
+/// send the job `build` makes around the reply sender, wait for its
+/// answer. A loop that is gone answers like a stopping one.
+fn ask<J, T>(
+    to: &Sender<J>,
+    stopping: &AtomicBool,
+    build: impl FnOnce(SyncSender<WireResult<T>>) -> J,
+) -> WireResult<T> {
+    let (reply, answer) = mpsc::sync_channel(1);
+    if stopping.load(Ordering::SeqCst) || to.send(build(reply)).is_err() {
+        return Err(stopping_err());
+    }
+    answer.recv().map_err(|_| stopping_err())?
+}
+
+fn stopping_err() -> (u16, String) {
+    (9, "protocol error: server is stopping".to_string())
 }
 
 fn wire_err((code, message): (u16, String)) -> WireResponse {
@@ -817,6 +893,59 @@ mod tests {
         b.append(50, seq.points()).unwrap();
         let frame = a.next_delta_within(Duration::from_secs(10)).unwrap().unwrap();
         assert_eq!((frame.subscription, frame.delta.entered), (sub, vec![50]));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_write_through_another_handle_reaches_subscribers_at_the_next_wave() {
+        let archive = demo_archive();
+        let server = Saqd::spawn(archive.clone(), SaqdConfig::default()).unwrap();
+        let mut client = SaqClient::connect(server.addr()).unwrap();
+        let sub = client.subscribe("peaks = 2").unwrap();
+        client.next_delta_within(Duration::from_secs(10)).unwrap().unwrap();
+
+        // No APPEND wakes the pump for this write; the wave that first
+        // reads its generation does.
+        let mut writer = archive.clone();
+        writer.put(100, goalpost(GoalpostSpec { seed: 99, ..GoalpostSpec::default() }));
+        let resp = client.query(&QueryRequest::saql("peaks = 2")).unwrap();
+        assert_eq!(resp.outcome.exact, vec![0, 2, 4, 6, 100]);
+        let frame = client.next_delta_within(Duration::from_secs(10)).unwrap().unwrap();
+        assert_eq!((frame.subscription, frame.delta.entered), (sub, vec![100]));
+        server.shutdown();
+    }
+
+    #[test]
+    fn concurrent_appends_each_reply_with_their_own_generation() {
+        let archive = demo_archive();
+        let base = archive.generation();
+        let server = Saqd::spawn(archive.clone(), SaqdConfig::default()).unwrap();
+        let (sessions, appends) = (3u64, 20u64);
+        let workers: Vec<_> = (0..sessions)
+            .map(|s| {
+                let addr = server.addr();
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    let mut generations = Vec::new();
+                    for k in 0..appends {
+                        let mut request = WireRequest::new(Verb::Append);
+                        request.headers.push(("id".into(), (200 + s).to_string()));
+                        request.body = protocol::render_points(&[Point::new(k as f64, 1.0)]);
+                        write_frame(&mut stream, &request.render()).unwrap();
+                        let reply = WireResponse::parse(&read_frame(&mut stream).unwrap().unwrap());
+                        let snapshot: SnapshotRef =
+                            reply.unwrap().header("snapshot").unwrap().parse().unwrap();
+                        generations.push(snapshot.generation);
+                    }
+                    generations
+                })
+            })
+            .collect();
+        let mut generations: Vec<u64> =
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        generations.sort_unstable();
+        let expected: Vec<u64> = (base + 1..=base + sessions * appends).collect();
+        assert_eq!(generations, expected, "every commit's generation is named exactly once");
         server.shutdown();
     }
 

@@ -60,13 +60,15 @@ fn membership(outcome: saq::core::query::QueryOutcome) -> Vec<u64> {
 }
 
 /// A diverse standing-query mix: a feature count, an id-bounded shape
-/// (exercises the id-bounds prune), a disjunction, and a TopK whose
-/// membership churns as rankings shift.
+/// (exercises the id-bounds prune), a disjunction and a bare complement
+/// (maintained per dirty id), and a TopK whose membership churns as
+/// rankings shift (re-run whole).
 fn standing_queries() -> Vec<QueryExpr> {
     vec![
         QueryExpr::peak_count(2, 1),
         QueryExpr::shape("0* 1+ (-1)+ 0*").and(QueryExpr::id_range(0, 3)),
         QueryExpr::peak_interval(10, 3).or(QueryExpr::min_steepness(0.8, 0.2)),
+        QueryExpr::peak_count(1, 0).negate(),
         QueryExpr::peak_count(1, 0).negate().top_k(3),
     ]
 }
