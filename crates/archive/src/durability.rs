@@ -1,26 +1,18 @@
 //! The archive's durability bridge: payload codecs, the handle tying an
-//! [`ArchiveStore`] to its [`DurableStore`], and
-//! the staleness-aware cold-document pager.
+//! [`ArchiveStore`] to its [`DurableStore`], and feature documents
+//! through compaction and recovery.
 //!
 //! The durable layer stores opaque bytes; this module owns the two
 //! encodings the archive commits to disk — raw sequences as WAL/segment
-//! payloads ([`encode_sequence`]/[`decode_sequence`]) and precomputed
-//! index documents ([`compute_doc`]) — plus [`ColdDocs`], the
-//! [`DocPager`] that serves those documents back after a restart while
-//! refusing any id mutated since they were computed.
+//! payloads ([`encode_sequence`]/[`decode_sequence`]) and feature
+//! documents ([`compute_doc`], [`OwnedDoc::encode`]) in the docs
+//! segment.
 //!
-//! # Why refusal is always sound
-//!
-//! A document is exact for id `i` at the compaction base generation
-//! `B`. [`ColdDocs`] marks `i` dirty on *every* later mutation of `i`
-//! (and poisons itself entirely on a wildcard), so it serves `i` only
-//! while the entry a query would compute from is byte-identical to the
-//! one the document was derived from. The dirty set only ever grows
-//! within one compaction era, and it is shared by *all* snapshots
-//! holding this pager: a snapshot pinned at generation `G ≥ B` may see
-//! ids marked dirty by mutations *after* `G` and refuse them
-//! needlessly — costing a recompute from its pinned sequence, never a
-//! wrong answer.
+//! The archive keeps every id's document resident and current, so the
+//! docs segment is only a way to skip recomputing them at open:
+//! compaction writes the resident documents, and recovery decodes them
+//! for every id the WAL tail left alone. No persisted document is used
+//! without that check, so there is no staleness to track.
 
 use crate::ArchiveStore;
 use parking_lot::{Mutex, RwLock};
@@ -29,10 +21,10 @@ use saq_durable::codec::{self, Cursor};
 use saq_durable::store::DocsReader;
 use saq_durable::{DurableStore, SegmentReader};
 use saq_index::cold::{DocPager, OwnedDoc};
+use saq_index::ShardedCowMap;
 use saq_sequence::{Point, Sequence};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How an [`ArchiveStore`] persists itself.
@@ -42,42 +34,29 @@ pub struct DurabilityConfig {
     /// compact when [`ArchiveStore::compact`](crate::ArchiveStore::compact)
     /// is called explicitly).
     pub compact_after: u64,
-    /// When set, compaction also persists precomputed index documents
-    /// under this representation configuration, so reopening serves
-    /// index-only queries without recomputing every entry. Use the same
-    /// configuration the query engine ingests with.
-    pub index_docs: Option<StoreConfig>,
+    /// The representation parameters (ε, θ, breaker) the archive derives
+    /// its feature documents with; `keep_raw` is ignored.
+    pub representation: StoreConfig,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig { compact_after: 1024, index_docs: Some(StoreConfig::default()) }
+        DurabilityConfig { compact_after: 1024, representation: StoreConfig::default() }
     }
 }
 
-/// The durable half of an archive: the open store, its configuration,
-/// and the current cold-document pager. Lives behind the one mutex that
-/// serializes WAL appends with compactions; the locking order is always
-/// durable-handle first, then the archive state lock.
+/// The durable half of an archive: the open store and the view over
+/// its current docs segment. The store's mutex serializes WAL appends
+/// with compactions; the locking order is always durable handle first,
+/// then the archive state lock.
 pub(crate) struct DurableHandle {
     pub(crate) store: Mutex<DurableStore>,
-    pub(crate) config: DurabilityConfig,
     pub(crate) cold: RwLock<Option<Arc<ColdDocs>>>,
 }
 
 impl fmt::Debug for DurableHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableHandle").field("config", &self.config).finish_non_exhaustive()
-    }
-}
-
-impl DurableHandle {
-    /// Marks an id dirty (or poisons everything for a wildcard) in the
-    /// current cold pager, if any.
-    pub(crate) fn mark(&self, id: Option<u64>) {
-        if let Some(cold) = self.cold.read().as_ref() {
-            cold.mark(id);
-        }
+        f.debug_struct("DurableHandle").finish_non_exhaustive()
     }
 }
 
@@ -130,14 +109,16 @@ pub(crate) fn merge_append(prior: Option<&[u8]>, delta: &[u8]) -> saq_durable::R
     }
 }
 
-/// Runs the ingestion pipeline for one sequence and captures the index
-/// document the engine would derive from it. The document never reads
-/// the raw samples, so none are retained (`keep_raw` is ignored).
+/// Runs the ingestion pipeline for one sequence and captures its
+/// feature document. The document never reads the raw samples, so none
+/// are retained (`keep_raw` is ignored). Fails as the pipeline does: an
+/// empty sequence is archivable but has no document.
 pub fn compute_doc(seq: &Sequence, config: &StoreConfig) -> Result<OwnedDoc> {
     let entry = StoredEntry::compute(seq, &StoreConfig { keep_raw: false, ..*config })?;
     Ok(OwnedDoc {
         interval_buckets: entry.peaks.interval_buckets(),
         peak_count: entry.peaks.len(),
+        steepness: entry.peaks.steepness_range(),
         symbols: entry.symbols,
     })
 }
@@ -147,144 +128,101 @@ pub fn storage_error(e: saq_durable::Error) -> Error {
     Error::from(e)
 }
 
-// --- the cold pager ---------------------------------------------------
+// --- the docs segment -------------------------------------------------
 
-/// A [`DocPager`] over the index documents persisted by the last
-/// compaction, refusing ids mutated since (see the module docs for the
-/// soundness argument).
+/// A read-only view over the docs segment the last compaction wrote (or
+/// recovery found). Queries never read it — the archive's resident
+/// documents answer them; it only reports what the segment holds.
 pub struct ColdDocs {
     reader: SegmentReader,
-    epsilon_bits: u64,
-    theta_bits: u64,
-    breaker_tag: u64,
-    base_generation: u64,
-    dirty: RwLock<HashSet<u64>>,
-    poisoned: AtomicBool,
 }
 
 impl fmt::Debug for ColdDocs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ColdDocs")
-            .field("base_generation", &self.base_generation)
-            .field("dirty", &self.dirty.read().len())
-            .field("poisoned", &self.poisoned.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+        f.debug_struct("ColdDocs").field("pages_read", &self.pages_read()).finish_non_exhaustive()
     }
 }
 
 impl ColdDocs {
     pub(crate) fn new(pager: DocsReader) -> ColdDocs {
-        ColdDocs {
-            reader: pager.reader,
-            epsilon_bits: pager.epsilon_bits,
-            theta_bits: pager.theta_bits,
-            breaker_tag: pager.breaker_tag,
-            base_generation: pager.base_generation,
-            dirty: RwLock::new(HashSet::new()),
-            poisoned: AtomicBool::new(false),
-        }
+        ColdDocs { reader: pager.reader }
     }
 
-    /// Marks `id` dirty; `None` (a wildcard mutation) poisons the whole
-    /// pager — every future request is refused.
-    pub(crate) fn mark(&self, id: Option<u64>) {
-        match id {
-            Some(id) => {
-                self.dirty.write().insert(id);
-            }
-            None => self.poisoned.store(true, Ordering::Release),
-        }
-    }
-
-    /// Whether these documents were computed under the same
-    /// representation parameters (bit-exact ε and θ, and the same
-    /// breaking algorithm — the two breakers produce different valid
-    /// segmentations, so documents from one must never serve the other)
-    /// as `config`.
-    pub fn matches_config(&self, config: &StoreConfig) -> bool {
-        self.epsilon_bits == config.epsilon.to_bits()
-            && self.theta_bits == config.theta.to_bits()
-            && self.breaker_tag == config.breaker.tag()
-    }
-
-    /// The generation the documents are exact at.
-    pub fn base_generation(&self) -> u64 {
-        self.base_generation
-    }
-
-    /// Documents currently refused because their id mutated after the
-    /// compaction that wrote them.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.read().len()
-    }
-
-    /// Segment pages fetched so far — cold-open experiments use this to
-    /// show queries page in O(needed), not O(archive).
+    /// Segment pages fetched so far through this view.
     pub fn pages_read(&self) -> u64 {
         self.reader.pages_read()
     }
 }
 
 impl DocPager for ColdDocs {
+    /// The document the segment holds for `id`, if its pages read and
+    /// decode cleanly. It is exact at the compaction that wrote it.
     fn doc(&self, id: u64) -> Option<OwnedDoc> {
-        if self.poisoned.load(Ordering::Acquire) || self.dirty.read().contains(&id) {
-            return None;
-        }
         let bytes = self.reader.get(id).ok()??;
         OwnedDoc::decode(&bytes).ok()
     }
-
-    fn ids(&self) -> Vec<u64> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Vec::new();
-        }
-        let dirty = self.dirty.read();
-        match self.reader.keys() {
-            Ok(keys) => keys.into_iter().filter(|id| !dirty.contains(id)).collect(),
-            Err(_) => Vec::new(),
-        }
-    }
 }
 
-/// Seeds a fresh [`ColdDocs`] from recovery: ids mutated between the
-/// docs' base generation and the recovered head start out dirty, and a
-/// replayed wildcard poisons the pager, exactly as if the mutations had
-/// happened live.
-pub(crate) fn seed_cold(pager: DocsReader, mutations: &[(u64, Option<u64>)]) -> ColdDocs {
-    let base = pager.base_generation;
-    let cold = ColdDocs::new(pager);
-    for (generation, id) in mutations {
-        if *generation > base {
-            cold.mark(*id);
+/// Whether a docs segment was written under `config`: bit-exact ε and θ,
+/// and the same breaker (the two breakers produce different valid
+/// segmentations, so documents from one never serve the other).
+fn stamped_with(docs: &DocsReader, config: &StoreConfig) -> bool {
+    docs.epsilon_bits == config.epsilon.to_bits()
+        && docs.theta_bits == config.theta.to_bits()
+        && docs.breaker_tag == config.breaker.tag()
+}
+
+/// The resident documents of a recovered archive. Documents come from
+/// the docs segment, one page at a time, for every id whose entry the WAL
+/// tail did not touch after the segment's base; a page that fails its
+/// check serves nothing. Every other id — touched, missing from the
+/// segment, on a damaged page, or all of them when there is no segment
+/// or its stamp differs from `config` — is computed from its sequence.
+pub(crate) fn recover_docs(
+    docs: Option<&DocsReader>,
+    config: &StoreConfig,
+    sequences: &ShardedCowMap<Sequence>,
+    mutations: &[(u64, Option<u64>)],
+) -> ShardedCowMap<OwnedDoc> {
+    let mut out = ShardedCowMap::new();
+    if let Some(docs) = docs.filter(|d| stamped_with(d, config)) {
+        let touched: HashSet<u64> = mutations
+            .iter()
+            .filter(|(generation, _)| *generation > docs.base_generation)
+            .filter_map(|(_, id)| *id)
+            .collect();
+        docs.reader.scan_intact(&mut |id, bytes| {
+            if sequences.contains(id) && !touched.contains(&id) {
+                if let Ok(doc) = OwnedDoc::decode(bytes) {
+                    out.insert(id, doc);
+                }
+            }
+        });
+    }
+    for (id, seq) in sequences.iter() {
+        if !out.contains(id) {
+            if let Ok(doc) = compute_doc(seq, config) {
+                out.insert(id, doc);
+            }
         }
     }
-    cold
+    out
 }
 
 /// `(id, encoded bytes)` rows bound for one segment.
 pub(crate) type SegmentRows = Vec<(u64, Vec<u8>)>;
 
-/// Builds the compaction inputs for `entries` visible in a state:
-/// encoded sequences sorted by id, plus (when configured) their encoded
-/// index documents. A sequence the ingestion pipeline rejects simply
-/// gets no document — it will be recomputed (and rejected) at query
-/// time, same as today.
+/// Builds the compaction inputs for the ids of one state: encoded
+/// sequences and encoded resident documents, both sorted by id. An id
+/// the pipeline rejected has no document.
 pub(crate) fn compaction_payload(
     ids: &[u64],
-    get: impl Fn(u64) -> Option<Arc<Sequence>>,
-    docs_config: Option<&StoreConfig>,
-) -> (SegmentRows, Option<SegmentRows>) {
-    let mut entries = Vec::with_capacity(ids.len());
-    let mut docs = docs_config.map(|_| Vec::with_capacity(ids.len()));
-    for &id in ids {
-        let Some(seq) = get(id) else { continue };
-        entries.push((id, encode_sequence(&seq)));
-        if let (Some(docs), Some(config)) = (docs.as_mut(), docs_config) {
-            if let Ok(doc) = compute_doc(&seq, config) {
-                docs.push((id, doc.encode()));
-            }
-        }
-    }
+    sequences: &ShardedCowMap<Sequence>,
+    docs: &ShardedCowMap<OwnedDoc>,
+) -> (SegmentRows, SegmentRows) {
+    let entries =
+        ids.iter().filter_map(|&id| Some((id, encode_sequence(sequences.get(id)?)))).collect();
+    let docs = ids.iter().filter_map(|&id| Some((id, docs.get(id)?.encode()))).collect();
     (entries, docs)
 }
 
@@ -325,6 +263,8 @@ mod tests {
         assert_eq!(doc.symbols, entry.symbols);
         assert_eq!(doc.interval_buckets, entry.peaks.interval_buckets());
         assert_eq!(doc.peak_count, entry.peaks.len());
+        assert_eq!(doc.steepness, entry.peaks.steepness_range());
+        assert!(doc.steepness.is_some(), "a goalpost has peaks");
         let roundtrip = OwnedDoc::decode(&doc.encode()).unwrap();
         assert_eq!(roundtrip, doc);
     }

@@ -16,11 +16,13 @@
 //! which turns simulated seconds into real blocking so a worker pool can
 //! overlap them.
 //!
-//! The paper's storage split is the archive plus a representation store
-//! kept locally: [`ArchiveStore`] holds raw samples (and, when durable,
-//! cold index documents), while `saq_core::SequenceStore` built with
-//! `keep_raw: false` or the engine's entry cache holds the compact
-//! function-series representations that answer feature queries.
+//! The paper's storage split is the archive plus a representation kept
+//! locally: [`ArchiveStore`] holds the raw samples, which only value-band
+//! queries fetch, beside one resident feature document per sequence
+//! ([`ArchiveSnapshot::doc`]) that answers every feature query without
+//! touching the medium. `saq_core::SequenceStore` built with
+//! `keep_raw: false` is the same split with the full representation and
+//! its indexes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

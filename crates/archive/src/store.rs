@@ -1,15 +1,17 @@
 //! The raw-sequence archive with simulated access accounting.
 //!
-//! The archive is snapshot-isolated: its contents live in an immutable
-//! [`ArchiveState`] behind an `Arc` swap, writers install a new state
-//! (clone-on-write of only the touched bucket) and readers pin the one
-//! they captured — see [`ArchiveStore::snapshot`].
+//! The archive is snapshot-isolated: its contents — raw sequences and
+//! one feature document per id — live in an immutable [`ArchiveState`]
+//! behind an `Arc` swap, writers install a new state (clone-on-write of
+//! only the touched bucket) and readers pin the one they captured — see
+//! [`ArchiveStore::snapshot`].
 
 use crate::durability::{self, ColdDocs, DurabilityConfig, DurableHandle};
 use crate::medium::{AccessCost, Medium};
 use parking_lot::{Mutex, RwLock};
-use saq_core::Result;
+use saq_core::{Result, SequenceStore, StoreConfig};
 use saq_durable::{Backend, DurableConfig, DurableStore, WalOp, WalRecord};
+use saq_index::cold::OwnedDoc;
 use saq_index::ShardedCowMap;
 use saq_sequence::{Point, Sequence};
 use std::collections::VecDeque;
@@ -34,10 +36,15 @@ const MUTATION_LOG_CAP: usize = 4096;
 /// intent, but mutations are visible through every handle. Readers that
 /// need a stable view take an [`ArchiveSnapshot`].
 ///
+/// Every archive owns its representation parameters (ε, θ, breaker) and
+/// keeps each id's feature document current under them, so feature
+/// queries read [`ArchiveSnapshot::doc`] and only value-band queries
+/// fetch raw samples.
+///
 /// Every mutator ends in one private `commit` (the "Commit protocol" of
 /// `docs/STORAGE.md`), so whichever one is called, a write the log
-/// refused leaves contents, generation, delta log and cold documents
-/// exactly as they were.
+/// refused leaves contents, documents, generation and delta log exactly
+/// as they were.
 #[derive(Debug, Clone)]
 pub struct ArchiveStore {
     shared: Arc<ArchiveShared>,
@@ -47,6 +54,8 @@ pub struct ArchiveStore {
 #[derive(Debug)]
 struct ArchiveShared {
     medium: Medium,
+    /// The representation parameters every document is derived with.
+    representation: StoreConfig,
     /// Process-unique identity of this archive instance.
     instance: u64,
     /// Real seconds slept per simulated second on each fetch, as `f64`
@@ -58,10 +67,13 @@ struct ArchiveShared {
     /// the write lock; readers briefly hold the read lock only to clone
     /// the `Arc` out.
     state: RwLock<Arc<ArchiveState>>,
+    /// Serializes writers: held across a whole commit, so the state a
+    /// commit builds on cannot move under it.
+    writer: Mutex<()>,
     /// Recent mutations; drives [`ArchiveStore::changed_since`].
     log: Mutex<MutationLog>,
     /// The durable half, when this archive was opened from storage:
-    /// the WAL/segment store plus the current cold-document pager.
+    /// the WAL/segment store plus the view over its docs segment.
     /// `None` for purely in-memory archives ([`ArchiveStore::new`]).
     durable: Option<Arc<DurableHandle>>,
 }
@@ -74,6 +86,9 @@ struct ArchiveState {
     /// The generation this state was installed at.
     generation: u64,
     sequences: ShardedCowMap<Sequence>,
+    /// One feature document per id the pipeline accepts, derived from
+    /// the sequence beside it.
+    docs: ShardedCowMap<OwnedDoc>,
     /// Sorted ids, computed lazily once per generation.
     ids: OnceLock<Vec<u64>>,
 }
@@ -195,8 +210,8 @@ impl Change {
         WalRecord { generation, op }
     }
 
-    /// The id whose cold document and delta-log entry this change
-    /// dirties; `None` is the wildcard.
+    /// The id whose delta-log entry this change dirties; `None` is the
+    /// wildcard.
     fn dirty_id(&self) -> Option<u64> {
         match self {
             Change::Put(id, _) | Change::Remove(id) | Change::Append { id, .. } => Some(*id),
@@ -204,45 +219,94 @@ impl Change {
         }
     }
 
-    /// Applies the change to `sequences`, returning the sequence it
-    /// displaced: the replaced, removed or extended one. Fails — leaving
-    /// `sequences` as it was — when an append does not start after the
-    /// stored sequence ends.
-    fn apply(self, sequences: &mut ShardedCowMap<Sequence>) -> Result<Option<Arc<Sequence>>> {
-        Ok(match self {
-            Change::Put(id, seq) => sequences.insert(id, seq),
-            Change::Remove(id) => sequences.remove(id),
-            Change::Append { id, delta } => {
-                let extended = match sequences.get(id) {
-                    Some(prior) => prior.concat(&delta)?,
-                    None => delta,
-                };
-                sequences.insert(id, extended)
+    /// Applies the change to `contents`, returning the sequence it
+    /// displaced: the replaced, removed or extended one. A put or append
+    /// installs the document of the new sequence (or drops the id's
+    /// document when the pipeline rejects it), a remove drops it, and a
+    /// wildcard keeps every document. Fails — leaving `contents` as it
+    /// was — when an append does not start after the stored sequence
+    /// ends.
+    fn apply(
+        self,
+        contents: &mut Contents,
+        representation: &StoreConfig,
+    ) -> Result<Option<Arc<Sequence>>> {
+        let (id, seq) = match self {
+            Change::Put(id, seq) => (id, seq),
+            Change::Remove(id) => {
+                contents.docs.remove(id);
+                return Ok(contents.sequences.remove(id));
             }
-            Change::Wildcard => None,
-        })
+            Change::Append { id, delta } => match contents.sequences.get(id) {
+                Some(prior) => (id, prior.concat(&delta)?),
+                None => (id, delta),
+            },
+            Change::Wildcard => return Ok(None),
+        };
+        match durability::compute_doc(&seq, representation) {
+            Ok(doc) => contents.docs.insert(id, doc),
+            Err(_) => contents.docs.remove(id),
+        };
+        Ok(contents.sequences.insert(id, seq))
     }
+}
+
+/// The two maps a commit builds its working copy of.
+struct Contents {
+    sequences: ShardedCowMap<Sequence>,
+    docs: ShardedCowMap<OwnedDoc>,
 }
 
 /// Source of process-unique [`ArchiveStore::instance_id`]s.
 static NEXT_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl ArchiveStore {
-    /// An empty archive on the given medium.
+    /// An empty archive on the given medium, deriving documents with the
+    /// default representation parameters.
     pub fn new(medium: Medium) -> ArchiveStore {
+        ArchiveStore::with_representation(medium, StoreConfig::default())
+            .expect("the default representation is valid")
+    }
+
+    /// An empty archive on the given medium, deriving documents with
+    /// `representation` (ε, θ and breaker; `keep_raw` is ignored). Fails
+    /// on a non-finite or negative ε or θ.
+    pub fn with_representation(medium: Medium, representation: StoreConfig) -> Result<Self> {
+        SequenceStore::new(representation)?;
+        Ok(ArchiveStore::assemble(
+            medium,
+            representation,
+            NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            ArchiveState {
+                generation: 0,
+                sequences: ShardedCowMap::new(),
+                docs: ShardedCowMap::new(),
+                ids: OnceLock::new(),
+            },
+            MutationLog::default(),
+            None,
+        ))
+    }
+
+    fn assemble(
+        medium: Medium,
+        representation: StoreConfig,
+        instance: u64,
+        state: ArchiveState,
+        log: MutationLog,
+        durable: Option<Arc<DurableHandle>>,
+    ) -> ArchiveStore {
         ArchiveStore {
             shared: Arc::new(ArchiveShared {
                 medium,
-                instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+                representation,
+                instance,
                 realtime_scale_bits: AtomicU64::new(0.0f64.to_bits()),
                 fetches: AtomicU64::new(0),
-                state: RwLock::new(Arc::new(ArchiveState {
-                    generation: 0,
-                    sequences: ShardedCowMap::new(),
-                    ids: OnceLock::new(),
-                })),
-                log: Mutex::new(MutationLog::default()),
-                durable: None,
+                state: RwLock::new(Arc::new(state)),
+                writer: Mutex::new(()),
+                log: Mutex::new(log),
+                durable,
             }),
         }
     }
@@ -268,6 +332,8 @@ impl ArchiveStore {
         medium: Medium,
         config: DurabilityConfig,
     ) -> Result<ArchiveStore> {
+        let representation = config.representation;
+        SequenceStore::new(representation)?;
         let durable_config = DurableConfig { compact_after: config.compact_after };
         let (store, recovered) = DurableStore::open_with_merge(
             backend,
@@ -289,36 +355,33 @@ impl ArchiveStore {
         for (generation, id) in &recovered.mutations {
             log.record(*generation, *id);
         }
-        let cold = recovered
-            .docs
-            .map(|pager| Arc::new(durability::seed_cold(pager, &recovered.mutations)));
-        Ok(ArchiveStore {
-            shared: Arc::new(ArchiveShared {
-                medium,
-                instance: recovered.instance,
-                realtime_scale_bits: AtomicU64::new(0.0f64.to_bits()),
-                fetches: AtomicU64::new(0),
-                state: RwLock::new(Arc::new(ArchiveState {
-                    generation: recovered.generation,
-                    sequences,
-                    ids: OnceLock::new(),
-                })),
-                log: Mutex::new(log),
-                durable: Some(Arc::new(DurableHandle {
-                    store: Mutex::new(store),
-                    config,
-                    cold: RwLock::new(cold),
-                })),
-            }),
-        })
+        let docs = durability::recover_docs(
+            recovered.docs.as_ref(),
+            &representation,
+            &sequences,
+            &recovered.mutations,
+        );
+        let cold = recovered.docs.map(|pager| Arc::new(ColdDocs::new(pager)));
+        Ok(ArchiveStore::assemble(
+            medium,
+            representation,
+            recovered.instance,
+            ArchiveState {
+                generation: recovered.generation,
+                sequences,
+                docs,
+                ids: OnceLock::new(),
+            },
+            log,
+            Some(Arc::new(DurableHandle { store: Mutex::new(store), cold: RwLock::new(cold) })),
+        ))
     }
 
     /// A process-unique identifier of this archive instance. Together with
-    /// [`ArchiveStore::generation`] it forms a staleness stamp: caches
-    /// keyed by sequence id (like the batch engine's feature cache) store
-    /// the `(instance_id, generation)` pair they were filled under and
-    /// self-invalidate when either part changes. Handle clones share the
-    /// instance; only [`ArchiveStore::new`] mints a fresh one.
+    /// [`ArchiveStore::generation`] it names one version of the contents:
+    /// requests pin a `(instance_id, generation)` pair, and anything
+    /// derived per id stays valid while both parts hold. Handle clones
+    /// share the instance; only a new archive mints a fresh one.
     pub fn instance_id(&self) -> u64 {
         self.shared.instance
     }
@@ -338,9 +401,6 @@ impl ArchiveStore {
     /// last reference drops.
     pub fn snapshot(&self) -> ArchiveSnapshot {
         let state = self.shared.state.read().clone();
-        // Captured under the state read lock's shadow: writers mark
-        // cold documents dirty *before* publishing their state, so the
-        // pair (state, cold) here is never optimistic about freshness.
         let cold = self.shared.durable.as_ref().and_then(|d| d.cold.read().clone());
         ArchiveSnapshot { state, shared: self.shared.clone(), cold }
     }
@@ -365,26 +425,25 @@ impl ArchiveStore {
     /// builds its [`Change`]s and ends here, so the protocol is spelled
     /// once:
     ///
-    /// 1. take the durable lock, *then* the state write lock — the order
-    ///    [`ArchiveStore::compact`] uses, so no writer can append between
-    ///    the state a compaction captures and its WAL truncation. The
-    ///    write lock serializes writers; readers are never blocked for
-    ///    longer than the `Arc` swap;
-    /// 2. validate: apply the whole wave to a working clone-on-write copy
-    ///    of the contents, so a change that cannot apply (an
+    /// 1. take the writer lock, then (durable archives) the durable
+    ///    lock — the lock [`ArchiveStore::compact`] takes, so no writer
+    ///    can append between the state a compaction captures and its WAL
+    ///    truncation. Neither lock is one a reader takes;
+    /// 2. validate and derive: apply the whole wave to a working
+    ///    clone-on-write copy of the current contents, computing each new
+    ///    feature document. A change that cannot apply (an
     ///    [`Change::Append`] whose boundary does not extend the stored
     ///    sequence) returns `Err` with WAL and state untouched;
     /// 3. write ahead: one [`DurableStore::append_batch`] — one backend
     ///    append, one fsync — covers the wave. A failure returns `Err`
     ///    and drops the working copy: nothing was applied;
-    /// 4. mark each change's cold document dirty *before* publishing, so
-    ///    a `(state, cold)` pair captured by
-    ///    [`ArchiveStore::snapshot`] is never optimistic about freshness;
-    /// 5. log `(generation, id)` per change — each consumes its own
+    /// 4. log `(generation, id)` per change — each consumes its own
     ///    generation, keeping [`ArchiveStore::changed_since`] exact;
-    /// 6. install the working copy as the new state;
-    /// 7. release both locks;
-    /// 8. compact if the WAL outgrew `compact_after`. The wave is already
+    /// 5. install the working copy as the new state. This is the only
+    ///    step that holds the state write lock, so readers wait for at
+    ///    most an `Arc` swap, never for the fsync;
+    /// 6. release the locks;
+    /// 7. compact if the WAL outgrew `compact_after`. The wave is already
     ///    committed; a failed auto-compaction surfaces as this call's
     ///    `Err` all the same.
     ///
@@ -394,37 +453,41 @@ impl ArchiveStore {
         if changes.is_empty() {
             return Ok(Vec::new());
         }
+        let writer = self.shared.writer.lock();
         let durable = self.shared.durable.clone();
         let mut wal = durable.as_ref().map(|d| d.store.lock());
-        let mut state = self.shared.state.write();
-        let base = state.generation;
+        let base = self.shared.state.read().clone();
 
-        let mut sequences = state.sequences.clone();
+        let mut contents = Contents { sequences: base.sequences.clone(), docs: base.docs.clone() };
         let dirty: Vec<Option<u64>> = changes.iter().map(Change::dirty_id).collect();
         let records: Vec<WalRecord> = match wal {
-            Some(_) => changes.iter().zip(base + 1..).map(|(c, g)| c.record(g)).collect(),
+            Some(_) => {
+                changes.iter().zip(base.generation + 1..).map(|(c, g)| c.record(g)).collect()
+            }
             None => Vec::new(),
         };
-        let displaced =
-            changes.into_iter().map(|c| c.apply(&mut sequences)).collect::<Result<Vec<_>>>()?;
+        let representation = self.shared.representation;
+        let displaced = changes
+            .into_iter()
+            .map(|c| c.apply(&mut contents, &representation))
+            .collect::<Result<Vec<_>>>()?;
         if let Some(wal) = wal.as_mut() {
             wal.append_batch(&records).map_err(saq_core::Error::from)?;
         }
 
-        if let Some(durable) = &durable {
-            dirty.iter().for_each(|&id| durable.mark(id));
-        }
-        let generation = base + dirty.len() as u64;
+        let generation = base.generation + dirty.len() as u64;
         {
             let mut log = self.shared.log.lock();
-            for (&id, generation) in dirty.iter().zip(base + 1..) {
+            for (&id, generation) in dirty.iter().zip(base.generation + 1..) {
                 log.record(generation, id);
             }
         }
-        *state = Arc::new(ArchiveState { generation, sequences, ids: OnceLock::new() });
-        drop(state);
+        let Contents { sequences, docs } = contents;
+        *self.shared.state.write() =
+            Arc::new(ArchiveState { generation, sequences, docs, ids: OnceLock::new() });
         let compact_now = wal.as_ref().is_some_and(|w| w.should_compact());
         drop(wal);
+        drop(writer);
         if compact_now {
             self.compact()?;
         }
@@ -432,9 +495,9 @@ impl ArchiveStore {
     }
 
     /// Archives a raw sequence (writing is done off the query path and not
-    /// accounted). Replaces silently; the generation counter and the
-    /// mutation log record that this id changed, so id-keyed caches can
-    /// self-invalidate — incrementally, via
+    /// accounted) and installs its feature document. Replaces silently;
+    /// the generation counter and the mutation log record that this id
+    /// changed, so standing queries re-evaluate it — incrementally, via
     /// [`ArchiveStore::changed_since`].
     ///
     /// # Panics
@@ -528,9 +591,9 @@ impl ArchiveStore {
 
     /// Marks the whole archive as potentially changed (a wildcard
     /// mutation): the generation bumps and every generation delta crossing
-    /// this point reports "unknown" so caches fall back to full
-    /// invalidation. Used when mutable access is handed out without
-    /// tracking what it touched.
+    /// this point reports "unknown", so standing queries re-evaluate
+    /// everything. Contents and documents stay as they are. Used when
+    /// mutable access is handed out without tracking what it touched.
     ///
     /// # Panics
     ///
@@ -544,42 +607,34 @@ impl ArchiveStore {
         self.shared.durable.is_some()
     }
 
-    /// Folds the current contents into a fresh durable segment set
-    /// (entries plus, when configured, precomputed index documents),
-    /// commits the manifest, and truncates the WAL. A no-op on
-    /// non-durable archives. Writers are blocked for the duration;
-    /// readers and snapshots are not.
+    /// Folds the current contents into a fresh durable segment set —
+    /// the entries plus the resident feature documents, stamped with the
+    /// archive's representation parameters — commits the manifest, and
+    /// truncates the WAL. A no-op on non-durable archives. Writers are
+    /// blocked for the duration; readers and snapshots are not.
     pub fn compact(&mut self) -> Result<()> {
         let Some(durable) = self.shared.durable.clone() else { return Ok(()) };
         // Durable lock first (the invariant order), so no writer can
         // append between the state we capture and the WAL truncation.
         let mut store = durable.store.lock();
         let state = self.shared.state.read().clone();
-        let docs_config = durable.config.index_docs.as_ref();
-        let (entries, docs) = durability::compaction_payload(
-            state.sorted_ids(),
-            |id| state.sequences.get_arc(id),
-            docs_config,
-        );
-        let spec = match (&docs, docs_config) {
-            (Some(docs), Some(config)) => Some(saq_durable::DocsSpec {
-                epsilon_bits: config.epsilon.to_bits(),
-                theta_bits: config.theta.to_bits(),
-                breaker_tag: config.breaker.tag(),
-                docs,
-            }),
-            _ => None,
+        let (entries, docs) =
+            durability::compaction_payload(state.sorted_ids(), &state.sequences, &state.docs);
+        let config = &self.shared.representation;
+        let spec = saq_durable::DocsSpec {
+            epsilon_bits: config.epsilon.to_bits(),
+            theta_bits: config.theta.to_bits(),
+            breaker_tag: config.breaker.tag(),
+            docs: &docs,
         };
         let pager =
-            store.compact(state.generation, &entries, spec).map_err(saq_core::Error::from)?;
+            store.compact(state.generation, &entries, Some(spec)).map_err(saq_core::Error::from)?;
         *durable.cold.write() = pager.map(|p| Arc::new(ColdDocs::new(p)));
         Ok(())
     }
 
-    /// The cold-document pager persisted by the last compaction, if this
-    /// archive is durable and one exists. Prefer
-    /// [`ArchiveSnapshot::cold_docs`] on query paths — it is captured
-    /// coherently with the snapshot's contents.
+    /// The view over the docs segment the last compaction wrote, if this
+    /// archive is durable and has compacted.
     pub fn cold_docs(&self) -> Option<Arc<ColdDocs>> {
         self.shared.durable.as_ref().and_then(|d| d.cold.read().clone())
     }
@@ -596,10 +651,9 @@ impl ArchiveStore {
     /// ([`ArchiveStore::mark_all_changed`]) happened in between. `None`
     /// means "assume everything changed".
     ///
-    /// This is the incremental-maintenance contract behind the batch
-    /// engine's dirty-id cache invalidation: a cache stamped with an older
-    /// generation re-fetches exactly these ids instead of dropping
-    /// everything.
+    /// This is the incremental-maintenance contract behind standing
+    /// queries: a subscription pumped at an older generation re-evaluates
+    /// exactly these ids instead of everything.
     pub fn changed_since(&self, generation: u64) -> Option<Vec<u64>> {
         self.snapshot().changed_since(generation)
     }
@@ -643,17 +697,18 @@ impl ArchiveStore {
 /// the realtime scale stay shared with the live archive, since they model
 /// the physical medium rather than the contents.
 ///
-/// Cloning a snapshot is two `Arc` clones; dropping the last clone of a
+/// A snapshot pins sequences and feature documents together: the
+/// documents it serves are those of the sequences it serves.
+///
+/// Cloning a snapshot is a few `Arc` clones; dropping the last clone of a
 /// superseded generation frees whatever buckets later generations don't
 /// share.
 #[derive(Debug, Clone)]
 pub struct ArchiveSnapshot {
     shared: Arc<ArchiveShared>,
     state: Arc<ArchiveState>,
-    /// The cold-document pager current when this snapshot was captured
-    /// (durable archives only). Its dirty tracking is shared and only
-    /// grows, so it can refuse ids needlessly but never serve stale
-    /// documents for this snapshot's generation.
+    /// The docs-segment view current when this snapshot was captured
+    /// (durable archives only).
     cold: Option<Arc<ColdDocs>>,
 }
 
@@ -711,10 +766,28 @@ impl ArchiveSnapshot {
         self.shared.log.lock().changed_between(generation, self.state.generation)
     }
 
-    /// The cold-document pager coherent with this snapshot's contents,
-    /// when the archive is durable and has compacted documents. Query
-    /// engines use it to serve index-only leaves without fetching and
-    /// recomputing entries after a cold open.
+    /// The feature document of `id` at the pinned generation, without
+    /// touching the simulated medium. `None` when the id is absent or the
+    /// ingestion pipeline rejects its sequence (an empty one, say).
+    pub fn doc(&self, id: u64) -> Option<&OwnedDoc> {
+        self.state.docs.get(id)
+    }
+
+    /// The shared handle to the document of `id` — lets callers check
+    /// which documents two generations share.
+    pub fn doc_arc(&self, id: u64) -> Option<Arc<OwnedDoc>> {
+        self.state.docs.get_arc(id)
+    }
+
+    /// The representation parameters the documents were derived with.
+    pub fn representation(&self) -> StoreConfig {
+        self.shared.representation
+    }
+
+    /// The view over the docs segment current when this snapshot was
+    /// captured, when the archive is durable and has one. Queries read
+    /// [`ArchiveSnapshot::doc`]; this view only reports what the segment
+    /// holds.
     pub fn cold_docs(&self) -> Option<&Arc<ColdDocs>> {
         self.cold.as_ref()
     }
@@ -744,7 +817,7 @@ impl ArchiveSnapshotProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saq_core::StoreConfig;
+    use crate::compute_doc;
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 
     #[test]
@@ -1104,7 +1177,6 @@ mod tests {
 
     #[test]
     fn a_failed_write_ahead_leaves_every_mutator_a_no_op() {
-        use saq_index::cold::DocPager as _;
         let backend = Arc::new(FailingAppends::default());
         let open = || {
             ArchiveStore::open_backend(
@@ -1118,14 +1190,15 @@ mod tests {
         let base = goalpost(GoalpostSpec::default());
         a.put(1, base.clone());
         a.put(2, goalpost(GoalpostSpec { seed: 2, ..GoalpostSpec::default() }));
-        // Compact, then mutate once more, so there is a cold pager with a
-        // dirty document and a non-empty WAL for a failure to disturb.
+        // Compact, then mutate once more, so there is a docs segment and
+        // a non-empty WAL for a failure to disturb.
         a.compact().unwrap();
         let two = goalpost(GoalpostSpec { seed: 3, ..GoalpostSpec::default() });
         a.put(2, two.clone());
         let (g, wal) = (a.generation(), a.wal_records());
-        let dirty = a.cold_docs().unwrap().dirty_count();
-        assert_eq!((wal, dirty), (1, 1));
+        assert_eq!(wal, 1);
+        let docs = |a: &ArchiveStore| [1, 2].map(|id| a.snapshot().doc_arc(id).unwrap());
+        let before = docs(&a);
 
         let seq = goalpost(GoalpostSpec { seed: 7, ..GoalpostSpec::default() });
         let wave = tail(&base, 3, 5);
@@ -1145,9 +1218,9 @@ mod tests {
             assert_eq!(a.get(1).unwrap().points(), base.points(), "{name}");
             assert_eq!(a.wal_records(), wal, "{name}: nothing counted as logged");
             assert_eq!(a.changed_since(g), Some(vec![]), "{name}: nothing in the delta log");
-            assert_eq!(a.cold_docs().unwrap().dirty_count(), dirty, "{name}: no doc dirtied");
+            let after = docs(&a);
+            assert!(before.iter().zip(&after).all(|(x, y)| Arc::ptr_eq(x, y)), "{name}: docs kept");
         }
-        assert!(!a.cold_docs().unwrap().ids().is_empty(), "the failed wildcard poisoned nothing");
 
         // What was never acknowledged was never written: reopening lands
         // on the pre-failure generation and contents.
@@ -1270,10 +1343,13 @@ mod tests {
         a.put(2, goalpost(GoalpostSpec { seed: 2, ..GoalpostSpec::default() }));
         a.compact().unwrap();
         let cold = a.cold_docs().unwrap();
-        assert!(cold.doc(1).is_some());
+        assert_eq!(cold.doc(1).as_ref(), a.snapshot().doc(1));
         a.append_points(1, &tail(&base, 2, 1));
-        assert!(cold.doc(1).is_none(), "appended id refused — its doc is stale");
-        assert!(cold.doc(2).is_some(), "untouched id still served");
+        let snap = a.snapshot();
+        let extended = compute_doc(snap.get(1).unwrap(), &StoreConfig::default()).unwrap();
+        assert_eq!(snap.doc(1), Some(&extended), "the resident document follows the append");
+        assert_ne!(cold.doc(1), Some(extended), "the segment keeps the compacted one");
+        assert_eq!(cold.doc(2).as_ref(), snap.doc(2), "untouched id: segment and resident agree");
     }
 
     #[test]
@@ -1289,42 +1365,130 @@ mod tests {
         for i in 0..8u64 {
             a.put(i, goalpost(GoalpostSpec { seed: i, ..GoalpostSpec::default() }));
         }
-        assert!(a.cold_docs().is_none(), "no docs before the first compaction");
-        a.compact().unwrap();
-        let cold = a.cold_docs().expect("compaction persists docs");
-        assert!(cold.matches_config(&StoreConfig::default()));
-        assert_eq!(cold.base_generation(), 8);
-        assert_eq!(cold.ids().len(), 8);
-        assert!(cold.doc(3).is_some());
-
-        // Mutating an id dirties its document; snapshots share the view.
+        a.put(8, Sequence::new(Vec::new()).unwrap());
+        assert!(a.cold_docs().is_none(), "no docs segment before the first compaction");
         let snap = a.snapshot();
-        a.put(3, peaks(PeaksSpec { centers: vec![9.0], ..PeaksSpec::default() }));
-        assert!(cold.doc(3).is_none(), "mutated id refused");
-        assert!(cold.doc(2).is_some(), "others still served");
-        assert_eq!(snap.cold_docs().unwrap().dirty_count(), 1);
-
-        // A wildcard poisons the pager outright.
-        a.mark_all_changed();
-        assert!(cold.doc(2).is_none());
-        assert!(cold.ids().is_empty());
-
-        // Recompacting installs a fresh, clean pager at the new base.
+        assert!(snap.doc(8).is_none(), "the pipeline rejects an empty sequence: no document");
+        for id in 0..8u64 {
+            let expect = compute_doc(snap.get(id).unwrap(), &StoreConfig::default()).unwrap();
+            assert_eq!(snap.doc(id), Some(&expect), "id {id}: resident from the put on");
+        }
         a.compact().unwrap();
-        let fresh = a.cold_docs().unwrap();
-        assert_eq!(fresh.base_generation(), a.generation());
-        assert!(fresh.doc(3).is_some());
+        let cold = a.cold_docs().expect("compaction writes the docs segment");
+        for id in 0..9u64 {
+            assert_eq!(cold.doc(id).as_ref(), snap.doc(id), "id {id}: the resident document");
+        }
 
-        // Reopening recovers the pager straight from the manifest.
+        // A mutation replaces the resident document; the segment keeps
+        // what it was written with until the next compaction.
+        a.put(3, peaks(PeaksSpec { centers: vec![9.0], ..PeaksSpec::default() }));
+        assert_ne!(a.snapshot().doc(3), snap.doc(3));
+        assert_eq!(cold.doc(3).as_ref(), snap.doc(3));
+        a.compact().unwrap();
+        assert_eq!(a.cold_docs().unwrap().doc(3).as_ref(), a.snapshot().doc(3));
+
+        // Reopening decodes the documents back.
+        let resident: Vec<_> = (0..9u64).map(|id| a.snapshot().doc(id).cloned()).collect();
         drop(a);
         let a = ArchiveStore::open_backend(backend, Medium::memory(), DurabilityConfig::default())
             .unwrap();
-        let recovered = a.cold_docs().unwrap();
-        assert_eq!(recovered.base_generation(), a.generation());
-        assert_eq!(recovered.ids().len(), 8);
-        for id in 0..8u64 {
-            assert!(recovered.doc(id).is_some(), "recovered pager serves id {id}");
+        let recovered: Vec<_> = (0..9u64).map(|id| a.snapshot().doc(id).cloned()).collect();
+        assert_eq!(recovered, resident);
+    }
+
+    /// A [`saq_durable::MemoryBackend`] whose `append` parks until the
+    /// test releases it — a write-ahead stuck in its fsync.
+    #[derive(Default)]
+    struct ParkedAppends {
+        inner: saq_durable::MemoryBackend,
+        parked: std::sync::Mutex<bool>,
+        gate: std::sync::Condvar,
+        park: std::sync::atomic::AtomicBool,
+    }
+
+    impl ParkedAppends {
+        fn wait_until_parked(&self) {
+            let mut parked = self.parked.lock().unwrap();
+            while !*parked {
+                parked = self.gate.wait(parked).unwrap();
+            }
         }
+
+        fn release(&self) {
+            self.park.store(false, Ordering::SeqCst);
+            *self.parked.lock().unwrap() = false;
+            self.gate.notify_all();
+        }
+    }
+
+    impl Backend for ParkedAppends {
+        fn get(&self, key: &str) -> saq_durable::Result<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &str, value: &[u8]) -> saq_durable::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn append(&self, key: &str, bytes: &[u8]) -> saq_durable::Result<u64> {
+            if self.park.load(Ordering::SeqCst) {
+                let mut parked = self.parked.lock().unwrap();
+                *parked = true;
+                self.gate.notify_all();
+                while *parked {
+                    parked = self.gate.wait(parked).unwrap();
+                }
+            }
+            self.inner.append(key, bytes)
+        }
+        fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> saq_durable::Result<usize> {
+            self.inner.read_at(key, offset, buf)
+        }
+        fn len(&self, key: &str) -> saq_durable::Result<Option<u64>> {
+            self.inner.len(key)
+        }
+        fn truncate(&self, key: &str, len: u64) -> saq_durable::Result<()> {
+            self.inner.truncate(key, len)
+        }
+        fn delete(&self, key: &str) -> saq_durable::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list(&self) -> saq_durable::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn sync(&self) -> saq_durable::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn readers_never_wait_for_a_write_ahead() {
+        let backend = Arc::new(ParkedAppends::default());
+        let mut a = ArchiveStore::open_backend(
+            Arc::clone(&backend) as Arc<dyn Backend>,
+            Medium::memory(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        a.put(1, goalpost(GoalpostSpec::default()));
+        backend.park.store(true, Ordering::SeqCst);
+        let mut writer = a.clone();
+        let append = std::thread::spawn(move || {
+            let base = writer.get(1).unwrap();
+            writer.append_points(1, &tail(&base, 2, 4))
+        });
+        backend.wait_until_parked();
+
+        // The append is inside its write-ahead; every read path answers.
+        let (done, answered) = std::sync::mpsc::channel();
+        let reader = a.clone();
+        std::thread::spawn(move || {
+            let snapshot = reader.snapshot();
+            let _ = done.send((snapshot.generation(), reader.len(), reader.get(1).is_some()));
+        });
+        let seen = answered.recv_timeout(std::time::Duration::from_secs(10));
+        backend.release();
+        assert_eq!(seen, Ok((1, 1, true)), "reads answered the pre-append generation");
+        assert_eq!(append.join().unwrap(), 51);
+        assert_eq!(a.generation(), 2);
     }
 
     #[test]
@@ -1333,7 +1497,7 @@ mod tests {
         let mut a = ArchiveStore::open_backend(
             backend,
             Medium::memory(),
-            DurabilityConfig { compact_after: 5, index_docs: None },
+            DurabilityConfig { compact_after: 5, ..DurabilityConfig::default() },
         )
         .unwrap();
         for i in 0..5u64 {
@@ -1342,7 +1506,7 @@ mod tests {
         assert_eq!(a.wal_records(), 0, "hitting the threshold compacts and empties the WAL");
         a.put(9, goalpost(GoalpostSpec { seed: 9, ..GoalpostSpec::default() }));
         assert_eq!(a.wal_records(), 1);
-        assert!(a.cold_docs().is_none(), "index_docs: None persists entries only");
+        assert!(a.cold_docs().is_some(), "the auto-compaction wrote the docs segment");
         assert_eq!(a.len(), 6);
     }
 }

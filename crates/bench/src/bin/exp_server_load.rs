@@ -6,11 +6,12 @@
 //! archive handle — one with a zero-width wave window (every query is
 //! its own dispatch, the serial baseline) and one that coalesces up to
 //! `clients` queries per wave — then drives both with the same workload:
-//! `rounds` synchronized bursts of one query per client, scan-heavy SAQL
-//! against an engine whose feature cache holds only a quarter of the
-//! archive. Serial dispatch thrashes that cache (every query refetches
-//! nearly everything); a coalesced wave pays one pass for the whole
-//! burst and every answer in it reads one snapshot.
+//! `rounds` synchronized bursts of one query per client. Feature leaves
+//! read the archive's resident documents and fetch nothing; value bands
+//! compare raw samples, so half the clients ask for bands. Serially, each
+//! band query pays its own pass over the archive; a coalesced wave pays
+//! one pass for the whole burst and every answer in it reads one
+//! snapshot.
 //!
 //! Reported per mode: wall-clock queries/sec, p50/p99 round-trip
 //! latency, archive fetches per query, and the server's own
@@ -32,6 +33,7 @@
 
 use saq_archive::{ArchiveStore, Medium};
 use saq_bench::{banner, env_f64, env_usize, fnum};
+use saq_core::algebra::QueryExpr;
 use saq_core::{QueryOutcome, QueryRequest};
 use saq_engine::EngineConfig;
 use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
@@ -69,8 +71,8 @@ fn main() {
     }
     println!(
         "archive: {sequences} sequences · {clients} clients × {rounds} rounds \
-         · engine cache capacity {} (quarter of the archive)\n",
-        (sequences / 4).max(1)
+         · {} band queries per burst\n",
+        (0..clients).filter(|&c| c % 2 == 0).count()
     );
 
     let serial = run_mode(&archive, clients, rounds, Duration::ZERO);
@@ -117,14 +119,19 @@ fn main() {
     );
 }
 
-/// Scan-heavy SAQL rotated across clients: distinct predicates (no leaf
-/// dedup windfall), all forcing a pass over the archived entries.
-fn query_for(client: usize) -> String {
+/// Queries rotated across clients, with distinct predicates (no leaf
+/// dedup windfall). Every even client asks for a value band around one
+/// goalpost — the leaf that fetches, one pass over the archive each —
+/// and the odd ones for features, which read documents.
+fn query_for(client: usize) -> QueryRequest {
     match client % 4 {
-        0 => format!("steepness all >= 0.{}5 slack 0.1", 1 + client % 3),
-        1 => "peaks = 2 tol 1".into(),
-        2 => format!("steepness any >= 0.{} slack 0.2", 3 + client % 5),
-        _ => "peaks = 1 tol 0 and steepness any >= 0.3 slack 0.2".into(),
+        0 | 2 => QueryRequest::expr(QueryExpr::value_band(
+            goalpost(GoalpostSpec::default()),
+            0.5 + client as f64 * 0.25,
+            0.5,
+        )),
+        1 => QueryRequest::saql("peaks = 2 tol 1"),
+        _ => QueryRequest::saql("peaks = 1 tol 0 and steepness any >= 0.3 slack 0.2"),
     }
 }
 
@@ -137,7 +144,7 @@ struct ModeReport {
     outcomes: Vec<QueryOutcome>,
 }
 
-/// Stands up a fresh server (fresh engine, cold cache) on the shared
+/// Stands up a fresh server (fresh engine) on the shared
 /// archive and drives `rounds` synchronized bursts of one query per
 /// client, measuring per-query round trips and the archive's fetch
 /// counter across the whole run.
@@ -147,12 +154,7 @@ fn run_mode(archive: &ArchiveStore, clients: usize, rounds: usize, window: Durat
         SaqdConfig {
             max_wave: clients,
             wave_window: window,
-            engine: EngineConfig {
-                workers: 2,
-                shards: 4,
-                cache_capacity: (archive.len() / 4).max(1),
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig { workers: 2, shards: 4 },
             ..SaqdConfig::default()
         },
     )
@@ -167,7 +169,7 @@ fn run_mode(archive: &ArchiveStore, clients: usize, rounds: usize, window: Durat
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 let mut client = SaqClient::connect(addr).unwrap();
-                let req = QueryRequest::saql(query_for(c));
+                let req = query_for(c);
                 let mut latencies = Vec::with_capacity(rounds);
                 let mut outcome = None;
                 for _ in 0..rounds {

@@ -81,7 +81,7 @@ use crate::query::{
 };
 use crate::request::{self, QueryRequest, QueryResponse, SnapshotRef};
 use crate::store::{SequenceStore, StoreSnapshot, StoredEntry};
-use saq_index::IndexDoc;
+use saq_index::{FeatureDoc, IndexDoc};
 use saq_sequence::Sequence;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -170,7 +170,9 @@ impl PreparedPred {
     }
 
     /// Evaluates one sequence. `entry` may be `None` only for
-    /// [`Pred::IdRange`], which tests the id alone.
+    /// [`Pred::IdRange`], which tests the id alone. Feature leaves
+    /// delegate to [`PreparedPred::matches_doc`] through a view over the
+    /// entry, value bands to [`PreparedPred::matches_raw`].
     ///
     /// # Panics
     /// Panics if the predicate needs an entry and none is supplied.
@@ -178,63 +180,74 @@ impl PreparedPred {
         match &self.pred {
             Pred::Feature(spec) => {
                 let entry = entry.expect("feature predicate needs a stored entry");
-                match spec {
-                    QuerySpec::MinPeakSteepness { steepness, slack } => {
-                        steepness_match(entry, *steepness, *slack, f64::min, f64::INFINITY)
+                // The entry derives buckets and steepness on demand; only
+                // the predicates that read them pay for them.
+                let buckets = match spec {
+                    QuerySpec::PeakInterval { .. } => entry.peaks.interval_buckets(),
+                    _ => Vec::new(),
+                };
+                let steepness = match spec {
+                    QuerySpec::MinPeakSteepness { .. } | QuerySpec::HasSteepPeak { .. } => {
+                        entry.peaks.steepness_range()
                     }
-                    QuerySpec::HasSteepPeak { steepness, slack } => {
-                        steepness_match(entry, *steepness, *slack, f64::max, f64::NEG_INFINITY)
-                    }
-                    QuerySpec::Shape { .. }
-                    | QuerySpec::PeakCount { .. }
-                    | QuerySpec::PeakInterval { .. } => {
-                        // The entry derives its interval buckets on demand;
-                        // only the interval predicate reads them.
-                        let buckets = match spec {
-                            QuerySpec::PeakInterval { .. } => entry.peaks.interval_buckets(),
-                            _ => Vec::new(),
-                        };
-                        self.matches_doc(&IndexDoc {
-                            symbols: &entry.symbols,
-                            interval_buckets: &buckets,
-                            peak_count: entry.peaks.len(),
-                        })
-                    }
-                }
+                    _ => None,
+                };
+                self.matches_doc(&FeatureDoc {
+                    index: IndexDoc {
+                        symbols: &entry.symbols,
+                        interval_buckets: &buckets,
+                        peak_count: entry.peaks.len(),
+                    },
+                    steepness,
+                })
             }
-            Pred::ValueBand { query, delta, slack } => {
+            Pred::ValueBand { .. } => {
                 let entry = entry.expect("band predicate needs a stored entry");
-                let raw = entry.raw.as_ref()?;
-                let distance = query.linf_distance(raw)?;
-                if distance <= *delta {
-                    Some(SequenceMatch::Exact)
-                } else if distance <= *delta * (1.0 + *slack) {
-                    Some(SequenceMatch::Approximate(distance - *delta))
-                } else {
-                    None
-                }
+                self.matches_raw(entry.raw.as_ref()?)
             }
             Pred::IdRange { lo, hi } => (*lo..=*hi).contains(&id).then_some(SequenceMatch::Exact),
         }
     }
 
-    /// Evaluates a doc-servable predicate — shape, peak count, peak
-    /// interval — from a sequence's index document alone. This is the one
-    /// definition of those three semantics: [`PreparedPred::matches`]
-    /// delegates here through a view over the stored entry, and backends
-    /// holding persisted documents answer from them without the entry.
+    /// Evaluates a value-band leaf against a sequence's raw samples: the
+    /// L∞ distance to the band's center decides the tier.
     ///
     /// # Panics
-    /// Panics on any other predicate (steepness, value band, id range):
-    /// an index document does not carry what they test.
-    pub fn matches_doc(&self, doc: &IndexDoc<'_>) -> Option<SequenceMatch> {
-        match &self.pred {
-            Pred::Feature(QuerySpec::Shape { .. }) => {
+    /// Panics on any other predicate.
+    pub fn matches_raw(&self, raw: &Sequence) -> Option<SequenceMatch> {
+        let Pred::ValueBand { query, delta, slack } = &self.pred else {
+            panic!("only a value band reads raw samples");
+        };
+        let distance = query.linf_distance(raw)?;
+        if distance <= *delta {
+            Some(SequenceMatch::Exact)
+        } else if distance <= *delta * (1.0 + *slack) {
+            Some(SequenceMatch::Approximate(distance - *delta))
+        } else {
+            None
+        }
+    }
+
+    /// Evaluates a feature leaf — shape, peak count, peak interval,
+    /// steepness — from a sequence's feature document alone. This is the
+    /// one definition of those semantics: [`PreparedPred::matches`]
+    /// delegates here through a view over the stored entry, and backends
+    /// holding documents answer from them without the entry.
+    ///
+    /// # Panics
+    /// Panics on a value band or id range: a document does not carry what
+    /// they test.
+    pub fn matches_doc(&self, doc: &FeatureDoc<'_>) -> Option<SequenceMatch> {
+        let Pred::Feature(spec) = &self.pred else {
+            panic!("predicate is not answerable from a feature document");
+        };
+        match spec {
+            QuerySpec::Shape { .. } => {
                 let regex = self.shape.as_ref().expect("prepared shape leaf holds its regex");
-                regex.compile().is_match(doc.symbols).then_some(SequenceMatch::Exact)
+                regex.compile().is_match(doc.index.symbols).then_some(SequenceMatch::Exact)
             }
-            Pred::Feature(QuerySpec::PeakCount { count, tolerance }) => {
-                let dev = doc.peak_count.abs_diff(*count);
+            QuerySpec::PeakCount { count, tolerance } => {
+                let dev = doc.index.peak_count.abs_diff(*count);
                 if dev == 0 {
                     Some(SequenceMatch::Exact)
                 } else if dev <= *tolerance {
@@ -243,7 +256,7 @@ impl PreparedPred {
                     None
                 }
             }
-            Pred::Feature(QuerySpec::PeakInterval { interval, epsilon }) => {
+            QuerySpec::PeakInterval { interval, epsilon } => {
                 // Mirrors the inverted-file path: postings arrive in
                 // position order, an id is exact if *any* in-band
                 // interval hits the target dead-on, and otherwise its
@@ -253,7 +266,7 @@ impl PreparedPred {
                 let Ok(epsilon) = u64::try_from(*epsilon) else { return None };
                 let mut first_in_band = None;
                 let mut exact = false;
-                for bucket in doc.interval_buckets {
+                for bucket in doc.index.interval_buckets {
                     let dev = bucket.abs_diff(*interval);
                     if dev <= epsilon {
                         exact |= dev == 0;
@@ -266,7 +279,14 @@ impl PreparedPred {
                     first_in_band.map(|dev| SequenceMatch::Approximate(dev as f64))
                 }
             }
-            _ => panic!("predicate is not answerable from an index document"),
+            // The universal reading tests the least steep peak, the
+            // existential one the steepest.
+            QuerySpec::MinPeakSteepness { steepness, slack } => {
+                steepness_match(doc.steepness.map(|(min, _)| min), *steepness, *slack)
+            }
+            QuerySpec::HasSteepPeak { steepness, slack } => {
+                steepness_match(doc.steepness.map(|(_, max)| max), *steepness, *slack)
+            }
         }
     }
 
@@ -283,19 +303,10 @@ impl PreparedPred {
     }
 }
 
-/// Shared body of the two steepness dimensions: `fold`/`init` select the
-/// universal (min over peaks) or existential (max over peaks) reading.
-fn steepness_match(
-    entry: &StoredEntry,
-    steepness: f64,
-    slack: f64,
-    fold: fn(f64, f64) -> f64,
-    init: f64,
-) -> Option<SequenceMatch> {
-    if entry.peaks.is_empty() {
-        return None;
-    }
-    let measure = entry.peaks.peaks.iter().map(|p| p.steepness()).fold(init, fold);
+/// Shared body of the two steepness dimensions: `measure` is the peak
+/// steepness the dimension reads, `None` for a sequence without peaks.
+fn steepness_match(measure: Option<f64>, steepness: f64, slack: f64) -> Option<SequenceMatch> {
+    let measure = measure?;
     if measure >= steepness {
         Some(SequenceMatch::Exact)
     } else if measure >= steepness * (1.0 - slack) {

@@ -143,6 +143,20 @@ impl<C: Curve + Clone> PeakTable<C> {
     pub fn interval_buckets(&self) -> Vec<i64> {
         self.intervals().iter().map(|&d| d.round() as i64).collect()
     }
+
+    /// `(min, max)` steepness over the peaks, folded from `+∞` with
+    /// `f64::min` and from `−∞` with `f64::max` in peak order; `None`
+    /// when there are no peaks. The steepness predicates read only these.
+    pub fn steepness_range(&self) -> Option<(f64, f64)> {
+        if self.peaks.is_empty() {
+            return None;
+        }
+        let steepness = || self.peaks.iter().map(Peak::steepness);
+        Some((
+            steepness().fold(f64::INFINITY, f64::min),
+            steepness().fold(f64::NEG_INFINITY, f64::max),
+        ))
+    }
 }
 
 fn make_peak<C: Curve + Clone>(segs: &[Segment<C>], up: usize, down: usize) -> Peak<C> {

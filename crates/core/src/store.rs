@@ -100,7 +100,8 @@ pub struct StoredEntry {
     pub peaks: PeakTable<Line>,
     /// The raw sequence, if retained. Shared, not copied: an entry built
     /// by [`StoredEntry::compute_shared`] points at its source's
-    /// allocation (the archive's own copy, for the batch engine's cache).
+    /// allocation (the archive's own copy, for the sequential archive
+    /// scan).
     pub raw: Option<Arc<Sequence>>,
 }
 

@@ -308,6 +308,27 @@ impl SegmentReader {
         Ok(())
     }
 
+    /// Visits, in ascending key order, every entry whose pages pass
+    /// their checks, without collecting them. A page that fails to read,
+    /// frame or decode is skipped together with its subtree; returns how
+    /// many pages were skipped.
+    pub fn scan_intact(&self, f: &mut impl FnMut(u64, &[u8])) -> u64 {
+        self.walk_intact(self.meta.root_offset, self.meta.root_len, f)
+    }
+
+    fn walk_intact(&self, offset: u64, len: u32, f: &mut impl FnMut(u64, &[u8])) -> u64 {
+        let Ok(page) = self.load_page(offset, len) else { return 1 };
+        match &*page {
+            Page::Leaf(items) => {
+                items.iter().for_each(|(key, value)| f(*key, value));
+                0
+            }
+            Page::Interior(children) => {
+                children.iter().map(|c| self.walk_intact(c.offset, c.len, f)).sum()
+            }
+        }
+    }
+
     /// All entries in ascending key order (used by recovery to
     /// materialize the store).
     pub fn scan(&self) -> Result<Vec<(u64, Vec<u8>)>> {

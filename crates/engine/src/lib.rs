@@ -1,11 +1,13 @@
 //! # saq-engine
 //!
-//! A sharded, multi-threaded **batch query executor** over the raw
+//! A sharded, multi-threaded **batch query executor** over an
 //! [`ArchiveStore`]. The paper's architecture answers queries from local
-//! compact representations; this crate covers the complementary heavy-
-//! traffic workload: waves of [`QueryRequest`]s — SAQL text or whole
-//! [`saq_core::algebra::QueryExpr`] trees — pushed down to a large archive
-//! whose per-sequence representations are computed on demand.
+//! compact representations and reaches for raw samples only when a
+//! query needs them; this crate runs that split for heavy traffic: waves
+//! of [`QueryRequest`]s — SAQL text or whole
+//! [`saq_core::algebra::QueryExpr`] trees — answered from each
+//! sequence's resident feature document ([`ArchiveSnapshot::doc`]), with
+//! only value-band leaves fetching raw sequences from the archive.
 //!
 //! The execution model (every wave runs against one [`ArchiveSnapshot`] —
 //! the one handed to [`QueryEngine::run_requests`] or bound via
@@ -22,31 +24,26 @@
 //!    cost class: id filters, then index-served slots, then scans.
 //! 2. **Shard** — candidate ids (sorted) are split into contiguous,
 //!    near-equal shards ([`shard::plan`]).
-//! 3. **Execute** — a fixed pool of worker threads claims shards from a
-//!    shared counter; each worker fetches every sequence of its shard once
-//!    and emits per-leaf partial results, every leaf evaluated per id in
-//!    one loop. Shape and interval leaves are answered from the
-//!    sequence's **index document** ([`PreparedPred::matches_doc`]) — the
-//!    cold document compaction persisted when the pager serves it, else
-//!    the cached entry's own symbols and buckets — and never count as
-//!    entry scans. Fetches pay the archive's (simulated, optionally
-//!    real-time emulated) access latency, so workers overlap archive
-//!    waits the way parallel tape or jukebox requests would; each worker
-//!    also keeps its own simulated clock and cache counters, so
-//!    [`QueryEngine::last_run_report`] exposes the batch's simulated
-//!    *makespan* and per-worker cache stats alongside the serial total.
-//! 4. **Cache** — per-sequence break/feature results ([`StoredEntry`]) go
-//!    through a bounded LRU ([`cache::LruCache`]) stamped with the
-//!    archive's `(instance, generation)`. Invalidation is *incremental*:
-//!    when the pinned snapshot can name the ids mutated since the cache's
-//!    stamp ([`ArchiveSnapshot::changed_since`]), only those dirty entries
-//!    drop, so re-running a batch after `k` puts re-fetches exactly `k`
-//!    sequences. Stamping is forward-only: a run pinned to an older
-//!    generation reads through without regressing a warmer cache.
-//! 5. **Merge & combine** — per-shard hits merge id-sorted per leaf, and
+//! 3. **Execute** — each wave spawns `min(workers, shards)` scoped
+//!    threads, which claim shards from a shared counter and evaluate
+//!    every leaf per id in one loop. Feature leaves read the id's
+//!    document ([`PreparedPred::matches_doc`]); value-band leaves fetch
+//!    the raw sequence once per id per wave
+//!    ([`ArchiveSnapshot::fetch`]) and compare samples
+//!    ([`PreparedPred::matches_raw`]). Fetches pay the archive's
+//!    (simulated, optionally real-time emulated) access latency, so
+//!    workers overlap archive waits the way parallel tape or jukebox
+//!    requests would; each worker keeps its own simulated clock, so
+//!    [`QueryEngine::last_run_report`] exposes the wave's simulated
+//!    *makespan* alongside the serial total.
+//! 4. **Merge & combine** — per-shard hits merge id-sorted per leaf, and
 //!    the shared [`saq_core::algebra::execute_plan`] composes leaves into
 //!    the final outcome — byte-identical to the sequential engines for any
 //!    worker/shard count.
+//!
+//! The engine keeps no per-sequence state between waves: documents are
+//! the archive's, current at every generation, so nothing here can go
+//! stale.
 //!
 //! ```
 //! use saq_archive::{ArchiveStore, Medium};
@@ -69,6 +66,8 @@
 //! let responses = engine.run_requests(&archive.snapshot(), &wave).unwrap();
 //! assert_eq!(responses[0].as_ref().unwrap().outcome.exact.len(), 8);
 //! assert_eq!(responses[1].as_ref().unwrap().outcome.exact, vec![0, 1, 2, 3]);
+//! // Feature leaves read documents: nothing was fetched.
+//! assert_eq!(archive.fetch_count(), 0);
 //! // The same pool also answers one expression at a time.
 //! let expr = QueryExpr::peak_count(2, 0).and(QueryExpr::id_range(0, 3));
 //! assert_eq!(engine.bind(&archive).execute(&expr).unwrap().exact, vec![0, 1, 2, 3]);
@@ -77,79 +76,60 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod report;
 pub mod shard;
 
-use cache::{CacheStats, LruCache};
 use parking_lot::Mutex;
 use report::RunReport;
-use saq_archive::{ArchiveSnapshot, ArchiveStore};
+use saq_archive::{compute_doc, ArchiveSnapshot, ArchiveStore};
 use saq_core::algebra::{
     conjunct_order, execute_plan, AccessPath, ExecStats, IndexCaps, LeafSource, MatchSet,
-    MatchTier, PhysicalPlan, PlanNode, Planner, PreparedPred,
+    MatchTier, PhysicalPlan, PlanNode, Planner, Pred, PreparedPred,
 };
 use saq_core::request::{self, QueryRequest, QueryResponse, SnapshotRef};
-use saq_core::store::{StoreConfig, StoredEntry};
 use saq_core::subscribe::{Delta, SubscriptionId, SubscriptionRegistry};
 use saq_core::{Error, Result};
-use saq_index::DocPager as _;
+use saq_index::OwnedDoc;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Tuning of the batch executor.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Fixed worker-pool size (≥ 1). One worker degenerates to the
+    /// Worker threads per wave (≥ 1). One worker degenerates to the
     /// sequential path over the same code.
     pub workers: usize,
     /// Number of shards the id space is split into (≥ 1). More shards than
     /// workers keeps the pool busy when shard costs are skewed.
     pub shards: usize,
-    /// Capacity (entries) of the per-sequence feature LRU cache.
-    pub cache_capacity: usize,
-    /// Ingestion parameters (ε, θ) used when representing an archived
-    /// sequence. Cached entries always carry the raw sequence — band
-    /// queries need it — regardless of `store.keep_raw`: the archive's
-    /// sequence is shared, never copied.
-    pub store: StoreConfig,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { workers: 4, shards: 16, cache_capacity: 1024, store: StoreConfig::default() }
+        EngineConfig { workers: 4, shards: 16 }
     }
 }
 
-/// The sharded parallel batch query engine. Cheap to keep alive: the
-/// feature cache persists across runs, so a warm engine answers repeated
-/// batches without re-touching the archive.
-///
-/// The cache is keyed by sequence id and stamped with the archive's
-/// `(instance, generation)` pair: overwriting an archived sequence
-/// ([`ArchiveStore::put`]) or pointing the engine at a different archive
-/// bumps or changes the stamp, and the next run drops the stale entries
-/// automatically. Each run captures its stamp up front and touches the
-/// cache only while it still carries that stamp, so even concurrent runs
-/// against *different* archives stay correct — the superseded run just
-/// stops caching.
+/// Lookup counters of a per-sequence cache. The engine keeps no cache —
+/// documents are the archive's — so every counter it reports is zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from a cache.
+    pub hits: u64,
+    /// Lookups that required recomputation.
+    pub misses: u64,
+    /// Entries evicted to respect a capacity bound.
+    pub evictions: u64,
+}
+
+/// The sharded parallel batch query engine. It holds only its
+/// configuration and the last run's report, so one engine serves any
+/// number of archives and snapshots.
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
-    cache: Mutex<StampedCache>,
     /// Per-worker simulated clocks of the most recent run.
     last_run: Mutex<RunReport>,
-}
-
-/// The id-keyed feature cache together with the archive stamp it was
-/// filled under, behind one lock so every access atomically answers "does
-/// this cache belong to my archive snapshot".
-#[derive(Debug)]
-struct StampedCache {
-    /// `(instance_id, generation)` of the archive the entries belong to;
-    /// `None` until the first run.
-    stamp: Option<(u64, u64)>,
-    lru: LruCache<Arc<StoredEntry>>,
 }
 
 impl QueryEngine {
@@ -161,19 +141,7 @@ impl QueryEngine {
         if config.shards == 0 {
             return Err(Error::BadConfig("engine needs at least one shard".into()));
         }
-        if config.cache_capacity == 0 {
-            return Err(Error::BadConfig("feature cache needs capacity >= 1".into()));
-        }
-        // Validate ε/θ the same way the store does.
-        saq_core::store::SequenceStore::new(config.store)?;
-        Ok(QueryEngine {
-            config,
-            cache: Mutex::new(StampedCache {
-                stamp: None,
-                lru: LruCache::new(config.cache_capacity),
-            }),
-            last_run: Mutex::new(RunReport::default()),
-        })
+        Ok(QueryEngine { config, last_run: Mutex::new(RunReport::default()) })
     }
 
     /// The active configuration.
@@ -181,9 +149,10 @@ impl QueryEngine {
         self.config
     }
 
-    /// Counters of the per-sequence feature cache.
+    /// Always all zeros: the engine keeps no per-sequence cache. Kept for
+    /// callers that still read cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().lru.stats()
+        CacheStats::default()
     }
 
     /// Per-worker simulated clocks of the most recent
@@ -195,8 +164,8 @@ impl QueryEngine {
 
     /// Binds the engine to an archive as a composable-query backend
     /// implementing [`saq_core::algebra::QueryEngine`]: plans fan out
-    /// across this engine's worker pool and feature cache, for built
-    /// expressions and SAQL text alike:
+    /// across this engine's worker pool, for built expressions and SAQL
+    /// text alike:
     ///
     /// ```
     /// use saq_archive::{ArchiveStore, Medium};
@@ -232,8 +201,8 @@ impl QueryEngine {
     /// Answers a **coalesced wave** of requests against one pinned
     /// snapshot: every request is planned, the distinct leaf predicates
     /// across the whole wave are evaluated in a *single* sharded pass of
-    /// the worker pool (one fetch per candidate sequence for the entire
-    /// wave, shared leaf results for identical predicates), and each
+    /// the worker pool (at most one fetch per candidate sequence for the
+    /// entire wave, shared leaf results for identical predicates), and each
     /// request's plan is then composed from the shared results. This is
     /// the entry point the `saqd` server feeds — the ROADMAP's "one
     /// snapshot per coalesced batch wave".
@@ -241,8 +210,10 @@ impl QueryEngine {
     /// Returns one `Result` per request, in request order: a bad query
     /// (SAQL parse failure, invalid predicate, snapshot-pin mismatch)
     /// fails *that* request without poisoning the rest of the wave. Only
-    /// wave-level failures — an archive id vanishing mid-evaluation — fail
-    /// the whole call.
+    /// wave-level failures fail the whole call: an id whose sequence the
+    /// ingestion pipeline rejects (it has no document) fails any wave that
+    /// evaluates a leaf other than an id filter on it, with the
+    /// pipeline's own error.
     pub fn run_requests(
         &self,
         snapshot: &ArchiveSnapshot,
@@ -298,10 +269,8 @@ impl QueryEngine {
                 merged
             };
 
-        let stamp = self.ensure_fresh(snapshot);
         let guards = wave_guards(&slots, &prepped);
-        let (sets, report, leaf_evals) =
-            self.eval_leaves(snapshot, &union, &slots, stamp, &guards)?;
+        let (sets, report, leaf_evals) = self.eval_leaves(snapshot, &union, &slots, &guards)?;
         *self.last_run.lock() = report;
 
         Ok(requests
@@ -330,8 +299,7 @@ impl QueryEngine {
     /// one pinned snapshot, pruning with the exact set of ids mutated
     /// since generation `last_pumped`
     /// ([`ArchiveSnapshot::changed_since`]). Subscriptions that execute
-    /// run through this engine's sharded pool and feature cache — a pump
-    /// after a k-id wave re-fetches at most those k sequences.
+    /// run through this engine's sharded pool.
     ///
     /// `changed_since` answering `None` is the **wildcard**: an id-less
     /// whole-archive mutation ([`ArchiveStore::mark_all_changed`]) or a
@@ -351,58 +319,9 @@ impl QueryEngine {
         registry.pump(&bound, dirty.as_deref())
     }
 
-    /// Re-stamps the cache for the run's pinned `(instance, generation)`
-    /// pair and returns that stamp for the run to carry (cache reads and
-    /// fills are only honored while the cache still carries the run's
-    /// stamp).
-    ///
-    /// Invalidation is **incremental** whenever possible: if the cache was
-    /// filled under an older generation of the *same* archive and the
-    /// snapshot can name the ids mutated in between
-    /// ([`ArchiveSnapshot::changed_since`]), exactly those dirty entries
-    /// are dropped and every clean entry survives — a re-run after `k`
-    /// puts re-fetches only the `k` dirty ids. Only when the delta is
-    /// unknown (different archive, wildcard mutation, or a delta older
-    /// than the archive's bounded mutation log) does the whole cache
-    /// reset.
-    ///
-    /// The stamp only ever moves *forward*: a run pinned to an older
-    /// snapshot than the cache's stamp (same instance) leaves the warm
-    /// cache to its newer owner and simply bypasses it — the per-access
-    /// stamp check in [`QueryEngine::entry_for`] keeps the pinned run from
-    /// reading entries of the wrong generation.
-    fn ensure_fresh(&self, snapshot: &ArchiveSnapshot) -> (u64, u64) {
-        let current = (snapshot.instance_id(), snapshot.generation());
-        let mut cache = self.cache.lock();
-        match cache.stamp {
-            Some(stamp) if stamp == current => {}
-            Some((instance, generation)) if instance == current.0 && generation > current.1 => {
-                // The cache already belongs to a newer generation of this
-                // archive; don't regress it for an old-pinned run.
-            }
-            Some((instance, generation)) if instance == current.0 => {
-                match snapshot.changed_since(generation) {
-                    Some(dirty) => {
-                        for id in dirty {
-                            cache.lru.remove(id);
-                        }
-                    }
-                    None => cache.lru = LruCache::new(self.config.cache_capacity),
-                }
-                cache.stamp = Some(current);
-            }
-            Some(_) => {
-                cache.lru = LruCache::new(self.config.cache_capacity);
-                cache.stamp = Some(current);
-            }
-            None => cache.stamp = Some(current),
-        }
-        current
-    }
-
     /// Evaluates every leaf predicate against every candidate id using the
     /// sharded worker pool; returns one id-sorted [`MatchSet`] per leaf,
-    /// the per-worker report (simulated clocks + cache counters), and the
+    /// the per-worker report (simulated clocks), and the
     /// number of per-entry predicate evaluations performed *per leaf*
     /// (index-path leaves, answered from index documents, contribute none,
     /// and evaluations skipped under a conjunctive guard are not counted).
@@ -410,14 +329,13 @@ impl QueryEngine {
     /// Every shard walks the slots in one fixed order, [`slot_order`], and
     /// skips a slot's evaluation for an id one of its `guards` already
     /// rejected. One pass of the pool covers every shard: each worker
-    /// claims shards from a shared counter and hands back its own clock,
-    /// cache counters and evaluation counts when the shards run out.
+    /// claims shards from a shared counter and hands back its own clock
+    /// and evaluation counts when the shards run out.
     fn eval_leaves(
         &self,
         snapshot: &ArchiveSnapshot,
         ids: &[u64],
         slots: &[WaveSlot],
-        stamp: (u64, u64),
         guards: &[Vec<usize>],
     ) -> Result<(Vec<MatchSet>, RunReport, Vec<u64>)> {
         let shards = shard::plan(ids.len(), self.config.shards);
@@ -441,7 +359,6 @@ impl QueryEngine {
                         let mut tally = WorkerTally {
                             hits: vec![Vec::new(); slots.len()],
                             sim_seconds: 0.0,
-                            cache: CacheStats::default(),
                             leaf_evals: vec![0; slots.len()],
                         };
                         loop {
@@ -450,9 +367,7 @@ impl QueryEngine {
                                 return Ok(tally);
                             }
                             let shard = &ids[shards[s].clone()];
-                            if let Err(e) =
-                                self.eval_shard(snapshot, shard, slots, stamp, policy, &mut tally)
-                            {
+                            if let Err(e) = eval_shard(snapshot, shard, slots, policy, &mut tally) {
                                 abort.store(true, Ordering::Relaxed);
                                 return Err(e);
                             }
@@ -479,132 +394,83 @@ impl QueryEngine {
                 *total += n;
             }
             report.per_worker_sim_seconds.push(tally.sim_seconds);
-            report.per_worker_cache.push(tally.cache);
         }
         Ok((sets, report, leaf_evals))
     }
+}
 
-    /// Evaluates every leaf against every id of one shard, in one per-id
-    /// loop, through the feature cache, adding the hits to the worker's
-    /// `tally`.
-    ///
-    /// Index-path leaves (shape, peak interval) are answered from the
-    /// sequence's index document and never count as entry scans; only
-    /// scan-path leaves (peak count, steepness, value bands) pay a
-    /// per-entry evaluation, counted per leaf in
-    /// [`WorkerTally::leaf_evals`].
-    ///
-    /// When no leaf scans entries, the document is the archive's **cold
-    /// document** ([`ArchiveSnapshot::cold_docs`]) where available —
-    /// documents persisted by the last compaction under the same
-    /// representation parameters page in from the durable segment instead
-    /// of re-running fetch → break → represent per id. Ids the pager
-    /// refuses (mutated since compaction, or simply absent) fall back to
-    /// the cached entry, whose symbols and buckets are the same document,
-    /// so results never depend on cold coverage.
-    ///
-    /// The scan policy orders the per-id slot evaluations and names each
-    /// slot's conjunctive guards: when a guard evaluated earlier for the
-    /// same id already *rejected* it, the slot's evaluation is skipped —
-    /// every request using the slot also intersects with that guard, so
-    /// the id cannot reach any outcome the slot feeds. Skips never elide
-    /// the entry fetch itself, only the predicate evaluation.
-    fn eval_shard(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        ids: &[u64],
-        slots: &[WaveSlot],
-        stamp: (u64, u64),
-        policy: ScanPolicy<'_>,
-        tally: &mut WorkerTally,
-    ) -> Result<()> {
-        let needs_scan = slots.iter().any(|s| s.path == AccessPath::Scan);
-        let has_index = slots
-            .iter()
-            .any(|s| matches!(s.path, AccessPath::PatternIndex | AccessPath::IntervalIndex));
-        let cold = if has_index && !needs_scan {
-            snapshot.cold_docs().filter(|c| c.matches_config(&self.ingest_config())).cloned()
+/// Evaluates every leaf against every id of one shard, in one per-id
+/// loop, adding the hits to the worker's `tally`.
+///
+/// Feature leaves read the id's document; value-band leaves read its raw
+/// sequence, fetched once per id when the wave has any band slot. Only
+/// scan-path leaves (peak count, steepness, value bands) count a
+/// per-entry evaluation, per leaf in [`WorkerTally::leaf_evals`];
+/// index-path leaves (shape, peak interval) count none.
+///
+/// The scan policy orders the per-id slot evaluations and names each
+/// slot's conjunctive guards: when a guard evaluated earlier for the
+/// same id already *rejected* it, the slot's evaluation is skipped —
+/// every request using the slot also intersects with that guard, so
+/// the id cannot reach any outcome the slot feeds. Skips never elide
+/// the document lookup or the fetch, only the predicate evaluation.
+fn eval_shard(
+    snapshot: &ArchiveSnapshot,
+    ids: &[u64],
+    slots: &[WaveSlot],
+    policy: ScanPolicy<'_>,
+    tally: &mut WorkerTally,
+) -> Result<()> {
+    let reads_doc = slots.iter().any(|s| s.path != AccessPath::IdFilter);
+    let reads_raw = slots.iter().any(|s| matches!(s.pred.pred(), Pred::ValueBand { .. }));
+    // Per-id verdicts for this shard's scan loop: NotEvaluated also
+    // covers skipped slots, so a skipped slot never guards another.
+    let mut verdicts = vec![Verdict::NotEvaluated; slots.len()];
+    for &id in ids {
+        let doc = if reads_doc { Some(doc_of(snapshot, id)?) } else { None };
+        let raw = if reads_raw {
+            let (seq, cost) = snapshot.fetch(id).ok_or(Error::UnknownSequence { id })?;
+            tally.sim_seconds += cost.total();
+            Some(seq)
         } else {
             None
         };
-        // Per-id verdicts for this shard's scan loop: NotEvaluated also
-        // covers skipped slots, so a skipped slot never guards another.
-        let mut verdicts = vec![Verdict::NotEvaluated; slots.len()];
-        for &id in ids {
-            let doc = cold.as_ref().and_then(|c| c.doc(id));
-            let entry = if needs_scan || (has_index && doc.is_none()) {
-                let (entry, cost, cache) = self.entry_for(snapshot, id, stamp)?;
-                tally.sim_seconds += cost;
-                tally.cache.merge(cache);
-                Some(entry)
-            } else {
-                None
-            };
-            verdicts.fill(Verdict::NotEvaluated);
-            for &ix in policy.order {
-                let pred = &slots[ix].pred;
-                let hit = match slots[ix].path {
-                    AccessPath::IdFilter => pred.matches(id, None),
-                    AccessPath::Scan => {
-                        if policy.guards[ix].iter().any(|&g| verdicts[g] == Verdict::Rejected) {
-                            continue;
-                        }
-                        tally.leaf_evals[ix] += 1;
-                        pred.matches(id, entry.as_deref())
-                    }
-                    AccessPath::PatternIndex | AccessPath::IntervalIndex => match &doc {
-                        Some(doc) => pred.matches_doc(&doc.as_doc()),
-                        None => pred.matches(id, entry.as_deref()),
-                    },
-                };
-                verdicts[ix] = match hit {
-                    Some(m) => {
-                        tally.hits[ix].push((id, MatchTier::from_match(m)));
-                        Verdict::Matched
-                    }
-                    None => Verdict::Rejected,
-                };
-            }
-        }
-        Ok(())
-    }
-
-    /// The cached fetch → break → represent pipeline for one sequence;
-    /// also returns the simulated seconds the fetch cost (0 on a hit) and
-    /// this lookup's cache counters (for per-worker accounting).
-    /// The cache is consulted and filled only while it still carries this
-    /// run's `stamp` — if a concurrent run re-stamped it for a different
-    /// archive, this run computes fresh entries and leaves the cache to
-    /// its new owner.
-    fn entry_for(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        id: u64,
-        stamp: (u64, u64),
-    ) -> Result<(Arc<StoredEntry>, f64, CacheStats)> {
-        {
-            let mut cache = self.cache.lock();
-            if cache.stamp == Some(stamp) {
-                if let Some(entry) = cache.lru.get(id) {
-                    return Ok((entry, 0.0, CacheStats { hits: 1, ..CacheStats::default() }));
+        verdicts.fill(Verdict::NotEvaluated);
+        for &ix in policy.order {
+            let pred = &slots[ix].pred;
+            if slots[ix].path == AccessPath::Scan {
+                if policy.guards[ix].iter().any(|&g| verdicts[g] == Verdict::Rejected) {
+                    continue;
                 }
+                tally.leaf_evals[ix] += 1;
             }
+            let hit = match (pred.pred(), &doc, &raw) {
+                (Pred::IdRange { .. }, ..) => pred.matches(id, None),
+                (Pred::ValueBand { .. }, _, Some(raw)) => pred.matches_raw(raw),
+                (Pred::Feature(_), Some(doc), _) => pred.matches_doc(&doc.as_doc()),
+                _ => unreachable!("the shard loop reads what its slots need"),
+            };
+            verdicts[ix] = match hit {
+                Some(m) => {
+                    tally.hits[ix].push((id, MatchTier::from_match(m)));
+                    Verdict::Matched
+                }
+                None => Verdict::Rejected,
+            };
         }
-        let (seq, cost) = snapshot.fetch(id).ok_or(Error::UnknownSequence { id })?;
-        let entry = Arc::new(StoredEntry::compute_shared(&seq, &self.ingest_config())?);
-        let mut delta = CacheStats { misses: 1, ..CacheStats::default() };
-        let mut cache = self.cache.lock();
-        if cache.stamp == Some(stamp) && cache.lru.insert(id, entry.clone()) {
-            delta.evictions = 1;
-        }
-        Ok((entry, cost.total(), delta))
     }
+    Ok(())
+}
 
-    /// The store config with raw retention forced on (band queries need the
-    /// raw samples; the entry shares the archive's sequence).
-    fn ingest_config(&self) -> StoreConfig {
-        StoreConfig { keep_raw: true, ..self.config.store }
+/// The document of `id` at the snapshot's generation. An id without one
+/// is one the ingestion pipeline rejects; running the pipeline again
+/// surfaces its error.
+fn doc_of(snapshot: &ArchiveSnapshot, id: u64) -> Result<Cow<'_, OwnedDoc>> {
+    if let Some(doc) = snapshot.doc(id) {
+        return Ok(Cow::Borrowed(doc));
     }
+    let seq = snapshot.get(id).ok_or(Error::UnknownSequence { id })?;
+    compute_doc(seq, &snapshot.representation()).map(Cow::Owned)
 }
 
 /// What one worker accrued over the shards it claimed.
@@ -613,8 +479,6 @@ struct WorkerTally {
     hits: Vec<Vec<(u64, MatchTier)>>,
     /// Simulated archive seconds this worker's fetches cost.
     sim_seconds: f64,
-    /// Cache counters observed while materializing this worker's entries.
-    cache: CacheStats,
     /// Per-entry predicate evaluations, per leaf (scan-path leaves
     /// only; index-path leaves stay 0).
     leaf_evals: Vec<u64>,
@@ -724,8 +588,8 @@ fn wave_guards(slots: &[WaveSlot], prepped: &[Result<PreppedRequest>]) -> Vec<Ve
 
 /// A [`QueryEngine`] bound to one archive: the sharded implementation of
 /// the algebra's engine trait. Leaves of a planned expression are
-/// evaluated in a single pass of the worker pool (one fetch per candidate
-/// sequence regardless of leaf count), then composed by the shared plan
+/// evaluated in a single pass of the worker pool (at most one fetch per
+/// candidate sequence regardless of leaf count), then composed by the shared plan
 /// executor — so outcomes are id-identical to the sequential engines.
 ///
 /// ```
@@ -757,8 +621,8 @@ enum BoundTarget<'e> {
 
 impl saq_core::algebra::QueryEngine for BoundEngine<'_> {
     /// A single-request wave of [`QueryEngine::run_requests`]: the
-    /// planner's universe, every shard's leaf evaluation, and the feature
-    /// cache stamp all read one pinned generation.
+    /// planner's universe and every shard's leaf evaluation read one
+    /// pinned generation.
     fn request(&self, req: &QueryRequest) -> Result<QueryResponse> {
         let snapshot = match &self.target {
             BoundTarget::Live(archive) => archive.snapshot(),
@@ -824,8 +688,10 @@ mod tests {
     use saq_archive::{ArchiveScanEngine, Medium};
     use saq_core::algebra::{QueryEngine as _, QueryExpr};
     use saq_core::query::QueryOutcome;
+    use saq_core::store::StoreConfig;
     use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
     use saq_sequence::{Point, Sequence};
+    use std::sync::Arc;
 
     fn mixed_archive(n: u64) -> ArchiveStore {
         let mut archive = ArchiveStore::new(Medium::memory());
@@ -881,7 +747,7 @@ mod tests {
     }
 
     /// The sequential reference: fetch → break → represent →
-    /// `PreparedPred::matches` per id, no sharding, no cache.
+    /// `PreparedPred::matches` per id, no sharding, no documents.
     fn sequential(archive: &ArchiveStore, wave: &[QueryRequest]) -> Vec<QueryOutcome> {
         let scan = ArchiveScanEngine::new(archive, StoreConfig::default());
         wave.iter().map(|req| scan.request(req).unwrap().outcome).collect()
@@ -893,9 +759,7 @@ mod tests {
         let reference = sequential(&archive, &batch());
         for workers in [1, 2, 4, 8] {
             for shards in [1, 3, 16, 64] {
-                let engine =
-                    QueryEngine::new(EngineConfig { workers, shards, ..EngineConfig::default() })
-                        .unwrap();
+                let engine = QueryEngine::new(EngineConfig { workers, shards }).unwrap();
                 let out = run(&engine, &archive, &batch());
                 assert_eq!(out, reference, "workers={workers} shards={shards}");
             }
@@ -914,25 +778,54 @@ mod tests {
         }
     }
 
+    /// The ids whose document differs (by allocation) between two
+    /// snapshots of one archive.
+    fn changed_docs(before: &ArchiveSnapshot, after: &ArchiveSnapshot) -> Vec<u64> {
+        let mut ids: Vec<u64> = before.ids().iter().chain(after.ids()).copied().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|&id| match (before.doc_arc(id), after.doc_arc(id)) {
+            (Some(a), Some(b)) => !Arc::ptr_eq(&a, &b),
+            (a, b) => a.is_some() || b.is_some(),
+        });
+        ids
+    }
+
     #[test]
-    fn cache_serves_repeated_batches() {
-        let archive = mixed_archive(12);
+    fn only_band_leaves_fetch() {
+        let mut archive = mixed_archive(12);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let first = run(&engine, &archive, &batch());
-        let cold = engine.cache_stats();
-        assert_eq!(cold.misses, 12, "one miss per sequence");
-        let fetched = archive.fetch_count();
-        let second = run(&engine, &archive, &batch());
-        let warm = engine.cache_stats();
-        assert_eq!(first, second);
-        assert_eq!(warm.misses, cold.misses, "warm run recomputes nothing");
-        assert_eq!(warm.hits, cold.hits + 12);
-        assert_eq!(archive.fetch_count(), fetched, "warm run never touches the archive");
-        assert_eq!(
-            engine.last_run_report().sim_total_seconds(),
-            0.0,
-            "warm per-worker clocks stay idle"
-        );
+        let features: Vec<QueryRequest> =
+            batch().into_iter().filter(|r| !format!("{r:?}").contains("ValueBand")).collect();
+        assert_eq!(features.len(), batch().len() - 1);
+
+        // A wave without a band leaf reads documents only.
+        let out = run(&engine, &archive, &features);
+        assert_eq!(out, sequential(&archive, &features));
+        let before = archive.fetch_count();
+        run(&engine, &archive, &features);
+        assert_eq!(archive.fetch_count(), before, "no band leaf, no fetch");
+        assert_eq!(engine.last_run_report().sim_total_seconds(), 0.0, "clocks stay idle");
+
+        // A band wave fetches each id exactly once, however many leaves.
+        let expected = sequential(&archive, &batch());
+        let before = archive.fetch_count();
+        assert_eq!(run(&engine, &archive, &batch()), expected);
+        assert_eq!(archive.fetch_count() - before, 12, "one fetch per id per band wave");
+
+        // After k appends, exactly k documents changed; the rest are the
+        // same allocations.
+        let pinned = archive.snapshot();
+        for id in [2u64, 5, 9] {
+            let last = *archive.get(id).unwrap().points().last().unwrap();
+            archive.append_points(id, &[Point::new(last.t + 1.0, last.v + 2.0)]);
+        }
+        assert_eq!(changed_docs(&pinned, &archive.snapshot()), vec![2, 5, 9]);
+        let expected = sequential(&archive, &features);
+        let before = archive.fetch_count();
+        assert_eq!(run(&engine, &archive, &features), expected);
+        assert_eq!(archive.fetch_count(), before, "appends do not make feature waves fetch");
+        assert_eq!(engine.cache_stats(), CacheStats::default(), "no cache to count");
     }
 
     #[test]
@@ -940,52 +833,29 @@ mod tests {
         use saq_archive::DurabilityConfig;
         use saq_durable::{Backend, MemoryBackend};
         let backend: Arc<dyn Backend> = Arc::new(MemoryBackend::new());
-        let config =
-            DurabilityConfig { compact_after: 0, index_docs: Some(StoreConfig::default()) };
-        let mut archive = ArchiveStore::open_backend(backend, Medium::memory(), config).unwrap();
+        let config = DurabilityConfig { compact_after: 0, ..DurabilityConfig::default() };
+        let open = || {
+            ArchiveStore::open_backend(backend.clone(), Medium::memory(), config.clone()).unwrap()
+        };
         let template = mixed_archive(12);
-        for &id in template.ids().iter() {
-            archive.put(id, template.snapshot().get(id).unwrap().clone());
+        {
+            let mut archive = open();
+            for &id in template.ids().iter() {
+                archive.put(id, template.snapshot().get(id).unwrap().clone());
+            }
+            archive.compact().unwrap();
+            archive.put(3, random_walk(64, 0.0, 0.2, 99));
         }
-        archive.compact().unwrap();
-        let index_batch = vec![
-            QueryRequest::expr(QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*")),
-            QueryRequest::expr(QueryExpr::peak_interval(7, 2)),
-        ];
+        // Reopened: documents decode from the segment (id 3 is rebuilt
+        // from the WAL tail), and every feature leaf reads them.
+        let archive = open();
+        let mut features = batch();
+        features.pop(); // the band
+        features.extend(two_peaks());
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let reference = sequential(&template, &index_batch);
-        let before = archive.fetch_count();
-        let out = run(&engine, &archive, &index_batch);
-        assert_eq!(out, reference, "cold-served results match recomputing everything");
-        assert_eq!(
-            archive.fetch_count(),
-            before,
-            "an index-only batch pages cold documents and fetches no sequences"
-        );
-        // A mutated id is refused by the pager and falls back to the full
-        // fetch → break → represent pipeline; everything else stays cold.
-        archive.put(3, random_walk(64, 0.0, 0.2, 99));
-        let before = archive.fetch_count();
-        let out = run(&engine, &archive, &index_batch);
-        assert_eq!(archive.fetch_count() - before, 1, "only the dirtied id pays a fetch");
-        assert_eq!(out, sequential(&archive, &index_batch));
-        // Entry-scan leaves force the pipeline regardless of cold docs.
-        let before = archive.fetch_count();
-        run(&engine, &archive, &two_peaks());
-        assert!(archive.fetch_count() > before, "scan leaves still fetch");
-    }
-
-    #[test]
-    fn tiny_cache_still_correct() {
-        let archive = mixed_archive(20);
-        let engine = QueryEngine::new(EngineConfig {
-            cache_capacity: 2,
-            workers: 4,
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        assert_eq!(run(&engine, &archive, &batch()), sequential(&archive, &batch()));
-        assert!(engine.cache_stats().evictions > 0, "capacity 2 must evict");
+        let out = run(&engine, &archive, &features);
+        assert_eq!(archive.fetch_count(), 0, "a feature wave after reopen fetches nothing");
+        assert_eq!(out, sequential(&archive, &features), "documents answer like entries");
     }
 
     #[test]
@@ -996,45 +866,33 @@ mod tests {
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         assert_eq!(run(&engine, &archive, &two_peaks())[0].exact, vec![1, 2]);
 
-        // Replace id 1 with a one-peak sequence: the put bumps the
-        // archive's generation and logs the dirty id, so the warm engine
-        // drops exactly that entry on the next run — id 2 stays cached.
+        // Replace id 1 with a one-peak sequence: the put installs its new
+        // document in the next generation; id 2 keeps its allocation.
+        let pinned = archive.snapshot();
         archive.put(1, peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }));
         assert_eq!(run(&engine, &archive, &two_peaks())[0].exact, vec![2]);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.misses, 3, "two cold misses + the one dirty id");
-        assert_eq!(stats.hits, 1, "the clean entry survived the re-stamp");
+        assert_eq!(changed_docs(&pinned, &archive.snapshot()), vec![1]);
+        assert_eq!(run_pinned(&engine, &pinned, &two_peaks())[0].exact, vec![1, 2]);
     }
 
     #[test]
-    fn cached_entries_share_the_archive_sequence_and_stay_exact() {
+    fn appends_replace_only_their_documents() {
         let mut archive = mixed_archive(6);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let cached = |id: u64| engine.cache.lock().lru.get(id).unwrap().raw.clone().unwrap();
-        let stored = |archive: &ArchiveStore, id: u64| archive.snapshot().fetch(id).unwrap().0;
-        run(&engine, &archive, &batch());
-        for id in 0..6 {
-            assert!(Arc::ptr_eq(&cached(id), &stored(&archive, id)), "id {id}: shared, not copied");
-        }
-
-        // Appending to id 4 replaces its archived sequence: the next wave
-        // drops exactly that entry and shares the new allocation.
-        let clean = [0, 1, 2, 3, 5].map(|id| (id, cached(id)));
-        let (old, len, t) = {
-            let raw = cached(4);
-            (Arc::downgrade(&raw), raw.len(), raw.points().last().unwrap().t)
-        };
-        archive.append_points(4, &[Point::new(t + 1.0, 0.0), Point::new(t + 2.0, 3.0)]);
-        let misses = engine.cache_stats().misses;
+        let pinned = archive.snapshot();
+        let last = *archive.get(4).unwrap().points().last().unwrap();
+        archive.append_points(4, &[Point::new(last.t + 1.0, 0.0), Point::new(last.t + 2.0, 3.0)]);
+        let after = archive.snapshot();
+        assert_eq!(changed_docs(&pinned, &after), vec![4], "only the appended id's document");
+        assert_eq!(
+            after.doc(4),
+            Some(&compute_doc(after.get(4).unwrap(), &StoreConfig::default()).unwrap()),
+            "the new document is the extended sequence's"
+        );
         assert_eq!(run(&engine, &archive, &batch()), sequential(&archive, &batch()));
-        assert_eq!(engine.cache_stats().misses - misses, 1, "only the appended id is refetched");
-        let fresh = cached(4);
-        assert!(Arc::ptr_eq(&fresh, &stored(&archive, 4)), "the new allocation is shared");
-        assert_eq!(fresh.len(), len + 2);
-        for (id, raw) in clean {
-            assert!(Arc::ptr_eq(&raw, &cached(id)), "id {id}: clean entry kept");
-        }
-        assert!(old.upgrade().is_none(), "the superseded sequence is freed, cache included");
+        let superseded = Arc::downgrade(&pinned.doc_arc(4).unwrap());
+        drop(pinned);
+        assert!(superseded.upgrade().is_none(), "the superseded document is freed");
     }
 
     #[test]
@@ -1042,29 +900,39 @@ mod tests {
         let mut archive = mixed_archive(20);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         run(&engine, &archive, &batch());
-        assert_eq!(archive.fetch_count(), 20, "cold run fetches everything");
+        assert_eq!(archive.fetch_count(), 20, "the band fetches everything once");
 
         // k = 3 puts: one brand-new id, two replacements.
+        let pinned = archive.snapshot();
         archive.put(100, goalpost(GoalpostSpec { seed: 100, ..GoalpostSpec::default() }));
         archive.put(4, peaks(PeaksSpec { centers: vec![12.0], seed: 4, ..PeaksSpec::default() }));
         archive.put(7, random_walk(64, 0.0, 0.2, 77));
-        let before = archive.fetch_count();
-        let out = run(&engine, &archive, &batch());
-        assert_eq!(
-            archive.fetch_count() - before,
-            3,
-            "incremental re-run fetches exactly the k dirty ids"
-        );
-        assert_eq!(out, sequential(&archive, &batch()), "incremental results match a cold scan");
-        assert_eq!(engine.last_run_report().cache_totals().misses, 3);
+        assert_eq!(changed_docs(&pinned, &archive.snapshot()), vec![4, 7, 100]);
+        assert_eq!(run(&engine, &archive, &batch()), sequential(&archive, &batch()));
 
-        // A wildcard mutation degrades to full invalidation — correct,
-        // just not incremental.
+        // A wildcard changes no content, so it keeps every document.
+        let pinned = archive.snapshot();
         archive.mark_all_changed();
-        let before = archive.fetch_count();
-        let out = run(&engine, &archive, &batch());
-        assert_eq!(archive.fetch_count() - before, 21, "unknown delta refetches everything");
-        assert_eq!(out, sequential(&archive, &batch()));
+        assert!(changed_docs(&pinned, &archive.snapshot()).is_empty());
+        assert_eq!(run(&engine, &archive, &batch()), sequential(&archive, &batch()));
+    }
+
+    #[test]
+    fn rejected_sequences_fail_every_wave_that_reads_them() {
+        let mut archive = mixed_archive(3);
+        archive.put(7, Sequence::new(Vec::new()).unwrap());
+        assert!(archive.snapshot().doc(7).is_none(), "the pipeline rejects an empty sequence");
+        let engine = QueryEngine::new(EngineConfig::default()).unwrap();
+        let scan = ArchiveScanEngine::new(&archive, StoreConfig::default());
+        for req in batch().into_iter().chain(two_peaks()) {
+            let wave = engine.run_requests(&archive.snapshot(), std::slice::from_ref(&req));
+            let expected = scan.request(&req).unwrap_err();
+            assert_eq!(wave.unwrap_err().to_string(), expected.to_string(), "{req:?}");
+        }
+        // An id filter never reads the document.
+        let ids = QueryRequest::expr(QueryExpr::id_range(5, 9));
+        let out = run(&engine, &archive, &[ids]);
+        assert_eq!(out[0].exact, vec![7]);
     }
 
     #[test]
@@ -1106,29 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_stamped_access_bypasses_the_cache_but_stays_correct() {
-        // Simulates a run that captured its stamp before a concurrent run
-        // re-stamped the cache for a different archive: the stale run must
-        // compute from its own archive and must not pollute the cache.
-        let mut a1 = ArchiveStore::new(Medium::memory());
-        a1.put(1, goalpost(GoalpostSpec::default())); // two peaks
-        let mut a2 = ArchiveStore::new(Medium::memory());
-        a2.put(1, peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() })); // one peak
-        let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let snap1 = a1.snapshot();
-        let stale_stamp = engine.ensure_fresh(&snap1);
-
-        assert!(run(&engine, &a2, &two_peaks())[0].exact.is_empty(), "a2's id 1 has 1 peak");
-
-        // The stale-stamped path sees a1's real data, not a2's cache…
-        let (entry, _, _) = engine.entry_for(&snap1, 1, stale_stamp).unwrap();
-        assert_eq!(entry.peaks.len(), 2, "computed from a1, not served from a2's cache");
-        // …and did not overwrite a2's cached entry.
-        assert!(run(&engine, &a2, &two_peaks())[0].exact.is_empty());
-        assert_eq!(engine.cache_stats().misses, 1, "a2's entry stayed cached throughout");
-    }
-
-    #[test]
     fn switching_archives_invalidates_too() {
         let a = mixed_archive(3);
         let mut b = ArchiveStore::new(Medium::memory());
@@ -1158,11 +1003,6 @@ mod tests {
         for config in [
             EngineConfig { workers: 0, ..EngineConfig::default() },
             EngineConfig { shards: 0, ..EngineConfig::default() },
-            EngineConfig { cache_capacity: 0, ..EngineConfig::default() },
-            EngineConfig {
-                store: StoreConfig { epsilon: f64::NAN, ..StoreConfig::default() },
-                ..EngineConfig::default()
-            },
         ] {
             assert!(QueryEngine::new(config).is_err(), "{config:?}");
         }
@@ -1249,40 +1089,38 @@ mod tests {
     fn wave_amortizes_fetches_and_dedups_shared_leaves() {
         let n = 24;
         let archive = mixed_archive(n);
-        // Capacity below the corpus size: serial one-at-a-time execution
-        // thrashes the LRU, a coalesced wave fetches each id once.
-        let config = EngineConfig { cache_capacity: n as usize / 4, ..EngineConfig::default() };
+        let center = archive.get(0).unwrap().as_ref().clone();
         let queries = [
             "steepness all >= 0.2 slack 0.1",
             "peaks = 2 tol 1",
             "steepness any >= 1.0 slack 0.2",
             "steepness all >= 0.2 slack 0.1 and peaks = 2 tol 1",
         ];
+        let requests: Vec<QueryRequest> =
+            queries
+                .iter()
+                .map(|q| QueryRequest::saql(*q))
+                .chain([1.0, 2.0].map(|delta| {
+                    QueryRequest::expr(QueryExpr::value_band(center.clone(), delta, 0.5))
+                }))
+                .collect();
 
-        let serial_engine = QueryEngine::new(config).unwrap();
+        let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         let before = archive.fetch_count();
-        let mut serial_outcomes = Vec::new();
-        for q in &queries {
-            let resp = serial_engine.bind(&archive).request(&QueryRequest::saql(*q)).unwrap();
-            serial_outcomes.push(resp.outcome);
-        }
+        let serial: Vec<QueryOutcome> =
+            requests.iter().map(|r| engine.bind(&archive).request(r).unwrap().outcome).collect();
         let serial_fetches = archive.fetch_count() - before;
 
-        let wave_engine = QueryEngine::new(config).unwrap();
-        let wave: Vec<QueryRequest> =
-            queries.iter().map(|q| QueryRequest::saql(*q).with_stats()).collect();
+        let wave: Vec<QueryRequest> = requests.iter().cloned().map(|r| r.with_stats()).collect();
         let before = archive.fetch_count();
-        let responses = wave_engine.run_requests(&archive.snapshot(), &wave).unwrap();
+        let responses = engine.run_requests(&archive.snapshot(), &wave).unwrap();
         let wave_fetches = archive.fetch_count() - before;
 
-        for (resp, solo) in responses.iter().zip(&serial_outcomes) {
+        for (resp, solo) in responses.iter().zip(&serial) {
             assert_eq!(&resp.as_ref().unwrap().outcome, solo);
         }
-        assert_eq!(wave_fetches, n, "a wave fetches each sequence exactly once");
-        assert!(
-            serial_fetches >= 3 * wave_fetches,
-            "serial thrashes the small LRU: {serial_fetches} vs {wave_fetches}"
-        );
+        assert_eq!(serial_fetches, 2 * n, "each band request fetches every id");
+        assert_eq!(wave_fetches, n, "a wave fetches each sequence at most once");
         // Shared leaves across the wave: queries 0 and 3 share one
         // steepness predicate, 1 and 3 one peak-count predicate — 6 plan
         // leaves, 3 distinct slots, each evaluated once over n entries.
@@ -1290,7 +1128,7 @@ mod tests {
             .iter()
             .map(|r| r.as_ref().unwrap().stats.as_ref().unwrap().entries_scanned)
             .collect();
-        assert_eq!(per_request, vec![n, n, n, 2 * n], "per-leaf counts, shared slots");
+        assert_eq!(per_request, vec![n, n, n, 2 * n, n, n], "per-leaf counts, shared slots");
     }
 
     #[test]
@@ -1350,9 +1188,7 @@ mod tests {
             disk.put(id, archive.get(id).unwrap().as_ref().clone());
         }
         disk.set_realtime_scale(0.1);
-        let engine =
-            QueryEngine::new(EngineConfig { workers: 4, shards: 8, ..EngineConfig::default() })
-                .unwrap();
+        let engine = QueryEngine::new(EngineConfig { workers: 4, shards: 8 }).unwrap();
         run(&engine, &disk, &batch());
         let report = engine.last_run_report();
         assert_eq!(report.workers(), 4);

@@ -1,28 +1,24 @@
-//! Cold-start index paging: serve [`IndexDoc`]s out of a durable
-//! segment instead of recomputing them from raw sequences.
+//! Feature documents: what every feature leaf reads of one sequence, in
+//! an owning form that crosses the storage boundary.
 //!
-//! A freshly reopened store has its entries on disk but its indexes
-//! nowhere: rebuilding them means re-deriving every document (symbol
-//! string, interval buckets, peak count) from every stored sequence —
-//! exactly the work compaction already did once. The durable layer
-//! therefore persists *encoded documents* next to the entries, and this
-//! module is the index-side consumer: [`OwnedDoc`] is the owning
-//! (de)serializable form of [`IndexDoc`], and [`DocPager`] abstracts
-//! "who can produce the document for an id" (in production, a B-tree
-//! segment reader) — so a query over twelve ids pages in twelve
-//! documents, not the archive.
-//!
-//! A pager is allowed to *refuse* an id (return `None`): documents go
-//! stale the moment a sequence is mutated after compaction, and the
-//! contract is that refusal only ever costs the caller a recompute,
-//! never correctness.
+//! A document is the sequence's [`IndexDoc`] (symbol string, interval
+//! buckets, peak count) plus the extrema of its peaks' steepness — the
+//! five values that decide every feature predicate. The archive keeps one
+//! [`OwnedDoc`] per id resident and persists them in the docs segment at
+//! compaction, so a reopened archive decodes documents instead of
+//! re-deriving them from every raw sequence. [`DocPager`] names "who can
+//! produce the persisted document for an id".
 
 use crate::index_set::IndexDoc;
 use saq_durable::codec::{self, Cursor};
-use saq_durable::Result;
+use saq_durable::{Error, Result};
 
-/// An owning [`IndexDoc`]: the form that crosses the storage boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The leading byte of every encoded document. Version 1 carried no
+/// steepness extrema and no format byte; its documents fail to decode.
+pub const DOC_FORMAT: u8 = 2;
+
+/// An owning feature document: the form that crosses the storage boundary.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnedDoc {
     /// θ-quantized slope symbol ids.
     pub symbols: Vec<u8>,
@@ -30,36 +26,62 @@ pub struct OwnedDoc {
     pub interval_buckets: Vec<i64>,
     /// Number of peaks.
     pub peak_count: usize,
+    /// `(min, max)` steepness over the peaks; `None` when there are none.
+    pub steepness: Option<(f64, f64)>,
+}
+
+/// Everything a feature leaf reads of one sequence, borrowed: the index
+/// document plus the steepness extrema.
+#[derive(Debug, Clone, Copy)]
+pub struct FeatureDoc<'a> {
+    /// What the index layer reads.
+    pub index: IndexDoc<'a>,
+    /// `(min, max)` steepness over the peaks; `None` when there are none.
+    pub steepness: Option<(f64, f64)>,
 }
 
 impl OwnedDoc {
-    /// The borrowed view every [`crate::SequenceIndex`] consumes.
-    pub fn as_doc(&self) -> IndexDoc<'_> {
-        IndexDoc {
-            symbols: &self.symbols,
-            interval_buckets: &self.interval_buckets,
-            peak_count: self.peak_count,
+    /// The borrowed view feature predicates evaluate.
+    pub fn as_doc(&self) -> FeatureDoc<'_> {
+        FeatureDoc {
+            index: IndexDoc {
+                symbols: &self.symbols,
+                interval_buckets: &self.interval_buckets,
+                peak_count: self.peak_count,
+            },
+            steepness: self.steepness,
         }
     }
 
     /// Hand-rolled binary encoding (the vendored serde derives are
-    /// no-ops): symbols as a length-prefixed byte string, buckets as a
-    /// count plus `i64` two's-complement bit patterns, then the peak
-    /// count.
+    /// no-ops): the format byte, symbols as a length-prefixed byte
+    /// string, buckets as a count plus `i64` two's-complement bit
+    /// patterns, the peak count, then a presence byte and, when present,
+    /// the steepness minimum and maximum as IEEE-754 bit patterns.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = vec![DOC_FORMAT];
         codec::put_bytes(&mut out, &self.symbols);
         codec::put_u32(&mut out, self.interval_buckets.len() as u32);
         for &bucket in &self.interval_buckets {
             codec::put_u64(&mut out, bucket as u64);
         }
         codec::put_u64(&mut out, self.peak_count as u64);
+        out.push(self.steepness.is_some() as u8);
+        if let Some((min, max)) = self.steepness {
+            codec::put_f64(&mut out, min);
+            codec::put_f64(&mut out, max);
+        }
         out
     }
 
-    /// Decodes [`OwnedDoc::encode`] output, rejecting trailing bytes.
+    /// Decodes [`OwnedDoc::encode`] output, rejecting other formats and
+    /// trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<OwnedDoc> {
         let mut c = Cursor::new(bytes, "index doc");
+        let format = c.get_u8()?;
+        if format != DOC_FORMAT {
+            return Err(Error::corrupt(format!("index doc: unsupported format {format}")));
+        }
         let symbols = c.get_bytes()?.to_vec();
         let count = c.get_u32()? as usize;
         let mut interval_buckets = Vec::with_capacity(count.min(bytes.len()));
@@ -67,22 +89,21 @@ impl OwnedDoc {
             interval_buckets.push(c.get_u64()? as i64);
         }
         let peak_count = c.get_u64()? as usize;
+        let steepness = match c.get_u8()? {
+            0 => None,
+            1 => Some((c.get_f64()?, c.get_f64()?)),
+            flag => return Err(Error::corrupt(format!("index doc: steepness flag {flag}"))),
+        };
         c.finish()?;
-        Ok(OwnedDoc { symbols, interval_buckets, peak_count })
+        Ok(OwnedDoc { symbols, interval_buckets, peak_count, steepness })
     }
 }
 
-/// A source of index documents by id — typically a durable segment
-/// reader, but anything that can produce (or decline to produce) the
-/// exact document for an id qualifies. Refusal (`None`) must be safe:
-/// callers fall back to recomputing from the stored sequence.
+/// A source of persisted documents by id — typically a durable segment
+/// reader. `None` means the source holds no readable document for `id`.
 pub trait DocPager: Send + Sync {
-    /// The document for `id`, or `None` if this pager cannot vouch for
-    /// it (unknown id, or known stale).
+    /// The document for `id`, or `None`.
     fn doc(&self, id: u64) -> Option<OwnedDoc>;
-
-    /// Every id this pager can currently serve.
-    fn ids(&self) -> Vec<u64>;
 }
 
 #[cfg(test)]
@@ -90,7 +111,12 @@ mod tests {
     use super::*;
 
     fn doc(tag: u8, buckets: &[i64], peaks: usize) -> OwnedDoc {
-        OwnedDoc { symbols: vec![tag, tag], interval_buckets: buckets.to_vec(), peak_count: peaks }
+        OwnedDoc {
+            symbols: vec![tag, tag],
+            interval_buckets: buckets.to_vec(),
+            peak_count: peaks,
+            steepness: (peaks > 0).then_some((0.25, f64::MAX)),
+        }
     }
 
     #[test]
@@ -98,13 +124,23 @@ mod tests {
         for d in [
             doc(1, &[4, -9, i64::MAX], 3),
             doc(0, &[], 0),
-            OwnedDoc { symbols: vec![], interval_buckets: vec![i64::MIN], peak_count: 7 },
+            OwnedDoc {
+                symbols: vec![],
+                interval_buckets: vec![i64::MIN],
+                peak_count: 7,
+                steepness: Some((-0.0, 1e-300)),
+            },
         ] {
-            assert_eq!(OwnedDoc::decode(&d.encode()).unwrap(), d);
+            let back = OwnedDoc::decode(&d.encode()).unwrap();
+            assert_eq!(back.encode(), d.encode(), "bit-exact, signed zero included");
+            assert_eq!(back, d);
         }
         let mut bytes = doc(1, &[5], 1).encode();
         bytes.push(0);
         assert!(OwnedDoc::decode(&bytes).is_err(), "trailing bytes rejected");
         assert!(OwnedDoc::decode(&bytes[..3]).is_err(), "truncation rejected");
+        let mut other = doc(1, &[5], 1).encode();
+        other[0] = 1;
+        assert!(OwnedDoc::decode(&other).is_err(), "a version-1 document is refused");
     }
 }

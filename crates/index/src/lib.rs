@@ -14,9 +14,9 @@
 //!   keeps, mutated together through the [`SequenceIndex`] trait
 //!   (incremental insert *and* remove), with per-index statistics
 //!   ([`IndexStats`]) snapshotted for selectivity-driven planning,
-//! * [`OwnedDoc`] / [`DocPager`] — the cold-start form of an
-//!   [`IndexDoc`]: documents page in from a durable segment on demand
-//!   instead of being recomputed from raw sequences at open.
+//! * [`OwnedDoc`] / [`FeatureDoc`] — a sequence's feature document: its
+//!   [`IndexDoc`] plus its peaks' steepness extrema, everything a feature
+//!   predicate reads; [`DocPager`] serves persisted documents by id.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,7 +30,7 @@ pub mod pattern_index;
 pub mod stats;
 
 pub use bplus::BPlusTree;
-pub use cold::{DocPager, OwnedDoc};
+pub use cold::{DocPager, FeatureDoc, OwnedDoc};
 pub use cow::ShardedCowMap;
 pub use index_set::{IndexDoc, IndexSet, IndexSetProbe, SequenceIndex};
 pub use inverted::{InvertedIndex, Posting};

@@ -48,11 +48,12 @@ fn run_wave(
 
 fn main() {
     // Representations live locally without raw samples; the raw traces
-    // live on the remote tape, under the same ids.
-    let mut local =
-        SequenceStore::new(StoreConfig { epsilon: 0.8, keep_raw: false, ..StoreConfig::default() })
-            .unwrap();
-    let mut archive = ArchiveStore::new(Medium::remote_tape());
+    // live on the remote tape, under the same ids. The archive derives
+    // its own feature documents with the same ε.
+    let representation = StoreConfig { epsilon: 0.8, keep_raw: false, ..StoreConfig::default() };
+    let mut local = SequenceStore::new(representation).unwrap();
+    let mut archive =
+        ArchiveStore::with_representation(Medium::remote_tape(), representation).unwrap();
     for trace in station_data() {
         let id = local.insert(&trace).unwrap();
         archive.put(id, trace);
@@ -102,30 +103,28 @@ fn main() {
         scan_cost / (local_cost + drill_cost)
     );
 
-    // The heavy-traffic path: a sharded 4-worker batch engine pushes a whole
-    // query batch down to the raw archive, representing each trace on demand
-    // and caching the result.
-    let engine = QueryEngine::new(EngineConfig {
-        store: StoreConfig { epsilon: 0.8, ..StoreConfig::default() },
-        ..EngineConfig::default()
-    })
-    .unwrap();
+    // The heavy-traffic path: a sharded 4-worker batch engine answers a
+    // whole query batch from the archive's feature documents, which the
+    // archive keeps current at every write — only a value band, which
+    // compares raw samples, fetches from the tape.
+    let engine = QueryEngine::new(EngineConfig::default()).unwrap();
     let batch = [QueryRequest::expr(query), QueryRequest::saql("peaks = 1 tol 1")];
     let outcomes = run_wave(&engine, &archive, &batch);
     assert_eq!(
         outcomes[0].exact, outcome.exact,
-        "engine over raw archive agrees with the local representation query"
-    );
-    let cold_cost = engine.last_run_report().sim_total_seconds();
-    let again = run_wave(&engine, &archive, &batch);
-    assert_eq!(again, outcomes);
-    println!(
-        "\nbatch engine over the raw archive: first batch pays {:.0} simulated seconds (one fetch per trace),",
-        cold_cost
+        "engine over the archive agrees with the local representation query"
     );
     println!(
-        "repeat batch pays {:.0}: the feature cache ({} hits so far) answers without touching the archive.",
-        engine.last_run_report().sim_total_seconds(),
-        engine.cache_stats().hits
+        "\nbatch engine over the archive: the feature batch pays {:.0} simulated seconds \
+         (documents, no fetch),",
+        engine.last_run_report().sim_total_seconds()
+    );
+    let center = snapshot.get(outcome.exact[0]).expect("archived id").clone();
+    let band = [QueryRequest::expr(QueryExpr::value_band(center, 0.5, 0.0))];
+    let banded = run_wave(&engine, &archive, &band);
+    assert_eq!(banded[0].exact, vec![outcome.exact[0]]);
+    println!(
+        "a value band pays {:.0}: it compares raw samples, one fetch per trace.",
+        engine.last_run_report().sim_total_seconds()
     );
 }

@@ -254,9 +254,7 @@ pub fn assert_all_engines_match(
     prop_assert_eq!(&archive_seq, &expected, "sequential archive engine vs oracle: {:?}", expr);
 
     for &(workers, shards) in worker_grid {
-        let sharded =
-            ShardedEngine::new(EngineConfig { workers, shards, ..EngineConfig::default() })
-                .unwrap();
+        let sharded = ShardedEngine::new(EngineConfig { workers, shards }).unwrap();
         let out = sharded.bind(archive).execute(expr).unwrap();
         prop_assert_eq!(
             &out,

@@ -1,12 +1,13 @@
-//! Keeps `docs/STORAGE.md` honest: every ```wal-record fenced block is
-//! re-encoded through `saq::durable` and compared byte-for-byte against
-//! the documented hex, and the ```storage-keys block is checked against
-//! the real key constants. If the on-disk format drifts, this fails
-//! before a reader is misled.
+//! Keeps `docs/STORAGE.md` honest: every ```wal-record and
+//! ```feature-doc fenced block is re-encoded through the implementation
+//! and compared byte-for-byte against the documented hex, and the
+//! ```storage-keys block is checked against the real key constants. If
+//! the on-disk format drifts, this fails before a reader is misled.
 
 use saq::durable::store::{docs_key, segment_key, MANIFEST_KEY};
 use saq::durable::wal::WAL_KEY;
 use saq::durable::{WalOp, WalRecord};
+use saq::index::OwnedDoc;
 
 const DOC: &str = include_str!("../docs/STORAGE.md");
 
@@ -97,6 +98,33 @@ fn documented_wal_records_encode_to_their_hex() {
         );
         let decoded = WalRecord::decode_body(&documented[8..]).expect("documented body decodes");
         assert_eq!(decoded, record, "documented bytes decode back to the same record");
+    }
+}
+
+#[test]
+fn documented_feature_docs_encode_to_their_hex() {
+    let blocks = fenced_blocks(DOC, "feature-doc");
+    assert_eq!(blocks.len(), 2, "STORAGE.md documents a document with peaks and one without");
+    for block in blocks {
+        let (header, body) = block.split_once('\n').expect("header line then hex");
+        let symbols = field(header, "symbols").expect("a doc names its symbols");
+        let numbers = |key| -> Vec<f64> {
+            let text = field(header, key).expect("field present");
+            text.split(',').filter(|t| !t.is_empty()).map(|t| t.parse().unwrap()).collect()
+        };
+        let steepness = numbers("steepness");
+        let doc = OwnedDoc {
+            symbols: (0..symbols.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&symbols[i..i + 2], 16).expect("symbol hex"))
+                .collect(),
+            interval_buckets: numbers("buckets").iter().map(|&b| b as i64).collect(),
+            peak_count: field(header, "peaks").unwrap().parse().unwrap(),
+            steepness: (!steepness.is_empty()).then(|| (steepness[0], steepness[1])),
+        };
+        let documented = parse_hex(body);
+        assert_eq!(hex(&doc.encode()), hex(&documented), "documented bytes for {header:?}");
+        assert_eq!(OwnedDoc::decode(&documented).unwrap(), doc, "documented bytes decode back");
     }
 }
 

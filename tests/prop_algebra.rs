@@ -129,9 +129,7 @@ proptest! {
         let (store, archive) = ingest(&corpus);
         assert_all_engines_match(&expr, &store, &archive, &[(workers, shards)])?;
 
-        let sharded =
-            ShardedEngine::new(EngineConfig { workers, shards, ..EngineConfig::default() })
-                .unwrap();
+        let sharded = ShardedEngine::new(EngineConfig { workers, shards }).unwrap();
         let resp = sharded.bind(&archive).request(&QueryRequest::expr(expr.clone()).with_stats());
         let universe = corpus.len() as u64;
         for observed in resp.unwrap().stats.unwrap().observed.iter().flatten() {

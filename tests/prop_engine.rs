@@ -58,7 +58,7 @@ fn run_wave(
 }
 
 /// The sequential oracle: one pass over the archive per query, no
-/// sharding, no cache.
+/// sharding, no documents.
 fn scan_sequentially(archive: &ArchiveStore, queries: &[QueryExpr]) -> Vec<QueryOutcome> {
     let scan = ArchiveScanEngine::new(archive, StoreConfig::default());
     queries.iter().map(|q| scan.execute(q).unwrap()).collect()
@@ -81,9 +81,7 @@ fn four_workers_match_sequential_paths_on_200_sequences() {
     let corpus: Vec<Sequence> = (0..200).map(|i| mixed_sequence(i, 1000 + i)).collect();
     let (store, archive) = ingest(&corpus);
 
-    let engine =
-        QueryEngine::new(EngineConfig { workers: 4, shards: 16, ..EngineConfig::default() })
-            .unwrap();
+    let engine = QueryEngine::new(EngineConfig { workers: 4, shards: 16 }).unwrap();
     let mut batch = feature_queries();
     batch.push(QueryExpr::value_band(goalpost(GoalpostSpec::default()), 1.0, 1.0));
 
@@ -120,12 +118,7 @@ proptest! {
         let corpus: Vec<Sequence> =
             seeds.iter().map(|&(kind, seed)| mixed_sequence(kind, seed)).collect();
         let (store, archive) = ingest(&corpus);
-        let engine = QueryEngine::new(EngineConfig {
-            workers,
-            shards,
-            ..EngineConfig::default()
-        })
-        .unwrap();
+        let engine = QueryEngine::new(EngineConfig { workers, shards }).unwrap();
         let batch = [
             QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"),
             QueryExpr::peak_count(count, tolerance),
@@ -191,12 +184,7 @@ proptest! {
         let corpus: Vec<Sequence> =
             seeds.iter().map(|&(kind, seed)| mixed_sequence(kind, seed)).collect();
         let (_, archive) = ingest(&corpus);
-        let engine = QueryEngine::new(EngineConfig {
-            workers,
-            shards,
-            ..EngineConfig::default()
-        })
-        .unwrap();
+        let engine = QueryEngine::new(EngineConfig { workers, shards }).unwrap();
         let batch = [QueryExpr::value_band(goalpost(GoalpostSpec::default()), delta, slack)];
         prop_assert_eq!(run_wave(&engine, &archive, &batch), scan_sequentially(&archive, &batch));
     }

@@ -95,7 +95,7 @@ proptest! {
     /// under concurrent writer churn always match the oracle at their
     /// pinned generation — through the pinned sequential scan engine, the
     /// sharded engine's algebra binding, and its request waves, all sharing
-    /// one engine (and thus one stamped LRU) across threads.
+    /// one engine across threads.
     #[test]
     fn concurrent_archive_readers_match_their_pinned_generation(
         corpus in proptest::collection::vec((0u64..4, 0u64..1000), 6..14),
@@ -105,11 +105,7 @@ proptest! {
         for (i, &(kind, seed)) in corpus.iter().enumerate() {
             archive.put(i as u64, mixed_sequence(kind, seed));
         }
-        let engine = Arc::new(ShardedEngine::new(EngineConfig {
-            workers: 3,
-            shards: 5,
-            ..EngineConfig::default()
-        }).unwrap());
+        let engine = Arc::new(ShardedEngine::new(EngineConfig { workers: 3, shards: 5 }).unwrap());
         let exprs = small_exprs();
         let queries = batch();
         let stop = AtomicBool::new(false);
@@ -146,8 +142,8 @@ proptest! {
                             assert_eq!(scan.execute(expr).unwrap(), expected, "pinned scan @{generation}");
                             let bound = engine.bind_snapshot(snap.clone());
                             assert_eq!(bound.execute(expr).unwrap(), expected, "sharded @{generation}");
-                            // A second pass through the shared LRU (which
-                            // other threads may have re-stamped to newer
+                            // A second pass through the shared engine
+                            // (which other threads drive against newer
                             // generations in between) must not drift.
                             assert_eq!(bound.execute(expr).unwrap(), expected, "rerun @{generation}");
                         }
@@ -286,11 +282,12 @@ fn dropping_the_last_store_snapshot_frees_superseded_indexes() {
     assert!(!probe.is_live(), "last reference gone, superseded indexes freed");
 }
 
-/// The acceptance-criteria cache check, driven through the snapshot layer:
-/// after `k` single-id puts, re-running a batch pinned to the *new*
-/// generation fetches exactly the `k` dirty sequences.
+/// Incremental maintenance, driven through the snapshot layer: after `k`
+/// single-id puts, exactly the `k` dirty documents are new at the pinned
+/// generation (every other id shares its document allocation), a feature
+/// batch fetches no sequence, and a value band fetches each id once.
 #[test]
-fn rerun_after_k_puts_fetches_exactly_k_sequences() {
+fn rerun_after_k_puts_replaces_exactly_k_documents() {
     let mut archive = ArchiveStore::new(Medium::memory());
     for i in 0..16u64 {
         archive.put(i, mixed_sequence(i, i));
@@ -298,19 +295,32 @@ fn rerun_after_k_puts_fetches_exactly_k_sequences() {
     let engine = ShardedEngine::new(EngineConfig::default()).unwrap();
     let queries = batch();
     run_wave(&engine, &archive.snapshot(), &queries);
-    assert_eq!(archive.fetch_count(), 16, "cold run fetches the whole archive");
+    assert_eq!(archive.fetch_count(), 0, "feature leaves read documents");
 
     for k in [1u64, 3, 5] {
+        let pinned = archive.snapshot();
         let mut writer = archive.clone();
         for i in 0..k {
             writer.put(i, mixed_sequence(i + k, 300 + k * 31 + i));
         }
-        let before = archive.fetch_count();
         let snap = archive.snapshot();
+        let replaced: Vec<u64> = snap
+            .ids()
+            .iter()
+            .copied()
+            .filter(|&id| !Arc::ptr_eq(&pinned.doc_arc(id).unwrap(), &snap.doc_arc(id).unwrap()))
+            .collect();
+        assert_eq!(replaced, (0..k).collect::<Vec<_>>(), "exactly the {k} dirty documents");
+        let before = archive.fetch_count();
         let outs = run_wave(&engine, &snap, &queries);
-        assert_eq!(archive.fetch_count() - before, k, "exactly the {k} dirty ids re-fetched");
+        assert_eq!(archive.fetch_count(), before, "a feature batch fetches nothing");
         for (q, out) in queries.iter().zip(&outs) {
             assert_eq!(out, &archive_oracle(&snap, q));
         }
+        let band = [QueryExpr::value_band(mixed_sequence(0, 0), 1.0, 0.5)];
+        let before = archive.fetch_count();
+        let out = run_wave(&engine, &snap, &band);
+        assert_eq!(archive.fetch_count() - before, 16, "a band fetches each id once");
+        assert_eq!(out[0], archive_oracle(&snap, &band[0]));
     }
 }

@@ -130,11 +130,7 @@ proptest! {
         for (i, &(kind, seed)) in corpus.iter().enumerate() {
             archive.put(i as u64, mixed_sequence(kind, seed));
         }
-        let engine = ShardedEngine::new(EngineConfig {
-            workers: 2,
-            shards: 3,
-            ..EngineConfig::default()
-        }).unwrap();
+        let engine = ShardedEngine::new(EngineConfig { workers: 2, shards: 3 }).unwrap();
         let mut scan_reg = SubscriptionRegistry::new();
         let mut sharded_reg = SubscriptionRegistry::new();
         for expr in standing_queries() {
@@ -318,10 +314,7 @@ fn pumps_racing_a_live_writer_match_their_pinned_generation() {
     for i in 0..8u64 {
         archive.put(i, mixed_sequence(i % 4, i));
     }
-    let engine = Arc::new(
-        ShardedEngine::new(EngineConfig { workers: 2, shards: 3, ..EngineConfig::default() })
-            .unwrap(),
-    );
+    let engine = Arc::new(ShardedEngine::new(EngineConfig { workers: 2, shards: 3 }).unwrap());
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {

@@ -8,7 +8,7 @@
 //! the test never depends on lucky timing.
 
 use saq::archive::{ArchiveScanEngine, ArchiveStore, Medium};
-use saq::core::algebra::QueryEngine as _;
+use saq::core::algebra::{QueryEngine as _, QueryExpr};
 use saq::core::store::StoreConfig;
 use saq::core::QueryRequest;
 use saq::engine::EngineConfig;
@@ -45,9 +45,8 @@ fn corpus() -> ArchiveStore {
     archive
 }
 
-/// Six scan-heavy queries, one per client: distinct predicates, so the
-/// wave shares fetches (one pass over the archive) without sharing leaf
-/// results.
+/// Six scan-heavy feature queries: distinct predicates, answered from the
+/// archive's documents.
 const QUERIES: [&str; 6] = [
     "steepness all >= 0.15 slack 0.1",
     "steepness all >= 0.2 slack 0.1",
@@ -57,22 +56,29 @@ const QUERIES: [&str; 6] = [
     "not peaks = 3 tol 0",
 ];
 
-/// An engine whose feature cache holds a quarter of the archive: serial
-/// queries thrash it (every pass refetches everything), which is exactly
-/// the workload wave coalescing exists to amortize.
-fn thrashing_engine(archive_len: usize) -> EngineConfig {
-    EngineConfig {
-        workers: 2,
-        shards: 4,
-        cache_capacity: archive_len / 4,
-        ..EngineConfig::default()
-    }
+/// Six value-band queries, one per client: distinct envelopes around
+/// one goalpost, so the wave shares fetches (one pass over the archive)
+/// without sharing leaf results. Band is the only leaf that fetches raw
+/// samples; feature leaves read the archive's documents.
+fn band_queries() -> Vec<QueryRequest> {
+    let center = goalpost(GoalpostSpec::default());
+    [(0.5, 0.0), (1.0, 0.5), (1.5, 0.5), (2.0, 1.0), (3.0, 0.2), (4.0, 1.0)]
+        .map(|(delta, slack)| {
+            QueryRequest::expr(QueryExpr::value_band(center.clone(), delta, slack))
+        })
+        .into()
+}
+
+/// A small pool: two workers over four shards.
+fn small_engine() -> EngineConfig {
+    EngineConfig { workers: 2, shards: 4 }
 }
 
 #[test]
 fn one_coalesced_wave_answers_all_clients_with_fewer_fetches_than_serial() {
     let archive = corpus();
-    let n_clients = QUERIES.len();
+    let queries = band_queries();
+    let n_clients = queries.len();
     let n_seqs = archive.len() as u64;
 
     // Phase 1 — coalesced: all clients fire inside one wide-open wave.
@@ -81,22 +87,24 @@ fn one_coalesced_wave_answers_all_clients_with_fewer_fetches_than_serial() {
         SaqdConfig {
             max_wave: n_clients,
             wave_window: Duration::from_secs(5),
-            engine: thrashing_engine(archive.len()),
+            engine: small_engine(),
             ..SaqdConfig::default()
         },
     )
     .unwrap();
     let fetches_before = archive.fetch_count();
     let barrier = Arc::new(Barrier::new(n_clients));
-    let handles: Vec<_> = QUERIES
+    let handles: Vec<_> = queries
         .iter()
-        .map(|&text| {
+        .enumerate()
+        .map(|(text, request)| {
             let addr = server.addr();
             let barrier = barrier.clone();
+            let request = request.clone().with_stats();
             std::thread::spawn(move || {
                 let mut client = SaqClient::connect(addr).unwrap();
                 barrier.wait();
-                let resp = client.query(&QueryRequest::saql(text).with_stats()).unwrap();
+                let resp = client.query(&request).unwrap();
                 (text, resp, client.last_wave())
             })
         })
@@ -120,7 +128,7 @@ fn one_coalesced_wave_answers_all_clients_with_fewer_fetches_than_serial() {
     // snapshot the server reported, must agree hit for hit.
     let oracle = ArchiveScanEngine::pinned(archive.snapshot(), StoreConfig::default());
     for (text, resp, _) in &answers {
-        let expected = oracle.request(&QueryRequest::saql(*text)).unwrap();
+        let expected = oracle.request(&queries[*text]).unwrap();
         assert_eq!(resp.outcome, expected.outcome, "oracle disagrees on `{text}`");
     }
     server.shutdown();
@@ -132,17 +140,17 @@ fn one_coalesced_wave_answers_all_clients_with_fewer_fetches_than_serial() {
         SaqdConfig {
             max_wave: n_clients,
             wave_window: Duration::ZERO,
-            engine: thrashing_engine(archive.len()),
+            engine: small_engine(),
             ..SaqdConfig::default()
         },
     )
     .unwrap();
     let fetches_before = archive.fetch_count();
     let mut client = SaqClient::connect(serial.addr()).unwrap();
-    for text in QUERIES {
-        let resp = client.query(&QueryRequest::saql(text)).unwrap();
+    for (text, request) in queries.iter().enumerate() {
+        let resp = client.query(request).unwrap();
         assert_eq!(client.last_wave(), 1, "zero window must not coalesce");
-        let expected = oracle.request(&QueryRequest::saql(text)).unwrap();
+        let expected = oracle.request(request).unwrap();
         assert_eq!(resp.outcome, expected.outcome, "serial result drifted on `{text}`");
     }
     let serial_fetches = archive.fetch_count() - fetches_before;
